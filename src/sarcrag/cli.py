@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -11,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import requests
 import yaml
 
 from .core import DatasetKind, Label, PipelineVariant, RetrievalSource, variant_plan
@@ -127,20 +129,20 @@ def validate_config(config: RunConfig) -> None:
 
 def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
     store = TranscriptStore(config.transcripts_dir)
+    search = None
+    fetcher = None
     if config.backend == "replay":
         gateway = Gateway(ReplayBackend(store))
-        search = None
-        fetcher = None
     else:
         backend = LiveBackend(config.endpoint, config.model)
         gateway = Gateway(backend, store=store, exchange_log=run_dir / "exchanges.jsonl")
-        needs_search = variant_plan(config.variant).retrieval is RetrievalSource.GOOGLE_SEARCH
-        search = (
-            GoogleSearchClient(config.search_api_key, config.search_engine_id)
-            if needs_search
-            else None
-        )
-        fetcher = fetch_page
+        if variant_plan(config.variant).retrieval is RetrievalSource.GOOGLE_SEARCH:
+            # One session for every search and page fetch, so connections are reused.
+            web = requests.Session()
+            search = GoogleSearchClient(
+                config.search_api_key, config.search_engine_id, session=web
+            )
+            fetcher = functools.partial(fetch_page, session=web)
     return PipelineDeps(
         gateway=gateway,
         tagger=HeuristicTagger(),

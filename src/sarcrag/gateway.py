@@ -139,6 +139,9 @@ class ChatBackend(Protocol):
 class LiveBackend:
     """HTTP chat-completion client with bounded retries and exponential backoff.
 
+    Only timeouts, dropped connections, bodies cut off mid-stream, HTTP 429 and
+    HTTP 5xx are retried; any other fault raises TransportError at once.
+
     No decoding parameters are sent; the server's defaults apply.
     """
 
@@ -171,7 +174,7 @@ class LiveBackend:
             ],
             "stream": False,
         }
-        last_error: Exception | None = None
+        cause = "no attempt made"
         for attempt in range(self.max_attempts):
             if attempt:
                 self._sleep(self.backoff_base * 2 ** (attempt - 1))
@@ -179,24 +182,59 @@ class LiveBackend:
                 response = self.session.post(
                     self.endpoint_url, json=payload, timeout=self.timeout
                 )
-                response.raise_for_status()
+            except _RETRYABLE_ERRORS as exc:
+                cause = f"{type(exc).__name__}: {exc}"
+                continue
+            except requests.RequestException as exc:
+                raise _not_retried(f"{type(exc).__name__}: {exc}", attempt) from exc
+            status = response.status_code
+            if status == 429 or status >= 500:
+                cause = f"HTTP {status}"
+                continue
+            if status >= 400:
+                raise _not_retried(f"HTTP {status}", attempt)
+            try:
                 return _extract_text(response.json())
-            except (requests.RequestException, ValueError, KeyError) as exc:
-                last_error = exc
+            except ValueError as exc:
+                raise _not_retried(f"unreadable body ({exc})", attempt) from exc
         raise TransportError(
-            f"chat endpoint failed after {self.max_attempts} attempts: {last_error}"
-        ) from last_error
+            f"chat endpoint failed: {cause} after {self.max_attempts} attempts"
+        )
 
 
-def _extract_text(body: dict) -> str:
-    """Pull generated text out of the common chat-completion response shapes."""
-    if "message" in body:
-        return body["message"]["content"]
-    if "choices" in body:
-        return body["choices"][0]["message"]["content"]
-    if "response" in body:
-        return body["response"]
-    raise KeyError(f"unrecognized response shape: {sorted(body)}")
+# Faults that a later attempt can clear. Any other fault, a 4xx other than 429,
+# or a body we cannot read fails the same way on every attempt.
+_RETRYABLE_ERRORS = (
+    requests.Timeout,
+    requests.ConnectionError,
+    requests.exceptions.ChunkedEncodingError,
+)
+
+
+def _not_retried(cause: str, attempt: int) -> TransportError:
+    where = f" on attempt {attempt + 1}" if attempt else ""
+    return TransportError(f"chat endpoint failed: {cause}{where}, not retried")
+
+
+def _extract_text(body: object) -> str:
+    """Pull generated text out of the common chat-completion response shapes.
+
+    Raises ValueError for any other shape, and for text that is not a string,
+    such as the `"content": null` an OpenAI-shape answer may carry.
+    """
+    try:
+        if "message" in body:
+            text = body["message"]["content"]
+        elif "choices" in body:
+            text = body["choices"][0]["message"]["content"]
+        else:
+            text = body["response"]
+    except (KeyError, IndexError, TypeError) as exc:
+        shape = sorted(body) if isinstance(body, dict) else type(body).__name__
+        raise ValueError(f"unrecognized response shape: {shape}") from exc
+    if not isinstance(text, str):
+        raise ValueError(f"response text is {type(text).__name__}, not a string")
+    return text
 
 
 class ReplayBackend:

@@ -7,7 +7,9 @@ internal path asks the model directly. Both are cached on disk.
 
 from __future__ import annotations
 
+import codecs
 import html.parser
+import itertools
 import json
 import math
 import re
@@ -18,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
 import requests
+from requests.compat import chardet
 
 from .core import LanguageTag, RetrievalSource
 from .errors import (
@@ -35,6 +38,7 @@ DEFAULT_TOP_K = 3
 DEFAULT_MAX_RESULTS = 5
 MIN_SNIPPET_WORDS = 20
 MAX_FETCHED_CHARS = 20_000
+FETCH_BLOCK_BYTES = 16 * 1024
 MAX_DEFINITION_SENTENCES = 2
 
 USER_AGENT = "sarcrag/0.1 (text-retrieval client for sarcasm-detection experiments)"
@@ -331,10 +335,39 @@ def strip_markup(markup: str) -> str:
 
 
 def fetch_page(url: str, *, timeout: float = 10.0, session: requests.Session | None = None) -> str:
+    """Text of the first MAX_FETCHED_CHARS characters of a page's markup.
+
+    The body is streamed and decoded block by block; the response is closed as
+    soon as enough characters are in, so an oversized page is never held whole.
+    """
     session = session or requests.Session()
-    response = session.get(url, timeout=timeout, headers={"User-Agent": USER_AGENT})
-    response.raise_for_status()
-    return strip_markup(response.text[:MAX_FETCHED_CHARS])
+    with session.get(
+        url, timeout=timeout, headers={"User-Agent": USER_AGENT}, stream=True
+    ) as response:
+        response.raise_for_status()
+        return strip_markup(_read_text(response, MAX_FETCHED_CHARS))
+
+
+def _read_text(response: requests.Response, limit: int) -> str:
+    """`response.text[:limit]`, reading only the blocks those characters need."""
+    blocks = response.iter_content(FETCH_BLOCK_BYTES)
+    first = next(blocks, b"")
+    encoding = response.encoding
+    if encoding is None:
+        # requests guesses from the whole body; the first block is all we have.
+        encoding = (chardet.detect(first)["encoding"] if chardet else None) or "utf-8"
+    try:
+        # Raises as str() would for an unknown or non-text codec.
+        b"a".decode(encoding, "replace")
+        decoder = codecs.getincrementaldecoder(encoding)(errors="replace")
+    except (LookupError, ValueError):
+        decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+    text = ""
+    for block in itertools.chain((first,), blocks):
+        text += decoder.decode(block)
+        if len(text) >= limit:
+            return text[:limit]
+    return (text + decoder.decode(b"", final=True))[:limit]
 
 
 PageFetcher = Callable[[str], str]

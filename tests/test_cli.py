@@ -1,12 +1,15 @@
 """Command line: config resolution, the run/report/cache subcommands, exit codes."""
 
 import argparse
+import io
 import json
 from pathlib import Path
 
 import pytest
+import requests
 
 from sarcrag.cli import (
+    build_deps,
     build_parser,
     build_run_config,
     main,
@@ -267,6 +270,68 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+
+
+class TestLiveTransport:
+    def test_null_content_skips_samples_and_writes_run_log(self, tmp_path, capsys, monkeypatch):
+        def post(self, url, json=None, timeout=None):
+            response = requests.Response()
+            response.status_code = 200
+            response._content = b'{"choices": [{"message": {"role": "assistant", "content": null}}]}'
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        code = main(
+            [
+                "run",
+                "--dataset", "semeval",
+                "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
+                "--variant", "pmp",
+                "--model", "m",
+                "--backend", "live",
+                "--endpoint", "http://chat.invalid/v1/chat/completions",
+                "--transcripts", str(tmp_path / "transcripts"),
+                "--out", str(tmp_path / "runs"),
+            ]
+        )
+        assert code == 0
+        assert "every sample was skipped" in capsys.readouterr().out
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
+        records = [json.loads(line) for line in run_log.read_text().splitlines()]
+        assert len(records) == 4
+        assert all("TransportError" in r["skipped_reason"] for r in records)
+
+    def test_searches_and_page_fetches_share_one_session(self, tmp_path, monkeypatch):
+        used = []
+
+        def get(self, url, **kwargs):
+            used.append(self)
+            response = requests.Response()
+            response.status_code = 200
+            response.headers["Content-Type"] = "text/html; charset=utf-8"
+            response.encoding = "utf-8"
+            response.raw = io.BytesIO(b"<p>page text</p>")
+            return response
+
+        monkeypatch.setattr(requests.Session, "get", get)
+        monkeypatch.setenv("SEARCH_API_KEY", "key")
+        monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
+        config = build_run_config(
+            make_args(
+                dataset="twitter-id",
+                data_path=str(FIXTURE / "data" / "twitter_mini.csv"),
+                variant="pmpwg",
+                model="m",
+                backend="live",
+                endpoint="http://chat.invalid/api/chat",
+            )
+        )
+        deps = build_deps(config, tmp_path)
+        for i in range(5):
+            assert deps.fetcher(f"http://pages.invalid/{i}") == "page text"
+        assert len(used) == 5
+        assert all(session is used[0] for session in used)
+        assert deps.search.session is used[0]
 
 
 class TestRunLogReading:

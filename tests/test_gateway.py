@@ -148,17 +148,19 @@ class TestReplayBackend:
 
 
 class FakeResponse:
-    def __init__(self, payload=None, status=200):
-        self.payload = payload or {}
+    def __init__(self, payload=None, status=200, text=None):
         self.status_code = status
-        self.text = json.dumps(self.payload)
+        self.text = json.dumps(payload or {}) if text is None else text
 
     def raise_for_status(self):
         if self.status_code >= 400:
             raise requests.HTTPError(f"status {self.status_code}")
 
     def json(self):
-        return self.payload
+        try:
+            return json.loads(self.text)
+        except json.JSONDecodeError as exc:
+            raise requests.exceptions.JSONDecodeError(exc.msg, exc.doc, exc.pos) from exc
 
 
 class FakeSession:
@@ -210,6 +212,83 @@ class TestLiveBackend:
         with pytest.raises(TransportError):
             backend.complete(make_request())
         assert not session.responses
+
+
+OK = FakeResponse({"message": {"content": "recovered"}})
+
+
+class TestRetryClassification:
+    def backend_with(self, *responses):
+        session = FakeSession(responses)
+        slept = []
+        backend = LiveBackend("http://example", "m", session=session, sleep=slept.append)
+        return backend, session, slept
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            FakeResponse(status=400),
+            FakeResponse(status=401),
+            FakeResponse(status=404),
+            FakeResponse(status=422),
+            FakeResponse(text='{"message": {"role": "assistant", "content": "trunc'),
+            FakeResponse(text="<html>not json</html>"),
+            FakeResponse({"unexpected": "shape"}),
+            FakeResponse({"choices": []}),
+            FakeResponse(text="null"),
+            FakeResponse({"choices": [{"message": {"role": "assistant", "content": None}}]}),
+            FakeResponse({"message": {"content": 42}}),
+            requests.exceptions.InvalidURL("bad url"),
+        ],
+        ids=[
+            "400", "401", "404", "422", "truncated-json", "not-json", "unknown-shape",
+            "no-choices", "json-null", "null-content", "numeric-content", "invalid-url",
+        ],
+    )
+    def test_permanent_fault_fails_at_once(self, response):
+        backend, session, slept = self.backend_with(response, OK, OK)
+        with pytest.raises(TransportError) as info:
+            backend.complete(make_request())
+        assert len(session.calls) == 1
+        assert slept == []
+        assert str(info.value).endswith(", not retried")
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            FakeResponse(status=429),
+            FakeResponse(status=500),
+            FakeResponse(status=503),
+            requests.Timeout("slow"),
+            requests.exceptions.ReadTimeout("slow read"),
+            requests.ConnectionError("refused"),
+            requests.exceptions.ChunkedEncodingError("cut off"),
+        ],
+        ids=["429", "500", "503", "timeout", "read-timeout", "connection", "chunked"],
+    )
+    def test_transient_fault_is_retried(self, fault):
+        backend, session, slept = self.backend_with(fault, fault, OK)
+        assert backend.complete(make_request()) == "recovered"
+        assert len(session.calls) == 3
+        assert slept == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "responses, message",
+        [
+            ([FakeResponse(status=503)] * 3, r"HTTP 503 after 3 attempts$"),
+            ([requests.ConnectionError("refused")] * 3, r"ConnectionError: refused after 3 attempts$"),
+            ([FakeResponse(status=400)], r"HTTP 400, not retried$"),
+            ([FakeResponse(status=500), FakeResponse(status=400)], r"HTTP 400 on attempt 2, not retried$"),
+            ([FakeResponse(text="{")], r"unreadable body \(.*\), not retried$"),
+            ([FakeResponse({"message": {"content": None}})], r"NoneType, not a string\), not retried$"),
+        ],
+        ids=["exhausted-status", "exhausted-exception", "at-once", "on-attempt-2", "malformed", "null"],
+    )
+    def test_message_names_cause_and_attempts(self, responses, message):
+        backend, session, _ = self.backend_with(*responses)
+        with pytest.raises(TransportError, match=message):
+            backend.complete(make_request())
+        assert len(session.calls) == len(responses)
 
 
 class TestGateway:

@@ -1,9 +1,11 @@
 """Retrieval: tokenizing, chunking, BM25 ranking, definition building, caching."""
 
+import io
 import json
 import math
 
 import pytest
+import requests
 
 from sarcrag.core import LanguageTag, RetrievalSource
 from sarcrag.errors import (
@@ -14,6 +16,8 @@ from sarcrag.errors import (
 )
 from sarcrag.gateway import Purpose
 from sarcrag.retrieval import (
+    FETCH_BLOCK_BYTES,
+    MAX_FETCHED_CHARS,
     Bm25Params,
     Chunk,
     CorpusStats,
@@ -395,20 +399,119 @@ class TestStripMarkup:
         assert strip_markup("<p>a</p>\n\n  <p>b</p>") == "a b"
 
 
+class BlockReader(io.BytesIO):
+    """A response body that counts the blocks it hands out."""
+
+    def __init__(self, body):
+        super().__init__(body)
+        self.blocks = 0
+
+    def read(self, size=-1):
+        block = super().read(size)
+        if block:
+            self.blocks += 1
+        return block
+
+
+def streamed_response(body, content_type="text/html; charset=utf-8", status_code=200):
+    """A real requests.Response over an in-memory body, as `get(..., stream=True)` returns."""
+    response = requests.Response()
+    response.status_code = status_code
+    if content_type is not None:
+        response.headers["Content-Type"] = content_type
+    response.encoding = requests.utils.get_encoding_from_headers(response.headers)
+    response.raw = BlockReader(body)
+    return response
+
+
+class PageSession:
+    def __init__(self, body, content_type="text/html; charset=utf-8", status_code=200):
+        self.response = streamed_response(body, content_type, status_code)
+
+    def get(self, url, headers=None, timeout=None, stream=False):
+        assert stream is True
+        return self.response
+
+
+def text_of(body, content_type="text/html; charset=utf-8"):
+    """The reference: markup cut from the whole body decoded by `response.text`."""
+    return strip_markup(streamed_response(body, content_type).text[:MAX_FETCHED_CHARS])
+
+
 class TestFetchPage:
     def test_truncates_and_sends_user_agent(self):
         seen = {}
 
         class Session:
-            def get(self, url, headers=None, timeout=None):
+            def get(self, url, headers=None, timeout=None, stream=False):
                 seen["headers"] = headers
                 seen["timeout"] = timeout
-                return FakeHttpResponse(text="<p>" + "x" * 30000 + "</p>")
+                seen["stream"] = stream
+                return streamed_response(("<p>" + "x" * 30000 + "</p>").encode())
 
         text = fetch_page("https://a.com", session=Session())
         assert len(text) <= 20000
         assert "User-Agent" in seen["headers"]
         assert seen["timeout"] == 10
+        assert seen["stream"] is True
+
+    def test_oversized_body_read_only_to_cap(self):
+        body = b"<p>" + b"x" * (4 * 1024 * 1024) + b"</p>"
+        session = PageSession(body)
+        text = fetch_page("https://a.com", session=session)
+        reader = session.response.raw
+        assert text == "x" * (MAX_FETCHED_CHARS - 3)
+        assert reader.blocks == -(-MAX_FETCHED_CHARS // FETCH_BLOCK_BYTES)
+        assert reader.closed
+
+    def test_short_body_read_to_end(self):
+        session = PageSession(b"<p>short page</p>")
+        assert fetch_page("https://a.com", session=session) == "short page"
+        assert session.response.raw.tell() == len(b"<p>short page</p>")
+
+    @pytest.mark.parametrize(
+        "body, content_type",
+        [
+            (("<p>" + "ascii words " * 3000 + "</p>").encode(), "text/html; charset=utf-8"),
+            (("a" + "é" * 30000).encode(), "text/html; charset=utf-8"),
+            (("ab" + "中" * 30000).encode(), "text/html; charset=UTF-8"),
+            (("a" + "😀" * 30000).encode(), "text/html; charset=utf-8"),
+            (("kata " + "é" * 10).encode() + "中".encode()[:2], "text/html; charset=utf-8"),
+            (bytes(range(32, 256)) * 200, "text/html"),
+            ("çà ".encode("cp1252") * 9000, "text/html; charset=windows-1252"),
+            ("kata 中".encode("utf-16") * 5000, "text/plain; charset=utf-16"),
+            (b"", "text/html; charset=utf-8"),
+        ],
+        ids=[
+            "ascii", "utf8-2byte-split", "utf8-3byte-split", "utf8-4byte-split",
+            "short-trailing-partial", "iso-8859-1-default", "declared-cp1252", "utf16-bom",
+            "empty",
+        ],
+    )
+    def test_equals_decoding_whole_body(self, body, content_type):
+        session = PageSession(body, content_type)
+        assert fetch_page("https://a.com", session=session) == text_of(body, content_type)
+
+    @pytest.mark.parametrize(
+        "content_type",
+        [
+            "text/html; charset=x-no-such-charset",
+            "text/html; charset=base64",
+            "text/html; charset=idna",
+            "application/octet-stream",
+        ],
+        ids=["unknown", "not-a-text-codec", "strict-only-codec", "undeclared"],
+    )
+    def test_unknown_or_undeclared_charset_falls_back_to_utf8(self, content_type):
+        body = ("<p>" + "kata é " * 5000 + "</p>").encode()
+        text = fetch_page("https://a.com", session=PageSession(body, content_type))
+        assert text == strip_markup(body.decode()[:MAX_FETCHED_CHARS])
+
+    def test_http_error_raises_request_exception_and_closes(self):
+        session = PageSession(b"error", status_code=500)
+        with pytest.raises(requests.HTTPError):
+            fetch_page("https://a.com", session=session)
+        assert session.response.raw.closed
 
 
 class TestRefineDefinition:
