@@ -1,58 +1,3 @@
 """Retrieval-grounded two-call prompting pipelines for sarcasm detection."""
 
-from .core import (
-    DatasetKind,
-    ExtractionMethod,
-    Label,
-    LanguageTag,
-    PipelineVariant,
-    RetrievalSource,
-    Sample,
-    VariantPlan,
-    variant_plan,
-)
-from .evaluation import ConfusionMatrix, MetricsReport, confusion, macro_metrics
-from .gateway import (
-    ChatExchange,
-    ChatMessage,
-    ChatRequest,
-    Gateway,
-    LiveBackend,
-    Purpose,
-    ReplayBackend,
-    Role,
-    TranscriptStore,
-)
-from .keywords import (
-    HeuristicTagger,
-    KeywordSet,
-    extract_llm_based,
-    extract_token_tagging,
-    parse_csv_keywords,
-)
-from .pipeline import (
-    FewShotBlock,
-    PipelineDeps,
-    PipelineTrace,
-    build_p1,
-    build_p2,
-    parse_verdict,
-    run_pipeline,
-)
-from .retrieval import (
-    Bm25Params,
-    Chunk,
-    CorpusStats,
-    SearchResult,
-    WordInfo,
-    WordInfoCache,
-    bm25_idf,
-    bm25_score,
-    chunk_document,
-    define_llm_only,
-    rank_chunks,
-    refine_definition,
-)
-from .templates import PromptTemplateSet, load_templates
-
 __version__ = "0.1.0"

@@ -163,33 +163,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     def run_one(sample) -> dict:
         started = time.monotonic()
+        trace = skip = None
         try:
             trace = run_pipeline(sample, config.variant, deps)
-            return {
-                "sample_id": sample.id,
-                "variant": config.variant.value,
-                "gold": sample.gold.value,
-                "verdict": trace.verdict.value,
-                "skipped_reason": None,
-                "keywords": list(trace.keywords.keywords) if trace.keywords else [],
-                "word_info_sources": [info.source.value for info in trace.word_infos],
-                "p1_digest": trace.p1_exchange.request_digest,
-                "p2_digest": trace.p2_exchange.request_digest,
-                "wall_time": trace.wall_time,
-            }
-        except SampleSkipped as skip:
-            return {
-                "sample_id": sample.id,
-                "variant": config.variant.value,
-                "gold": sample.gold.value,
-                "verdict": None,
-                "skipped_reason": skip.reason,
-                "keywords": [],
-                "word_info_sources": [],
-                "p1_digest": None,
-                "p2_digest": None,
-                "wall_time": time.monotonic() - started,
-            }
+        except SampleSkipped as exc:
+            skip = exc
+        return {
+            "sample_id": sample.id,
+            "variant": config.variant.value,
+            "gold": sample.gold.value,
+            "verdict": trace.verdict.value if trace else None,
+            "skipped_reason": skip.reason if skip else None,
+            "keywords": list(trace.keywords.keywords) if trace and trace.keywords else [],
+            "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
+            "p1_digest": trace.p1_exchange.request.digest if trace else None,
+            "p2_digest": trace.p2_exchange.request.digest if trace else None,
+            "wall_time": trace.wall_time if trace else time.monotonic() - started,
+        }
 
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         records = list(pool.map(run_one, samples))

@@ -61,14 +61,8 @@ class StoreWriteError(SarcragError):
     """A cache or transcript write failed."""
 
 
-class LogParseError(SarcragError):
+class LogParseError(FormatError):
     """A run log line could not be parsed."""
-
-    def __init__(self, message: str, *, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class DomainError(SarcragError):

@@ -9,9 +9,12 @@ model server.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import logging
+import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -65,7 +68,7 @@ class ChatRequest:
         if not any(m.role is Role.USER for m in self.messages):
             raise ValueError("at least one user message required")
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
         return request_digest(self.messages)
 
@@ -87,7 +90,19 @@ class ChatExchange:
     response_text: str
     backend: str
     latency: float
-    request_digest: str
+
+
+def write_json_atomic(path: Path, record: object) -> None:
+    """Write record as indented JSON through a uniquely named temporary file beside path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, ensure_ascii=False, indent=1))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 class TranscriptStore:
@@ -124,10 +139,7 @@ class TranscriptStore:
                 if previous["response_text"] == response_text:
                     return
                 log.warning("overwriting transcript %s with different response text", digest)
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(record, ensure_ascii=False, indent=1), encoding="utf-8")
-            tmp.replace(path)
+            write_json_atomic(path, record)
 
 
 class ChatBackend(Protocol):
@@ -277,7 +289,6 @@ class Gateway:
             response_text=response_text,
             backend=self.backend.name,
             latency=latency,
-            request_digest=request.digest,
         )
         if self.store is not None:
             self.store.save(request, response_text)
@@ -288,7 +299,7 @@ class Gateway:
     def _append_log(self, exchange: ChatExchange) -> None:
         line = json.dumps(
             {
-                "digest": exchange.request_digest,
+                "digest": exchange.request.digest,
                 "purpose_tag": exchange.request.purpose.value,
                 "backend": exchange.backend,
                 "latency": exchange.latency,

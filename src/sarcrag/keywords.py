@@ -1,6 +1,6 @@
 """Keyword extraction: a proper-noun tagging heuristic and the two-call model procedure.
 
-Token tagging keeps entities and proper nouns found by a tagger; the model-based
+Token tagging keeps the proper nouns found by a tagger; the model-based
 path first asks which words the model does not understand, then asks it to
 reformat that answer as CSV.
 """
@@ -11,8 +11,6 @@ import enum
 import re
 from dataclasses import dataclass
 from typing import Protocol
-
-import requests
 
 from .core import ExtractionMethod, Sample
 from .errors import MalformedCSV, TaggerError
@@ -51,18 +49,10 @@ class PartOfSpeech(enum.Enum):
     OTHER = "other"
 
 
-class EntityType(enum.Enum):
-    PERSON = "person"
-    LOCATION = "location"
-    ORGANIZATION = "organization"
-    OTHER = "other"
-
-
 @dataclass(frozen=True)
 class TaggedToken:
     surface: str
     pos: PartOfSpeech
-    entity: EntityType | None
     char_span: tuple[int, int]
 
 
@@ -133,7 +123,6 @@ class HeuristicTagger:
                 TaggedToken(
                     surface=text[start:end],
                     pos=PartOfSpeech.PROPER_NOUN,
-                    entity=None,
                     char_span=(start, end),
                 )
             )
@@ -154,36 +143,8 @@ class HeuristicTagger:
         return tokens
 
 
-class HttpTagger:
-    """Delegates tagging to an external service: POST raw text, receive token JSON."""
-
-    def __init__(self, url: str, *, timeout: float = 10.0, session: requests.Session | None = None) -> None:
-        self.url = url
-        self.timeout = timeout
-        self.session = session or requests.Session()
-
-    def tag(self, text: str) -> list[TaggedToken]:
-        try:
-            response = self.session.post(
-                self.url, data=text.encode("utf-8"), timeout=self.timeout
-            )
-            response.raise_for_status()
-            payload = response.json()
-            return [
-                TaggedToken(
-                    surface=item["surface"],
-                    pos=PartOfSpeech(item.get("pos", "other")),
-                    entity=EntityType(item["entity"]) if item.get("entity") else None,
-                    char_span=(item["start"], item["end"]),
-                )
-                for item in payload
-            ]
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise TaggerError(f"external tagger failed: {exc}") from exc
-
-
 def tag_tokens(text: str, tagger: TaggerPort) -> list[TaggedToken]:
-    """Tagger output restricted to entity-typed or proper-noun tokens with valid spans."""
+    """Tagger output restricted to proper-noun tokens with valid spans."""
     if not text:
         raise ValueError("text must be non-empty")
     kept: list[TaggedToken] = []
@@ -194,7 +155,7 @@ def tag_tokens(text: str, tagger: TaggerPort) -> list[TaggedToken]:
             raise TaggerError(f"span {token.char_span} outside text bounds")
         if start < previous_end:
             raise TaggerError(f"span {token.char_span} overlaps a previous token")
-        if token.pos is PartOfSpeech.PROPER_NOUN or token.entity is not None:
+        if token.pos is PartOfSpeech.PROPER_NOUN:
             kept.append(token)
             previous_end = end
     return kept

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import (
-    ExtractionMethod,
-    Label,
-    PipelineVariant,
-    RetrievalSource,
-    Sample,
-    variant_plan,
-)
+from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
 from .errors import (
     DefinitionUnavailable,
     EmptyResponse,
@@ -39,18 +32,7 @@ from .keywords import (
     extract_llm_based,
     extract_token_tagging,
 )
-from .retrieval import (
-    Bm25Params,
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_MAX_RESULTS,
-    DEFAULT_OVERLAP,
-    DEFAULT_TOP_K,
-    PageFetcher,
-    SearchPort,
-    WordInfo,
-    WordInfoCache,
-    get_word_info,
-)
+from .retrieval import PageFetcher, SearchPort, WordInfo, WordInfoCache, get_word_info
 from .templates import PromptTemplateSet, load_templates
 
 # Connective between a keyword and its definition in the word-info block.
@@ -167,11 +149,6 @@ class PipelineDeps:
     search: SearchPort | None = None
     cache: WordInfoCache | None = None
     fetcher: PageFetcher | None = None
-    bm25: Bm25Params = field(default_factory=Bm25Params)
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    overlap: int = DEFAULT_OVERLAP
-    top_k: int = DEFAULT_TOP_K
-    max_results: int = DEFAULT_MAX_RESULTS
 
 
 @dataclass(frozen=True)
@@ -182,8 +159,6 @@ class PipelineTrace:
     word_infos: tuple[WordInfo, ...]
     p1_exchange: ChatExchange
     p2_exchange: ChatExchange
-    a1: str
-    a2: str
     verdict: Label
     wall_time: float
 
@@ -228,11 +203,6 @@ def run_pipeline(
                             cache=deps.cache,
                             search=deps.search,
                             fetcher=deps.fetcher,
-                            params=deps.bm25,
-                            chunk_size=deps.chunk_size,
-                            overlap=deps.overlap,
-                            top_k=deps.top_k,
-                            max_results=deps.max_results,
                         )
                     )
                 except DefinitionUnavailable:
@@ -253,8 +223,6 @@ def run_pipeline(
         word_infos=tuple(word_infos),
         p1_exchange=p1_exchange,
         p2_exchange=p2_exchange,
-        a1=p1_exchange.response_text,
-        a2=p2_exchange.response_text,
         verdict=verdict,
         wall_time=time.monotonic() - started,
     )

@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import re
-import threading
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from .errors import (
     SearchTransportError,
     StoreWriteError,
 )
-from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
+from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role, write_json_atomic
 
 DEFAULT_CHUNK_SIZE = 120
 DEFAULT_OVERLAP = 20
@@ -281,9 +280,7 @@ class GoogleSearchClient:
             if response.status_code in (403, 429):
                 raise SearchQuotaExceeded(f"search quota rejected ({response.status_code})")
             response.raise_for_status()
-            items = response.json().get("items", [])
-        except SearchQuotaExceeded:
-            raise
+            items = _search_items(response.json())
         except (requests.RequestException, ValueError) as exc:
             raise SearchTransportError(f"search failed: {exc}") from exc
         return [
@@ -295,6 +292,23 @@ class GoogleSearchClient:
             )
             for rank, item in enumerate(items[:max_results], start=1)
         ]
+
+
+def _search_items(body: object) -> list[dict]:
+    """The items of a search body; a missing link or snippet reads as empty.
+
+    Raises ValueError unless the body is an object whose items, if any, are a
+    list of objects with string link and snippet values.
+    """
+    items = body.get("items", []) if isinstance(body, dict) else None
+    if not isinstance(items, list) or not all(
+        isinstance(item, dict)
+        and isinstance(item.get("link", ""), str)
+        and isinstance(item.get("snippet", ""), str)
+        for item in items
+    ):
+        raise ValueError("body is not an object with a list of items with string link and snippet")
+    return items
 
 
 def search_web(
@@ -467,7 +481,6 @@ class WordInfoCache:
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
 
     def path_for(self, keyword: str, source: RetrievalSource) -> Path:
         name = urllib.parse.quote(keyword.casefold(), safe="")
@@ -477,14 +490,7 @@ class WordInfoCache:
         path = self.path_for(keyword, source)
         if not path.exists():
             return None
-        record = json.loads(path.read_text(encoding="utf-8"))
-        evidence = record.get("evidence")
-        return WordInfo(
-            keyword=record["keyword"],
-            definition=record["definition"],
-            source=RetrievalSource(record["source"]),
-            evidence=tuple((url, idx) for url, idx in evidence) if evidence is not None else None,
-        )
+        return _read_word_info(path)
 
     def store(self, info: WordInfo) -> None:
         record = {
@@ -493,15 +499,8 @@ class WordInfoCache:
             "source": info.source.value,
             "evidence": [list(pair) for pair in info.evidence] if info.evidence is not None else None,
         }
-        path = self.path_for(info.keyword, info.source)
         try:
-            with self._lock:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(".json.tmp")
-                tmp.write_text(
-                    json.dumps(record, ensure_ascii=False, indent=1), encoding="utf-8"
-                )
-                tmp.replace(path)
+            write_json_atomic(self.path_for(info.keyword, info.source), record)
         except OSError as exc:
             raise StoreWriteError(f"cache write failed for {info.keyword!r}: {exc}") from exc
 
@@ -512,19 +511,7 @@ class WordInfoCache:
             directory = self.root / src.value
             if not directory.is_dir():
                 continue
-            for path in sorted(directory.glob("*.json")):
-                record = json.loads(path.read_text(encoding="utf-8"))
-                evidence = record.get("evidence")
-                found.append(
-                    WordInfo(
-                        keyword=record["keyword"],
-                        definition=record["definition"],
-                        source=RetrievalSource(record["source"]),
-                        evidence=tuple((url, idx) for url, idx in evidence)
-                        if evidence is not None
-                        else None,
-                    )
-                )
+            found.extend(_read_word_info(path) for path in sorted(directory.glob("*.json")))
         return found
 
     def purge(self, source: RetrievalSource | None = None) -> int:
@@ -540,6 +527,17 @@ class WordInfoCache:
         return removed
 
 
+def _read_word_info(path: Path) -> WordInfo:
+    record = json.loads(path.read_text(encoding="utf-8"))
+    evidence = record.get("evidence")
+    return WordInfo(
+        keyword=record["keyword"],
+        definition=record["definition"],
+        source=RetrievalSource(record["source"]),
+        evidence=tuple((url, idx) for url, idx in evidence) if evidence is not None else None,
+    )
+
+
 def get_word_info(
     keyword: str,
     source: RetrievalSource,
@@ -549,11 +547,6 @@ def get_word_info(
     cache: WordInfoCache | None = None,
     search: SearchPort | None = None,
     fetcher: PageFetcher | None = None,
-    params: Bm25Params = Bm25Params(),
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    overlap: int = DEFAULT_OVERLAP,
-    top_k: int = DEFAULT_TOP_K,
-    max_results: int = DEFAULT_MAX_RESULTS,
 ) -> WordInfo:
     """Cache-first definition lookup for one keyword via the requested path."""
     if cache is not None:
@@ -567,11 +560,11 @@ def get_word_info(
             raise DefinitionUnavailable(
                 f"no cached definition for {keyword!r} and no search client configured"
             )
-        results = search_web(keyword, search, max_results)
-        corpus = gather_corpus(results, fetcher, chunk_size=chunk_size, overlap=overlap)
+        results = search_web(keyword, search)
+        corpus = gather_corpus(results, fetcher)
         if not corpus:
             raise DefinitionUnavailable(f"search produced no usable text for {keyword!r}")
-        top = rank_chunks(keyword, corpus, params, top_k)
+        top = rank_chunks(keyword, corpus, Bm25Params(), DEFAULT_TOP_K)
         info = refine_definition(keyword, top, gateway, language)
     if cache is not None:
         cache.store(info)

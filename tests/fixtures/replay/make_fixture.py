@@ -2,13 +2,19 @@
 
 Runs the real pipelines against a scripted in-memory backend whose answers are
 a pure function of the request, so regeneration is deterministic. Run from the
-repository root: python tests/fixtures/replay/make_fixture.py
+repository root:
+
+    python tests/fixtures/replay/make_fixture.py [OUT_DIR]
+
+OUT_DIR defaults to this directory, the committed fixture; its `transcripts/`
+and `cache/` are replaced.
 """
 
 from __future__ import annotations
 
 import re
 import shutil
+import sys
 from pathlib import Path
 
 from sarcrag.core import DatasetKind, PipelineVariant, RetrievalSource
@@ -112,9 +118,9 @@ class ScriptedBackend:
         raise KeyError(f"unscripted purpose {request.purpose}")
 
 
-def main() -> None:
-    transcripts = FIXTURE / "transcripts"
-    cache_dir = FIXTURE / "cache"
+def main(out: Path = FIXTURE) -> None:
+    transcripts = out / "transcripts"
+    cache_dir = out / "cache"
     for directory in (transcripts, cache_dir):
         shutil.rmtree(directory, ignore_errors=True)
         directory.mkdir(parents=True)
@@ -149,4 +155,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURE)

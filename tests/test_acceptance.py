@@ -7,6 +7,7 @@ search, so correctness is asserted through oracles, goldens, and replay
 determinism instead of score reproduction.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -447,6 +448,33 @@ class TestReplayDeterminism:
         report = json.loads(report_bytes)
         for key, value in expected.items():
             assert report[key] == value, key
+
+    @pytest.mark.parametrize("dataset,data_file,variant", [run[:3] for run in REPLAY_RUNS])
+    def test_run_log_matches_golden(self, tmp_path, dataset, data_file, variant):
+        self.replay_once(tmp_path, dataset, data_file, variant)
+        run_log = tmp_path / dataset / "fixture-model" / variant / "run.jsonl"
+        lines = []
+        for line in run_log.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            assert list(record)[-1] == "wall_time"
+            del record["wall_time"]
+            lines.append(json.dumps(record, ensure_ascii=False))
+        golden = GOLDEN / "replay" / f"{dataset}_{variant}.jsonl"
+        assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+    def test_fixture_rebuild_is_byte_identical(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("make_fixture", FIXTURE / "make_fixture.py")
+        make_fixture = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_fixture)
+        make_fixture.main(tmp_path)
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        for tree in ("transcripts", "cache"):
+            rebuilt, committed = files(tmp_path / tree), files(FIXTURE / tree)
+            assert sorted(rebuilt) == sorted(committed), tree
+            assert rebuilt == committed, tree
 
     def test_fixture_holds_four_samples_per_dataset(self):
         from sarcrag.datasets import load_dataset

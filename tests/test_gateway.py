@@ -115,6 +115,17 @@ class TestTranscriptStore:
         assert store.lookup(request.digest) == "new"
         assert any("overwriting" in r.message for r in caplog.records)
 
+    def test_save_does_not_collide_with_another_writers_temp_file(self, tmp_path):
+        request = make_request()
+        reference = TranscriptStore(tmp_path / "reference")
+        reference.save(request, "answer")
+        store = TranscriptStore(tmp_path / "store")
+        path = store.path_for(request.digest)
+        # Stands in for the temporary file of another process saving the same digest.
+        path.with_suffix(".json.tmp").mkdir(parents=True)
+        store.save(request, "answer")
+        assert path.read_bytes() == reference.path_for(request.digest).read_bytes()
+
     def test_stored_record_fields(self, tmp_path):
         store = TranscriptStore(tmp_path)
         request = make_request(purpose=Purpose.DEFINE_WORD)
@@ -289,6 +300,46 @@ class TestRetryClassification:
         with pytest.raises(TransportError, match=message):
             backend.complete(make_request())
         assert len(session.calls) == len(responses)
+
+
+class Echo:
+    name = "live"
+
+    def complete(self, request):
+        return f"answer to {request.messages[-1].content}"
+
+
+class TestDigestsPerChat:
+    USERS = ("first", "second", "third")
+
+    @pytest.fixture
+    def digest_calls(self, monkeypatch):
+        calls = []
+
+        def counting(messages):
+            calls.append(messages)
+            return request_digest(messages)
+
+        monkeypatch.setattr("sarcrag.gateway.request_digest", counting)
+        return calls
+
+    def test_live_backend_with_store_and_log(self, tmp_path, digest_calls):
+        gateway = Gateway(
+            Echo(), store=TranscriptStore(tmp_path), exchange_log=tmp_path / "exchanges.jsonl"
+        )
+        for user in self.USERS:
+            gateway.chat(make_request(user=user))
+        assert len(digest_calls) == len(self.USERS)
+
+    def test_replay_backend(self, tmp_path, digest_calls):
+        store = TranscriptStore(tmp_path)
+        for user in self.USERS:
+            store.save(make_request(user=user), f"answer to {user}")
+        digest_calls.clear()
+        gateway = Gateway(ReplayBackend(store))
+        for user in self.USERS:
+            gateway.chat(make_request(user=user))
+        assert len(digest_calls) == len(self.USERS)
 
 
 class TestGateway:

@@ -100,8 +100,8 @@ class TestTagTokens:
         class NoisyTagger:
             def tag(self, text):
                 return [
-                    TaggedToken("love", PartOfSpeech.OTHER, None, (2, 6)),
-                    TaggedToken("Paris", PartOfSpeech.PROPER_NOUN, None, (7, 12)),
+                    TaggedToken("love", PartOfSpeech.OTHER, (2, 6)),
+                    TaggedToken("Paris", PartOfSpeech.PROPER_NOUN, (7, 12)),
                 ]
 
         kept = tag_tokens("I love Paris", NoisyTagger())
@@ -110,7 +110,7 @@ class TestTagTokens:
     def test_rejects_out_of_bounds_spans(self):
         class BadTagger:
             def tag(self, text):
-                return [TaggedToken("x", PartOfSpeech.PROPER_NOUN, None, (0, 99))]
+                return [TaggedToken("x", PartOfSpeech.PROPER_NOUN, (0, 99))]
 
         with pytest.raises(TaggerError):
             tag_tokens("short", BadTagger())
@@ -119,8 +119,8 @@ class TestTagTokens:
         class OverlapTagger:
             def tag(self, text):
                 return [
-                    TaggedToken("Par", PartOfSpeech.PROPER_NOUN, None, (0, 3)),
-                    TaggedToken("aris", PartOfSpeech.PROPER_NOUN, None, (1, 5)),
+                    TaggedToken("Par", PartOfSpeech.PROPER_NOUN, (0, 3)),
+                    TaggedToken("aris", PartOfSpeech.PROPER_NOUN, (1, 5)),
                 ]
 
         with pytest.raises(TaggerError):

@@ -222,7 +222,7 @@ class TestRunPipeline:
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.keywords is None
         assert trace.word_infos == ()
-        assert trace.a1 == "an analysis"
+        assert trace.p1_exchange.response_text == "an analysis"
         assert trace.verdict is Label.SARCASTIC
         assert trace.wall_time >= 0
 

@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import sys
+import threading
 
 import pytest
 import requests
@@ -13,6 +15,7 @@ from sarcrag.errors import (
     DomainError,
     SearchQuotaExceeded,
     SearchTransportError,
+    StoreWriteError,
 )
 from sarcrag.gateway import Purpose
 from sarcrag.retrieval import (
@@ -380,6 +383,19 @@ class TestGoogleSearchClient:
             client.search("q", max_results=1)
         assert not isinstance(info.value, SearchQuotaExceeded)
 
+    @pytest.mark.parametrize(
+        "body",
+        [None, [], {"items": None}, {"items": ["x"]}, {"items": [{"link": None, "snippet": 5}]}],
+    )
+    def test_malformed_body_raises_transport(self, body):
+        response = FakeHttpResponse()
+        response.json = lambda: body
+        session = self.make_session(response)
+        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
+        with pytest.raises(SearchTransportError) as info:
+            client.search("q", max_results=3)
+        assert not isinstance(info.value, SearchQuotaExceeded)
+
     def test_missing_items_is_empty(self):
         session = self.make_session(FakeHttpResponse(payload={}))
         client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
@@ -663,6 +679,58 @@ class TestWordInfoCache:
         assert sorted(e.keyword for e in entries) == ["one", "two"]
         assert cache.purge(RetrievalSource.LLM_ONLY) == 2
         assert cache.entries(RetrievalSource.LLM_ONLY) == []
+
+    def test_store_does_not_collide_with_another_writers_temp_file(self, tmp_path):
+        WordInfoCache(tmp_path / "reference").store(self.make_info())
+        cache = WordInfoCache(tmp_path / "cache")
+        path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
+        # Stands in for the temporary file of another process storing the same keyword.
+        path.with_suffix(".json.tmp").mkdir(parents=True)
+        cache.store(self.make_info())
+        reference = WordInfoCache(tmp_path / "reference").path_for("kw", RetrievalSource.LLM_ONLY)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_concurrent_writers_of_one_keyword(self, tmp_path):
+        # One cache object per thread, as separate processes would have.
+        errors = []
+
+        def write(n):
+            cache = WordInfoCache(tmp_path)
+            try:
+                for i in range(40):
+                    cache.store(
+                        WordInfo(
+                            keyword="kw",
+                            definition=f"Definition {n}.{i}.",
+                            source=RetrievalSource.LLM_ONLY,
+                        )
+                    )
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = WordInfoCache(tmp_path).lookup("kw", RetrievalSource.LLM_ONLY)
+        assert info.definition.startswith("Definition ")
+        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == ["kw.json"]
+
+    def test_failed_store_raises_and_removes_its_temp_file(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
+        (path / "occupied").mkdir(parents=True)
+        with pytest.raises(StoreWriteError):
+            cache.store(self.make_info())
+        assert [p.name for p in path.parent.iterdir()] == ["kw.json"]
 
     def test_stored_file_is_json(self, tmp_path):
         cache = WordInfoCache(tmp_path)
