@@ -19,7 +19,7 @@ from .core import DatasetKind, Label, PipelineVariant, RetrievalSource, variant_
 from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleSkipped, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
-from .gateway import Gateway, LiveBackend, ReplayBackend, TranscriptStore
+from .gateway import Gateway, LiveBackend, TranscriptStore
 from .keywords import HeuristicTagger
 from .pipeline import PipelineDeps, run_pipeline
 from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
@@ -44,6 +44,11 @@ class RunConfig:
     @property
     def run_dir(self) -> Path:
         return self.out_dir / self.dataset.value / self.model / self.variant.value
+
+    @property
+    def store_dir(self) -> Path:
+        # Live runs answer from the store first, so each model keeps its own.
+        return self.transcripts_dir / self.model
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -115,8 +120,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("limit must be a positive sample count")
     if not config.data_path.exists():
         raise ConfigError(f"data path does not exist: {config.data_path}")
-    if config.backend == "replay" and not config.transcripts_dir.is_dir():
-        raise ConfigError(f"replay needs an existing transcript store: {config.transcripts_dir}")
+    if config.backend == "replay" and not config.store_dir.is_dir():
+        raise ConfigError(f"replay needs an existing transcript store: {config.store_dir}")
     if config.backend == "live" and not config.endpoint:
         raise ConfigError("live backend needs an endpoint (flag, LLM_ENDPOINT, or config file)")
     needs_search = variant_plan(config.variant).retrieval is RetrievalSource.GOOGLE_SEARCH
@@ -128,11 +133,11 @@ def validate_config(config: RunConfig) -> None:
 
 
 def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
-    store = TranscriptStore(config.transcripts_dir)
+    store = TranscriptStore(config.store_dir)
     search = None
     fetcher = None
     if config.backend == "replay":
-        gateway = Gateway(ReplayBackend(store))
+        gateway = Gateway(None, store)
     else:
         backend = LiveBackend(config.endpoint, config.model)
         gateway = Gateway(backend, store=store, exchange_log=run_dir / "exchanges.jsonl")
@@ -181,13 +186,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             "wall_time": trace.wall_time if trace else time.monotonic() - started,
         }
 
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        records = list(pool.map(run_one, samples))
-
+    # Each record is on disk as soon as it and every earlier sample are done.
+    records = []
     log_path = run_dir / "run.jsonl"
-    with log_path.open("w", encoding="utf-8") as fh:
-        for record in records:
+    with log_path.open("w", encoding="utf-8") as fh, ThreadPoolExecutor(config.concurrency) as pool:
+        for record in pool.map(run_one, samples):
+            records.append(record)
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.flush()
 
     try:
         report = _report_from_records(records)
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--concurrency", type=int)
     run.add_argument("--limit", type=int)
     run.add_argument("--out")
-    run.add_argument("--transcripts", help="transcript store directory")
+    run.add_argument("--transcripts", help="transcript store root, one directory per model")
     run.add_argument("--cache", help="definition cache directory")
     run.add_argument("--config", help="YAML file with the same keys as the flags")
     run.set_defaults(func=cmd_run)

@@ -19,9 +19,6 @@ class Label(enum.Enum):
             return cls.NOT_SARCASTIC
         raise ValueError(f"not a verdict: {text!r}")
 
-    def to_verdict(self) -> str:
-        return self.value
-
 
 class DatasetKind(enum.Enum):
     SEMEVAL_2018_T3 = "semeval"
@@ -55,25 +52,6 @@ class Sample:
             raise ValueError("sample id must be non-empty")
         if not self.text:
             raise ValueError(f"sample {self.id}: text must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "text": self.text,
-            "gold": self.gold.value,
-            "dataset": self.dataset.value,
-            "language": self.language.value,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Sample":
-        return cls(
-            id=record["id"],
-            text=record["text"],
-            gold=Label(record["gold"]),
-            dataset=DatasetKind(record["dataset"]),
-            language=LanguageTag(record["language"]),
-        )
 
 
 class ExtractionMethod(enum.Enum):

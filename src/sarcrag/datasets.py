@@ -91,7 +91,7 @@ def flatten_dialogue(context: list[str], utterance: str) -> str:
     return " ".join(context) + " " + target
 
 
-def load_twitter_id(path: Path | str, expected_count: int | None = None) -> list[Sample]:
+def load_twitter_id(path: Path | str) -> list[Sample]:
     """Delimited rows with tweet and label columns; comma or tab separated."""
     kind = DatasetKind.TWITTER_INDONESIA
     with open(path, encoding="utf-8", newline="") as fh:
@@ -124,8 +124,6 @@ def load_twitter_id(path: Path | str, expected_count: int | None = None) -> list
                     language=DATASET_LANGUAGE[kind],
                 )
             )
-    if expected_count is not None and len(samples) != expected_count:
-        raise FormatError(f"expected {expected_count} rows, loaded {len(samples)}")
     _check_unique_ids(samples)
     return samples
 

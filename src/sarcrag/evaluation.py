@@ -120,20 +120,6 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def report_from_dict(record: dict) -> MetricsReport:
-    return MetricsReport(
-        accuracy=record["accuracy"],
-        precision_macro=record["precision_macro"],
-        recall_macro=record["recall_macro"],
-        f1_macro=record["f1_macro"],
-        per_class={
-            name: ClassMetrics(**values) for name, values in record["per_class"].items()
-        },
-        n_scored=record["n_scored"],
-        n_skipped=record["n_skipped"],
-    )
-
-
 def report_to_json(report: MetricsReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 

@@ -2,7 +2,8 @@
 
 Every call is a ChatRequest (one system message, then user/assistant turns) and
 comes back as a ChatExchange. Exchanges are keyed by a digest of the ordered
-(role, content) pairs, so a recorded run can be replayed bit-for-bit without a
+(role, content) pairs. The store answers first and keeps the first answer
+recorded for a digest, so a recorded run can be replayed bit-for-bit without a
 model server.
 """
 
@@ -12,7 +13,6 @@ import enum
 import functools
 import hashlib
 import json
-import logging
 import os
 import tempfile
 import threading
@@ -23,9 +23,12 @@ from typing import Callable, Protocol
 
 import requests
 
-from .errors import EmptyResponse, MissingTranscript, TransportError
+from .errors import EmptyResponse, MissingTranscript, StoreWriteError, TransportError
 
-log = logging.getLogger(__name__)
+# LiveBackend's transport: attempts per request, first backoff (doubling), timeout.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 1.0
+CHAT_TIMEOUT_S = 120.0
 
 
 class Role(enum.Enum):
@@ -92,17 +95,32 @@ class ChatExchange:
     latency: float
 
 
-def write_json_atomic(path: Path, record: object) -> None:
-    """Write record as indented JSON through a uniquely named temporary file beside path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+def read_json(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def put_json_if_absent(path: Path, record: dict) -> dict:
+    """Store record as indented JSON at path unless one is there; return the record kept.
+
+    The record is written whole under a unique temporary name beside path and
+    hard-linked into place, so readers never see a partial file and the first
+    writer wins, across threads and processes alike. The directory's filesystem
+    must support hard links; any failure raises StoreWriteError.
+    """
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False, indent=1))
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, ensure_ascii=False, indent=1))
+            os.link(tmp, path)
+        except FileExistsError:
+            return read_json(path)
+        finally:
+            os.unlink(tmp)
+    except OSError as exc:
+        raise StoreWriteError(f"store write failed for {path}: {exc}") from exc
+    return record
 
 
 class TranscriptStore:
@@ -110,7 +128,6 @@ class TranscriptStore:
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
 
     def path_for(self, digest: str) -> Path:
         return self.root / f"{digest}.json"
@@ -119,27 +136,19 @@ class TranscriptStore:
         path = self.path_for(digest)
         if not path.exists():
             return None
-        record = json.loads(path.read_text(encoding="utf-8"))
-        return record["response_text"]
+        return read_json(path)["response_text"]
 
-    def save(self, request: ChatRequest, response_text: str) -> None:
-        digest = request.digest
+    def save(self, request: ChatRequest, response_text: str) -> str:
+        """Record the exchange unless its digest is stored; return the response kept."""
         record = {
-            "digest": digest,
+            "digest": request.digest,
             "purpose_tag": request.purpose.value,
             "messages": [
                 {"role": m.role.value, "content": m.content} for m in request.messages
             ],
             "response_text": response_text,
         }
-        with self._lock:
-            path = self.path_for(digest)
-            if path.exists():
-                previous = json.loads(path.read_text(encoding="utf-8"))
-                if previous["response_text"] == response_text:
-                    return
-                log.warning("overwriting transcript %s with different response text", digest)
-            write_json_atomic(path, record)
+        return put_json_if_absent(self.path_for(request.digest), record)["response_text"]
 
 
 class ChatBackend(Protocol):
@@ -164,17 +173,11 @@ class LiveBackend:
         endpoint_url: str,
         model: str,
         *,
-        max_attempts: int = 3,
-        backoff_base: float = 1.0,
-        timeout: float = 120.0,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.endpoint_url = endpoint_url
         self.model = model
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.timeout = timeout
         self.session = session or requests.Session()
         self._sleep = sleep
 
@@ -187,12 +190,12 @@ class LiveBackend:
             "stream": False,
         }
         cause = "no attempt made"
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                self._sleep(self.backoff_base * 2 ** (attempt - 1))
+                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
             try:
                 response = self.session.post(
-                    self.endpoint_url, json=payload, timeout=self.timeout
+                    self.endpoint_url, json=payload, timeout=CHAT_TIMEOUT_S
                 )
             except _RETRYABLE_ERRORS as exc:
                 cause = f"{type(exc).__name__}: {exc}"
@@ -210,7 +213,7 @@ class LiveBackend:
             except ValueError as exc:
                 raise _not_retried(f"unreadable body ({exc})", attempt) from exc
         raise TransportError(
-            f"chat endpoint failed: {cause} after {self.max_attempts} attempts"
+            f"chat endpoint failed: {cause} after {MAX_ATTEMPTS} attempts"
         )
 
 
@@ -249,27 +252,17 @@ def _extract_text(body: object) -> str:
     return text
 
 
-class ReplayBackend:
-    """Serves recorded responses by request digest; never touches the network."""
-
-    name = "replay"
-
-    def __init__(self, store: TranscriptStore) -> None:
-        self.store = store
-
-    def complete(self, request: ChatRequest) -> str:
-        text = self.store.lookup(request.digest)
-        if text is None:
-            raise MissingTranscript(request.digest)
-        return text
-
-
 class Gateway:
-    """Runs requests against a backend, recording exchanges when a store is attached."""
+    """Answers requests from the store when it holds them, else from the backend.
+
+    With no backend, the gateway replays: a request the store lacks raises
+    MissingTranscript. A backend answer is saved, and the answer the store
+    keeps (the first recorded for the digest) is returned.
+    """
 
     def __init__(
         self,
-        backend: ChatBackend,
+        backend: ChatBackend | None,
         store: TranscriptStore | None = None,
         exchange_log: Path | None = None,
     ) -> None:
@@ -280,18 +273,25 @@ class Gateway:
 
     def chat(self, request: ChatRequest) -> ChatExchange:
         started = time.monotonic()
-        response_text = self.backend.complete(request)
+        response_text = self.store.lookup(request.digest) if self.store is not None else None
+        if response_text is not None:
+            backend = "store"
+        elif self.backend is None:
+            raise MissingTranscript(request.digest)
+        else:
+            backend = self.backend.name
+            response_text = self.backend.complete(request)
+            if self.store is not None and response_text.strip():
+                response_text = self.store.save(request, response_text)
         latency = time.monotonic() - started
         if not response_text.strip():
             raise EmptyResponse(f"empty model output for {request.purpose.value} request")
         exchange = ChatExchange(
             request=request,
             response_text=response_text,
-            backend=self.backend.name,
+            backend=backend,
             latency=latency,
         )
-        if self.store is not None:
-            self.store.save(request, response_text)
         if self.exchange_log is not None:
             self._append_log(exchange)
         return exchange
@@ -303,13 +303,7 @@ class Gateway:
                 "purpose_tag": exchange.request.purpose.value,
                 "backend": exchange.backend,
                 "latency": exchange.latency,
-                "messages": [
-                    {"role": m.role.value, "content": m.content}
-                    for m in exchange.request.messages
-                ],
-                "response_text": exchange.response_text,
-            },
-            ensure_ascii=False,
+            }
         )
         with self._log_lock:
             self.exchange_log.parent.mkdir(parents=True, exist_ok=True)

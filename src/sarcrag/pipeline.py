@@ -59,10 +59,6 @@ class FewShotBlock:
             ):
                 raise ValueError(f"example must end with a decision line, got {last!r}")
 
-    @property
-    def k(self) -> int:
-        return len(self.examples)
-
     def render(self) -> str:
         body = "\n".join(self.examples)
         return f"{self.header}\n{body}" if self.header else body

@@ -10,7 +10,6 @@ from __future__ import annotations
 import codecs
 import html.parser
 import itertools
-import json
 import math
 import re
 import urllib.parse
@@ -27,9 +26,8 @@ from .errors import (
     DomainError,
     SearchQuotaExceeded,
     SearchTransportError,
-    StoreWriteError,
 )
-from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role, write_json_atomic
+from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role, put_json_if_absent, read_json
 
 DEFAULT_CHUNK_SIZE = 120
 DEFAULT_OVERLAP = 20
@@ -39,6 +37,7 @@ MIN_SNIPPET_WORDS = 20
 MAX_FETCHED_CHARS = 20_000
 FETCH_BLOCK_BYTES = 16 * 1024
 MAX_DEFINITION_SENTENCES = 2
+WEB_TIMEOUT_S = 10.0
 
 USER_AGENT = "sarcrag/0.1 (text-retrieval client for sarcasm-detection experiments)"
 
@@ -255,18 +254,10 @@ class GoogleSearchClient:
 
     endpoint = "https://www.googleapis.com/customsearch/v1"
 
-    def __init__(
-        self,
-        api_key: str,
-        engine_id: str,
-        *,
-        timeout: float = 10.0,
-        session: requests.Session | None = None,
-    ) -> None:
+    def __init__(self, api_key: str, engine_id: str, *, session: requests.Session) -> None:
         self.api_key = api_key
         self.engine_id = engine_id
-        self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session
 
     def search(self, query: str, max_results: int) -> list[SearchResult]:
         params = {
@@ -276,7 +267,7 @@ class GoogleSearchClient:
             "num": min(max_results, 10),
         }
         try:
-            response = self.session.get(self.endpoint, params=params, timeout=self.timeout)
+            response = self.session.get(self.endpoint, params=params, timeout=WEB_TIMEOUT_S)
             if response.status_code in (403, 429):
                 raise SearchQuotaExceeded(f"search quota rejected ({response.status_code})")
             response.raise_for_status()
@@ -348,15 +339,14 @@ def strip_markup(markup: str) -> str:
     return " ".join(extractor.parts)
 
 
-def fetch_page(url: str, *, timeout: float = 10.0, session: requests.Session | None = None) -> str:
+def fetch_page(url: str, *, session: requests.Session) -> str:
     """Text of the first MAX_FETCHED_CHARS characters of a page's markup.
 
     The body is streamed and decoded block by block; the response is closed as
     soon as enough characters are in, so an oversized page is never held whole.
     """
-    session = session or requests.Session()
     with session.get(
-        url, timeout=timeout, headers={"User-Agent": USER_AGENT}, stream=True
+        url, timeout=WEB_TIMEOUT_S, headers={"User-Agent": USER_AGENT}, stream=True
     ) as response:
         response.raise_for_status()
         return strip_markup(_read_text(response, MAX_FETCHED_CHARS))
@@ -490,19 +480,17 @@ class WordInfoCache:
         path = self.path_for(keyword, source)
         if not path.exists():
             return None
-        return _read_word_info(path)
+        return _word_info(read_json(path))
 
-    def store(self, info: WordInfo) -> None:
+    def store(self, info: WordInfo) -> WordInfo:
+        """Cache info unless its key is cached; return the definition kept."""
         record = {
             "keyword": info.keyword,
             "definition": info.definition,
             "source": info.source.value,
             "evidence": [list(pair) for pair in info.evidence] if info.evidence is not None else None,
         }
-        try:
-            write_json_atomic(self.path_for(info.keyword, info.source), record)
-        except OSError as exc:
-            raise StoreWriteError(f"cache write failed for {info.keyword!r}: {exc}") from exc
+        return _word_info(put_json_if_absent(self.path_for(info.keyword, info.source), record))
 
     def entries(self, source: RetrievalSource | None = None) -> list[WordInfo]:
         sources = [source] if source else list(RetrievalSource)
@@ -511,7 +499,7 @@ class WordInfoCache:
             directory = self.root / src.value
             if not directory.is_dir():
                 continue
-            found.extend(_read_word_info(path) for path in sorted(directory.glob("*.json")))
+            found.extend(_word_info(read_json(path)) for path in sorted(directory.glob("*.json")))
         return found
 
     def purge(self, source: RetrievalSource | None = None) -> int:
@@ -527,8 +515,7 @@ class WordInfoCache:
         return removed
 
 
-def _read_word_info(path: Path) -> WordInfo:
-    record = json.loads(path.read_text(encoding="utf-8"))
+def _word_info(record: dict) -> WordInfo:
     evidence = record.get("evidence")
     return WordInfo(
         keyword=record["keyword"],
@@ -567,5 +554,5 @@ def get_word_info(
         top = rank_chunks(keyword, corpus, Bm25Params(), DEFAULT_TOP_K)
         info = refine_definition(keyword, top, gateway, language)
     if cache is not None:
-        cache.store(info)
+        return cache.store(info)
     return info

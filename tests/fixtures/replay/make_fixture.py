@@ -7,7 +7,8 @@ repository root:
     python tests/fixtures/replay/make_fixture.py [OUT_DIR]
 
 OUT_DIR defaults to this directory, the committed fixture; its `transcripts/`
-and `cache/` are replaced.
+and `cache/` are replaced. Transcripts are recorded for the model
+`fixture-model`, so they go in `transcripts/fixture-model/`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from sarcrag.pipeline import PipelineDeps, run_pipeline
 from sarcrag.retrieval import WordInfo, WordInfoCache
 
 FIXTURE = Path(__file__).resolve().parent
+MODEL = "fixture-model"
 
 RUNS = [
     (DatasetKind.SEMEVAL_2018_T3, "semeval_mini.tsv", PipelineVariant.PMP_WL),
@@ -136,7 +138,7 @@ def main(out: Path = FIXTURE) -> None:
             )
         )
 
-    store = TranscriptStore(transcripts)
+    store = TranscriptStore(transcripts / MODEL)
     for kind, filename, variant in RUNS:
         samples = load_dataset(kind, FIXTURE / "data" / filename)
         text_to_sid = {s.text: s.id for s in samples}
@@ -149,7 +151,7 @@ def main(out: Path = FIXTURE) -> None:
             except SampleSkipped as skip:
                 print(f"{sample.id}: skipped ({skip.reason})")
 
-    n_transcripts = len(list(transcripts.glob("*.json")))
+    n_transcripts = len(list(transcripts.rglob("*.json")))
     n_cached = len(list(cache_dir.rglob("*.json")))
     print(f"fixture rebuilt: {n_transcripts} transcripts, {n_cached} cached definitions")
 

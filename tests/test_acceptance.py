@@ -32,7 +32,7 @@ from sarcrag.core import (
 from sarcrag.datasets import load_mustard
 from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
-from sarcrag.gateway import Gateway, Purpose, ReplayBackend, TranscriptStore
+from sarcrag.gateway import Gateway, Purpose, TranscriptStore
 from sarcrag.keywords import HeuristicTagger, parse_csv_keywords
 from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, default_few_shot, run_pipeline
 from sarcrag.retrieval import (
@@ -334,7 +334,7 @@ class TestVariantCallAlgebra:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(socket.socket, "connect", refuse)
             mp.setattr(requests.sessions.Session, "request", refuse)
-            replayed = self.run_all_variants(lambda: Gateway(ReplayBackend(store)))
+            replayed = self.run_all_variants(lambda: Gateway(None, store))
         for variant, gateway in replayed.items():
             assert gateway.purposes == EXPECTED_SEQUENCES[variant], variant
             assert gateway.purposes == recorded[variant].purposes

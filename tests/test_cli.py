@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from sarcrag import cli
 from sarcrag.cli import (
     build_deps,
     build_parser,
@@ -265,6 +266,22 @@ class TestRunCommand:
         assert (run_dir / "run.jsonl").exists()
         assert not (run_dir / "report.json").exists()
 
+    def test_crash_keeps_the_records_written_before_it(self, tmp_path, capsys, monkeypatch):
+        run_pipeline = cli.run_pipeline
+
+        def crash_on_third(sample, variant, deps):
+            if sample.id == "semeval:3":
+                raise RuntimeError("crashed mid-run")
+            return run_pipeline(sample, variant, deps)
+
+        monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
+        with pytest.raises(RuntimeError):
+            run_fixture_cli(tmp_path, capsys, "--concurrency", "1")
+        run_dir = tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
+        records = [json.loads(line) for line in (run_dir / "run.jsonl").read_text().splitlines()]
+        assert [r["sample_id"] for r in records] == ["semeval:1", "semeval:2"]
+        assert [r["verdict"] for r in records] == ["YES", "NO"]
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--dataset", "semeval", "--backend", "replay"])
         captured = capsys.readouterr()
@@ -300,6 +317,96 @@ class TestLiveTransport:
         records = [json.loads(line) for line in run_log.read_text().splitlines()]
         assert len(records) == 4
         assert all("TransportError" in r["skipped_reason"] for r in records)
+
+    def test_duplicate_texts_replay_as_recorded(self, tmp_path, capsys, monkeypatch):
+        # A sampling model: every call gets a different answer.
+        calls = []
+
+        def post(self, url, **kwargs):
+            calls.append(kwargs["json"])
+            n = len(calls)
+            answer = f"Answer {n}.\nFinal decision: {'YES' if n % 4 < 2 else 'NO'}"
+            response = requests.Response()
+            response.status_code = 200
+            response._content = json.dumps({"message": {"content": answer}}).encode()
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        data = tmp_path / "twice.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n"
+            "1\t1\tgreat, another Monday at the Office\n"
+            "2\t1\tgreat, another Monday at the Office\n",
+            encoding="utf-8",
+        )
+
+        def run(backend, *extra):
+            code = main(
+                [
+                    "run",
+                    "--dataset", "semeval",
+                    "--data-path", str(data),
+                    "--variant", "pmpwl",
+                    "--model", "m",
+                    "--backend", backend,
+                    "--concurrency", "1",
+                    "--transcripts", str(tmp_path / "transcripts"),
+                    "--cache", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / backend),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            run_log = tmp_path / backend / "semeval" / "m" / "pmpwl" / "run.jsonl"
+            return [
+                (r["sample_id"], r["verdict"], r["p1_digest"], r["p2_digest"])
+                for r in map(json.loads, run_log.read_text().splitlines())
+            ]
+
+        recorded = run("live", "--endpoint", "http://chat.invalid/api/chat")
+        assert all(verdict is not None for _, verdict, _, _ in recorded)
+        n_calls = len(calls)
+        assert run("replay") == recorded
+        assert len(calls) == n_calls
+
+    def test_each_model_answers_from_its_own_store(self, tmp_path, capsys, monkeypatch):
+        asked = []
+
+        def post(self, url, **kwargs):
+            model = kwargs["json"]["model"]
+            asked.append(model)
+            answer = f"{model} thinks so.\nFinal decision: {'YES' if model == 'a' else 'NO'}"
+            response = requests.Response()
+            response.status_code = 200
+            response._content = json.dumps({"message": {"content": answer}}).encode()
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+
+        def run(model):
+            code = main(
+                [
+                    "run",
+                    "--dataset", "semeval",
+                    "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
+                    "--variant", "pmp",
+                    "--model", model,
+                    "--backend", "live",
+                    "--concurrency", "1",
+                    "--endpoint", "http://chat.invalid/api/chat",
+                    "--transcripts", str(tmp_path / "transcripts"),
+                    "--out", str(tmp_path / "runs"),
+                ]
+            )
+            assert code == 0
+            run_log = tmp_path / "runs" / "semeval" / model / "pmp" / "run.jsonl"
+            return [json.loads(line)["verdict"] for line in run_log.read_text().splitlines()]
+
+        assert run("a") == ["YES"] * 4
+        n_asked = len(asked)
+        assert run("b") == ["NO"] * 4
+        assert asked == ["a"] * n_asked + ["b"] * n_asked
+        assert sorted(p.name for p in (tmp_path / "transcripts").iterdir()) == ["a", "b"]
 
     def test_searches_and_page_fetches_share_one_session(self, tmp_path, monkeypatch):
         used = []

@@ -16,10 +16,6 @@ from sarcrag.core import (
 
 
 class TestLabel:
-    def test_bijective_verdict_mapping(self):
-        assert Label.SARCASTIC.to_verdict() == "YES"
-        assert Label.NOT_SARCASTIC.to_verdict() == "NO"
-
     @pytest.mark.parametrize("raw", ["YES", "yes", "Yes", " yEs "])
     def test_parse_is_case_insensitive(self, raw):
         assert Label.from_verdict(raw) is Label.SARCASTIC
@@ -95,7 +91,3 @@ class TestSample:
     def test_rejects_empty_id(self):
         with pytest.raises(ValueError):
             self._sample(id="")
-
-    def test_dict_round_trip(self):
-        sample = self._sample()
-        assert Sample.from_dict(sample.to_dict()) == sample

@@ -222,12 +222,6 @@ class TestLoadTwitterId:
         samples = load_twitter_id(path)
         assert [s.id for s in samples] == ["twitter-id:0", "twitter-id:2"]
 
-    def test_expected_count_enforced(self, tmp_path):
-        path = write_twitter(tmp_path, "tweet,label\nhalo,1\n")
-        assert len(load_twitter_id(path, expected_count=1)) == 1
-        with pytest.raises(FormatError):
-            load_twitter_id(path, expected_count=5)
-
 
 class TestLoadDataset:
     def test_dispatches_by_kind(self, tmp_path):

@@ -1,19 +1,21 @@
-"""Chat transport: request validation, digests, transcripts, live and replay backends."""
+"""Chat transport: request validation, digests, transcripts, the live backend and replay."""
 
+import errno
 import json
-import logging
+import os
+import sys
+import threading
 
 import pytest
 import requests
 
-from sarcrag.errors import EmptyResponse, MissingTranscript, TransportError
+from sarcrag.errors import EmptyResponse, MissingTranscript, StoreWriteError, TransportError
 from sarcrag.gateway import (
     ChatMessage,
     ChatRequest,
     Gateway,
     LiveBackend,
     Purpose,
-    ReplayBackend,
     Role,
     TranscriptStore,
     request_digest,
@@ -106,14 +108,42 @@ class TestTranscriptStore:
         store.save(request, "answer")
         assert store.path_for(request.digest).read_bytes() == before
 
-    def test_rerecord_different_text_overwrites_with_warning(self, tmp_path, caplog):
+    def test_rerecord_different_text_keeps_the_first(self, tmp_path, caplog):
         store = TranscriptStore(tmp_path)
         request = make_request()
-        store.save(request, "old")
-        with caplog.at_level(logging.WARNING):
-            store.save(request, "new")
-        assert store.lookup(request.digest) == "new"
-        assert any("overwriting" in r.message for r in caplog.records)
+        assert store.save(request, "old") == "old"
+        before = store.path_for(request.digest).read_bytes()
+        assert store.save(request, "new") == "old"
+        assert store.path_for(request.digest).read_bytes() == before
+        assert store.lookup(request.digest) == "old"
+        assert not caplog.records
+
+    def test_concurrent_writers_of_one_digest(self, tmp_path):
+        # One store object per thread, as separate processes would have.
+        request = make_request()
+        kept = []
+        start = threading.Barrier(8, timeout=30)
+
+        def write(n):
+            store = TranscriptStore(tmp_path)
+            start.wait()
+            kept.append(store.save(request, f"answer {n}"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(kept) == 8
+        assert len(set(kept)) == 1
+        assert TranscriptStore(tmp_path).lookup(request.digest) == kept[0]
+        assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest}.json"]
 
     def test_save_does_not_collide_with_another_writers_temp_file(self, tmp_path):
         request = make_request()
@@ -125,6 +155,15 @@ class TestTranscriptStore:
         path.with_suffix(".json.tmp").mkdir(parents=True)
         store.save(request, "answer")
         assert path.read_bytes() == reference.path_for(request.digest).read_bytes()
+
+    def test_filesystem_without_hard_links_raises_store_write_error(self, tmp_path, monkeypatch):
+        def link(src, dst):
+            raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+
+        monkeypatch.setattr(os, "link", link)
+        with pytest.raises(StoreWriteError, match="Operation not supported"):
+            TranscriptStore(tmp_path).save(make_request(), "answer")
+        assert list(tmp_path.iterdir()) == []
 
     def test_stored_record_fields(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -142,11 +181,12 @@ class TestReplayBackend:
         store = TranscriptStore(tmp_path)
         request = make_request()
         store.save(request, "stored response")
-        gateway = Gateway(ReplayBackend(store))
-        assert gateway.chat(request).response_text == "stored response"
+        exchange = Gateway(None, store).chat(request)
+        assert exchange.response_text == "stored response"
+        assert exchange.backend == "store"
 
     def test_missing_digest_raises(self, tmp_path):
-        gateway = Gateway(ReplayBackend(TranscriptStore(tmp_path)))
+        gateway = Gateway(None, TranscriptStore(tmp_path))
         with pytest.raises(MissingTranscript):
             gateway.chat(make_request())
 
@@ -154,7 +194,7 @@ class TestReplayBackend:
         store = TranscriptStore(tmp_path)
         request = make_request()
         store.save(request, "same thing")
-        gateway = Gateway(ReplayBackend(store))
+        gateway = Gateway(None, store)
         assert gateway.chat(request).response_text == gateway.chat(request).response_text
 
 
@@ -336,7 +376,7 @@ class TestDigestsPerChat:
         for user in self.USERS:
             store.save(make_request(user=user), f"answer to {user}")
         digest_calls.clear()
-        gateway = Gateway(ReplayBackend(store))
+        gateway = Gateway(None, store)
         for user in self.USERS:
             gateway.chat(make_request(user=user))
         assert len(digest_calls) == len(self.USERS)
@@ -347,7 +387,7 @@ class TestGateway:
         store = TranscriptStore(tmp_path)
         request = make_request()
         store.save(request, "   \n ")
-        gateway = Gateway(ReplayBackend(store))
+        gateway = Gateway(None, store)
         with pytest.raises(EmptyResponse):
             gateway.chat(request)
 
@@ -363,7 +403,38 @@ class TestGateway:
         request = make_request()
         exchange = gateway.chat(request)
         assert exchange.response_text == "fresh answer"
+        assert exchange.backend == "live"
         assert store.lookup(request.digest) == "fresh answer"
+
+    def test_store_hit_makes_no_backend_call(self, tmp_path):
+        class Unreachable:
+            name = "live"
+
+            def complete(self, request):
+                raise AssertionError("backend called for a stored request")
+
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        store.save(request, "recorded")
+        exchange = Gateway(Unreachable(), store).chat(request)
+        assert exchange.response_text == "recorded"
+        assert exchange.backend == "store"
+
+    def test_miss_returns_the_text_the_store_kept(self, tmp_path):
+        class Racing:
+            """Stands in for a backend whose request another writer recorded first."""
+
+            name = "live"
+
+            def complete(self, request):
+                TranscriptStore(tmp_path).save(request, "first writer")
+                return "second writer"
+
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        exchange = Gateway(Racing(), store).chat(request)
+        assert exchange.response_text == "first writer"
+        assert store.lookup(request.digest) == "first writer"
 
     def test_exchange_log_appends_one_line_per_call(self, tmp_path):
         class OneShot:
@@ -373,10 +444,14 @@ class TestGateway:
                 return "logged"
 
         log_path = tmp_path / "exchanges.jsonl"
-        gateway = Gateway(OneShot(), exchange_log=log_path)
-        gateway.chat(make_request(user="first"))
+        gateway = Gateway(OneShot(), TranscriptStore(tmp_path / "store"), exchange_log=log_path)
+        first = make_request(user="first")
+        gateway.chat(first)
         gateway.chat(make_request(user="second"))
+        gateway.chat(first)
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        assert len(lines) == 2
+        assert len(lines) == 3
+        assert all(list(line) == ["digest", "purpose_tag", "backend", "latency"] for line in lines)
+        assert lines[0]["digest"] == first.digest
         assert lines[0]["purpose_tag"] == "P1"
-        assert lines[0]["response_text"] == "logged"
+        assert [line["backend"] for line in lines] == ["live", "live", "store"]

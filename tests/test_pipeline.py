@@ -67,7 +67,7 @@ class TestFewShotBlock:
 
     def test_indonesian_decision_line_accepted(self):
         block = FewShotBlock(examples=("Tweet: x\nKeputusan akhir: NO",))
-        assert block.k == 1
+        assert len(block.examples) == 1
 
     def test_render_with_header(self):
         block = FewShotBlock(examples=(EXAMPLE,), header="Examples:")
@@ -81,14 +81,14 @@ class TestFewShotBlock:
         text = "Header line\n" + EXAMPLE + "\n" + EXAMPLE_NO
         block = FewShotBlock.from_template(text)
         assert block.header == "Header line"
-        assert block.k == 2
+        assert len(block.examples) == 2
         assert block.examples[0] == EXAMPLE
         assert block.examples[1] == EXAMPLE_NO
 
     def test_from_template_without_header(self):
         block = FewShotBlock.from_template(EXAMPLE)
         assert block.header == ""
-        assert block.k == 1
+        assert len(block.examples) == 1
 
     def test_from_template_rejects_headerless_prose(self):
         with pytest.raises(ValueError):
@@ -97,8 +97,8 @@ class TestFewShotBlock:
     def test_default_blocks_parse_for_both_languages(self):
         en_block = default_few_shot(EN)
         id_block = default_few_shot(ID)
-        assert en_block.k == 2
-        assert id_block.k == 2
+        assert len(en_block.examples) == 2
+        assert len(id_block.examples) == 2
         assert en_block.header == "Here are example reflections:"
         assert id_block.header == ""
         decisions = [e.rstrip().splitlines()[-1] for e in en_block.examples]

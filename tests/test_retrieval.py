@@ -724,6 +724,17 @@ class TestWordInfoCache:
         assert info.definition.startswith("Definition ")
         assert [p.name for p in (tmp_path / "llm_only").iterdir()] == ["kw.json"]
 
+    def test_store_again_with_different_definition_keeps_the_first(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        first = WordInfo(keyword="kw", definition="First.", source=RetrievalSource.LLM_ONLY)
+        assert cache.store(first) == first
+        path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
+        before = path.read_bytes()
+        second = WordInfo(keyword="KW", definition="Second.", source=RetrievalSource.LLM_ONLY)
+        assert cache.store(second) == first
+        assert path.read_bytes() == before
+        assert cache.lookup("kw", RetrievalSource.LLM_ONLY) == first
+
     def test_failed_store_raises_and_removes_its_temp_file(self, tmp_path):
         cache = WordInfoCache(tmp_path)
         path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
