@@ -8,7 +8,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +20,6 @@ from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleSkipped, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
 from .gateway import Gateway, LiveBackend, TranscriptStore
-from .keywords import HeuristicTagger
 from .pipeline import PipelineDeps, run_pipeline
 from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
 
@@ -150,7 +149,6 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
             fetcher = functools.partial(fetch_page, session=web)
     return PipelineDeps(
         gateway=gateway,
-        tagger=HeuristicTagger(),
         search=search,
         cache=WordInfoCache(config.cache_dir),
         fetcher=fetcher,
@@ -186,14 +184,31 @@ def cmd_run(args: argparse.Namespace) -> int:
             "wall_time": trace.wall_time if trace else time.monotonic() - started,
         }
 
-    # Each record is on disk as soon as it and every earlier sample are done.
-    records = []
+    # At most `concurrency` samples are unfinished; the next starts when any one finishes.
+    # Each record is on disk as soon as it and every earlier sample are done. A sample
+    # that raises (SampleSkipped aside) stops new samples: the running ones finish, the
+    # records before it are written, and its exception propagates.
+    records: list[dict] = []
+    futures = []
     log_path = run_dir / "run.jsonl"
     with log_path.open("w", encoding="utf-8") as fh, ThreadPoolExecutor(config.concurrency) as pool:
-        for record in pool.map(run_one, samples):
-            records.append(record)
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            fh.flush()
+
+        def write_ready(block: bool) -> None:
+            while len(records) < len(futures) and (block or futures[len(records)].done()):
+                records.append(futures[len(records)].result())
+                fh.write(json.dumps(records[-1], ensure_ascii=False) + "\n")
+                fh.flush()
+
+        unfinished = set()
+        for sample in samples:
+            if len(unfinished) == config.concurrency:
+                _, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
+            if any(f.done() and f.exception() for f in futures[len(records):]):
+                break
+            write_ready(block=False)
+            futures.append(pool.submit(run_one, sample))
+            unfinished.add(futures[-1])
+        write_ready(block=True)
 
     try:
         report = _report_from_records(records)

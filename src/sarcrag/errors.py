@@ -41,14 +41,6 @@ class MalformedCSV(SarcragError):
     """Keyword-cleaning output was not parseable as comma-separated values."""
 
 
-class TaggerError(SarcragError):
-    """The token tagger failed or returned an unusable payload."""
-
-
-class TemplateLanguageMismatch(SarcragError):
-    """Prompt templates do not match the sample's language."""
-
-
 class SearchTransportError(SarcragError):
     """The search engine could not be reached or returned a bad payload."""
 
@@ -61,12 +53,15 @@ class StoreWriteError(SarcragError):
     """A cache or transcript write failed."""
 
 
+class CorruptRecord(SarcragError):
+    """A cache or transcript file cannot be read back as the record its name promises."""
+
+    def __init__(self, path: object, reason: str) -> None:
+        super().__init__(f"corrupt record {path}: {reason}")
+
+
 class LogParseError(FormatError):
     """A run log line could not be parsed."""
-
-
-class DomainError(SarcragError):
-    """A numeric argument lies outside the function's domain."""
 
 
 class DefinitionUnavailable(SarcragError):

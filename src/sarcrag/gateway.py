@@ -23,7 +23,7 @@ from typing import Callable, Protocol
 
 import requests
 
-from .errors import EmptyResponse, MissingTranscript, StoreWriteError, TransportError
+from .errors import CorruptRecord, EmptyResponse, MissingTranscript, StoreWriteError, TransportError
 
 # LiveBackend's transport: attempts per request, first backoff (doubling), timeout.
 MAX_ATTEMPTS = 3
@@ -87,6 +87,11 @@ def request_digest(messages: tuple[ChatMessage, ...]) -> str:
     return h.hexdigest()
 
 
+def message_dicts(messages: tuple[ChatMessage, ...]) -> list[dict]:
+    """Messages as the JSON objects that chat endpoints and the store use."""
+    return [{"role": m.role.value, "content": m.content} for m in messages]
+
+
 @dataclass(frozen=True)
 class ChatExchange:
     request: ChatRequest
@@ -96,7 +101,14 @@ class ChatExchange:
 
 
 def read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+    """The JSON object stored at path; CorruptRecord naming path if the file holds none."""
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorruptRecord(path, f"{type(exc).__name__}: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CorruptRecord(path, "not a JSON object")
+    return record
 
 
 def put_json_if_absent(path: Path, record: dict) -> dict:
@@ -105,7 +117,8 @@ def put_json_if_absent(path: Path, record: dict) -> dict:
     The record is written whole under a unique temporary name beside path and
     hard-linked into place, so readers never see a partial file and the first
     writer wins, across threads and processes alike. The directory's filesystem
-    must support hard links; any failure raises StoreWriteError.
+    must support hard links; any failure raises StoreWriteError. A record found
+    there that is not JSON, or lacks one of record's keys, raises CorruptRecord.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -115,7 +128,11 @@ def put_json_if_absent(path: Path, record: dict) -> dict:
                 fh.write(json.dumps(record, ensure_ascii=False, indent=1))
             os.link(tmp, path)
         except FileExistsError:
-            return read_json(path)
+            kept = read_json(path)
+            missing = record.keys() - kept.keys()
+            if missing:
+                raise CorruptRecord(path, f"lacks {sorted(missing)}")
+            return kept
         finally:
             os.unlink(tmp)
     except OSError as exc:
@@ -132,20 +149,25 @@ class TranscriptStore:
     def path_for(self, digest: str) -> Path:
         return self.root / f"{digest}.json"
 
-    def lookup(self, digest: str) -> str | None:
-        path = self.path_for(digest)
+    def lookup(self, request: ChatRequest) -> str | None:
+        """The recorded answer to request, or None; CorruptRecord if its file is unusable."""
+        path = self.path_for(request.digest)
         if not path.exists():
             return None
-        return read_json(path)["response_text"]
+        record = read_json(path)
+        # Messages other than the request's would not hash to the file's name.
+        if record.get("messages") != message_dicts(request.messages):
+            raise CorruptRecord(path, "its messages do not hash to its name")
+        if not isinstance(record.get("response_text"), str):
+            raise CorruptRecord(path, "no response_text string")
+        return record["response_text"]
 
     def save(self, request: ChatRequest, response_text: str) -> str:
         """Record the exchange unless its digest is stored; return the response kept."""
         record = {
             "digest": request.digest,
             "purpose_tag": request.purpose.value,
-            "messages": [
-                {"role": m.role.value, "content": m.content} for m in request.messages
-            ],
+            "messages": message_dicts(request.messages),
             "response_text": response_text,
         }
         return put_json_if_absent(self.path_for(request.digest), record)["response_text"]
@@ -184,9 +206,7 @@ class LiveBackend:
     def complete(self, request: ChatRequest) -> str:
         payload = {
             "model": self.model,
-            "messages": [
-                {"role": m.role.value, "content": m.content} for m in request.messages
-            ],
+            "messages": message_dicts(request.messages),
             "stream": False,
         }
         cause = "no attempt made"
@@ -273,7 +293,7 @@ class Gateway:
 
     def chat(self, request: ChatRequest) -> ChatExchange:
         started = time.monotonic()
-        response_text = self.store.lookup(request.digest) if self.store is not None else None
+        response_text = self.store.lookup(request) if self.store is not None else None
         if response_text is not None:
             backend = "store"
         elif self.backend is None:

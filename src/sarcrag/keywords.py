@@ -1,19 +1,17 @@
 """Keyword extraction: a proper-noun tagging heuristic and the two-call model procedure.
 
-Token tagging keeps the proper nouns found by a tagger; the model-based
+Token tagging keeps the proper nouns found by HeuristicTagger; the model-based
 path first asks which words the model does not understand, then asks it to
 reformat that answer as CSV.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
-from typing import Protocol
 
-from .core import ExtractionMethod, Sample
-from .errors import MalformedCSV, TaggerError
+from .core import Sample
+from .errors import MalformedCSV
 from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
 from .templates import PromptTemplateSet, load_templates
 
@@ -44,27 +42,15 @@ STOPWORDS = frozenset(
 )
 
 
-class PartOfSpeech(enum.Enum):
-    PROPER_NOUN = "proper_noun"
-    OTHER = "other"
-
-
 @dataclass(frozen=True)
 class TaggedToken:
     surface: str
-    pos: PartOfSpeech
     char_span: tuple[int, int]
-
-
-class TaggerPort(Protocol):
-    def tag(self, text: str) -> list[TaggedToken]: ...
 
 
 @dataclass(frozen=True)
 class KeywordSet:
     keywords: tuple[str, ...]
-    source: ExtractionMethod
-    sample_id: str
 
     def __post_init__(self) -> None:
         folded = [k.casefold() for k in self.keywords]
@@ -105,10 +91,11 @@ def _word_spans(text: str) -> list[tuple[str, int, int]]:
 
 
 class HeuristicTagger:
-    """Marks capitalized non-stopword tokens as proper nouns, merging adjacent runs.
+    """Tags capitalized non-stopword tokens as proper nouns, merging adjacent runs.
 
-    A run never crosses a sentence boundary and never spans intervening
-    punctuation, so "loves Paris. Monica said" yields two separate tokens.
+    Tokens come out in text order with disjoint, in-bounds spans. A run never
+    crosses a sentence boundary and never spans intervening punctuation, so
+    "loves Paris. Monica said" yields two separate tokens.
     """
 
     def tag(self, text: str) -> list[TaggedToken]:
@@ -119,13 +106,7 @@ class HeuristicTagger:
             if not run:
                 return
             start, end = run[0][1], run[-1][2]
-            tokens.append(
-                TaggedToken(
-                    surface=text[start:end],
-                    pos=PartOfSpeech.PROPER_NOUN,
-                    char_span=(start, end),
-                )
-            )
+            tokens.append(TaggedToken(surface=text[start:end], char_span=(start, end)))
             run.clear()
 
         for core, start, end in _word_spans(text):
@@ -141,24 +122,6 @@ class HeuristicTagger:
             run.append((core, start, end))
         flush()
         return tokens
-
-
-def tag_tokens(text: str, tagger: TaggerPort) -> list[TaggedToken]:
-    """Tagger output restricted to proper-noun tokens with valid spans."""
-    if not text:
-        raise ValueError("text must be non-empty")
-    kept: list[TaggedToken] = []
-    previous_end = -1
-    for token in sorted(tagger.tag(text), key=lambda t: t.char_span):
-        start, end = token.char_span
-        if not (0 <= start < end <= len(text)):
-            raise TaggerError(f"span {token.char_span} outside text bounds")
-        if start < previous_end:
-            raise TaggerError(f"span {token.char_span} overlaps a previous token")
-        if token.pos is PartOfSpeech.PROPER_NOUN:
-            kept.append(token)
-            previous_end = end
-    return kept
 
 
 def _cap_keywords(candidates: list[str]) -> tuple[str, ...]:
@@ -181,13 +144,9 @@ def _cap_keywords(candidates: list[str]) -> tuple[str, ...]:
     return tuple(kept)
 
 
-def extract_token_tagging(sample: Sample, tagger: TaggerPort) -> KeywordSet:
-    surfaces = [token.surface for token in tag_tokens(sample.text, tagger)]
-    return KeywordSet(
-        keywords=_cap_keywords(surfaces),
-        source=ExtractionMethod.TOKEN_TAGGING,
-        sample_id=sample.id,
-    )
+def extract_token_tagging(sample: Sample) -> KeywordSet:
+    surfaces = [token.surface for token in HeuristicTagger().tag(sample.text)]
+    return KeywordSet(keywords=_cap_keywords(surfaces))
 
 
 def extract_llm_based(
@@ -213,11 +172,7 @@ def extract_llm_based(
             purpose=Purpose.KEYWORD_CLEAN,
         )
     )
-    return KeywordSet(
-        keywords=_cap_keywords(parse_csv_keywords(cleaned.response_text)),
-        source=ExtractionMethod.LLM_BASED,
-        sample_id=sample.id,
-    )
+    return KeywordSet(keywords=_cap_keywords(parse_csv_keywords(cleaned.response_text)))
 
 
 def parse_csv_keywords(raw: str) -> list[str]:

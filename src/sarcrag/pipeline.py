@@ -14,24 +14,18 @@ from dataclasses import dataclass
 
 from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
 from .errors import (
+    CorruptRecord,
     DefinitionUnavailable,
     EmptyResponse,
     MalformedCSV,
     MissingTranscript,
     SampleSkipped,
     SearchTransportError,
-    TaggerError,
-    TemplateLanguageMismatch,
     TransportError,
     VerdictNotFound,
 )
 from .gateway import ChatExchange, ChatMessage, ChatRequest, Gateway, Purpose, Role
-from .keywords import (
-    KeywordSet,
-    TaggerPort,
-    extract_llm_based,
-    extract_token_tagging,
-)
+from .keywords import KeywordSet, extract_llm_based, extract_token_tagging
 from .retrieval import PageFetcher, SearchPort, WordInfo, WordInfoCache, get_word_info
 from .templates import PromptTemplateSet, load_templates
 
@@ -95,10 +89,6 @@ def build_p1(
     templates: PromptTemplateSet,
 ) -> ChatRequest:
     """P1 request: analysis instructions, plus keyword definitions when available."""
-    if templates.language is not sample.language:
-        raise TemplateLanguageMismatch(
-            f"sample is {sample.language.value}, templates are {templates.language.value}"
-        )
     system = templates.p1_system
     user = sample.text
     if word_infos:
@@ -141,7 +131,6 @@ class PipelineDeps:
     """Everything run_pipeline may need; which parts are used depends on the variant."""
 
     gateway: Gateway
-    tagger: TaggerPort | None = None
     search: SearchPort | None = None
     cache: WordInfoCache | None = None
     fetcher: PageFetcher | None = None
@@ -149,8 +138,6 @@ class PipelineDeps:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    sample_id: str
-    variant: PipelineVariant
     keywords: KeywordSet | None
     word_infos: tuple[WordInfo, ...]
     p1_exchange: ChatExchange
@@ -164,9 +151,9 @@ _SKIP_ERRORS = (
     EmptyResponse,
     MissingTranscript,
     MalformedCSV,
-    TaggerError,
     SearchTransportError,
     VerdictNotFound,
+    CorruptRecord,
 )
 
 
@@ -180,9 +167,7 @@ def run_pipeline(
     try:
         keywords: KeywordSet | None = None
         if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
-            if deps.tagger is None:
-                raise TaggerError("variant needs a tagger but none was configured")
-            keywords = extract_token_tagging(sample, deps.tagger)
+            keywords = extract_token_tagging(sample)
         elif plan.extraction is ExtractionMethod.LLM_BASED:
             keywords = extract_llm_based(sample, deps.gateway, templates)
 
@@ -213,8 +198,6 @@ def run_pipeline(
     except _SKIP_ERRORS as exc:
         raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
     return PipelineTrace(
-        sample_id=sample.id,
-        variant=variant,
         keywords=keywords,
         word_infos=tuple(word_infos),
         p1_exchange=p1_exchange,

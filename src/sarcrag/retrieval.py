@@ -21,12 +21,7 @@ import requests
 from requests.compat import chardet
 
 from .core import LanguageTag, RetrievalSource
-from .errors import (
-    DefinitionUnavailable,
-    DomainError,
-    SearchQuotaExceeded,
-    SearchTransportError,
-)
+from .errors import CorruptRecord, DefinitionUnavailable, SearchQuotaExceeded, SearchTransportError
 from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role, put_json_if_absent, read_json
 
 DEFAULT_CHUNK_SIZE = 120
@@ -79,14 +74,8 @@ _REASK_USER = {
 
 @dataclass(frozen=True)
 class SearchResult:
-    keyword: str
     url: str
     snippet: str
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank starts at 1")
 
 
 @dataclass(frozen=True)
@@ -208,8 +197,6 @@ def corpus_stats(chunks: Sequence[Chunk]) -> CorpusStats:
 
 
 def bm25_idf(n_docs: int, df_term: int) -> float:
-    if n_docs < 1 or df_term < 0 or df_term > n_docs:
-        raise DomainError(f"df={df_term} outside [0, N={n_docs}]")
     return math.log((n_docs - df_term + 0.5) / (df_term + 0.5) + 1.0)
 
 
@@ -275,13 +262,8 @@ class GoogleSearchClient:
         except (requests.RequestException, ValueError) as exc:
             raise SearchTransportError(f"search failed: {exc}") from exc
         return [
-            SearchResult(
-                keyword=query,
-                url=item.get("link", ""),
-                snippet=item.get("snippet", ""),
-                rank=rank,
-            )
-            for rank, item in enumerate(items[:max_results], start=1)
+            SearchResult(url=item.get("link", ""), snippet=item.get("snippet", ""))
+            for item in items[:max_results]
         ]
 
 
@@ -480,7 +462,7 @@ class WordInfoCache:
         path = self.path_for(keyword, source)
         if not path.exists():
             return None
-        return _word_info(read_json(path))
+        return _word_info(path, read_json(path))
 
     def store(self, info: WordInfo) -> WordInfo:
         """Cache info unless its key is cached; return the definition kept."""
@@ -490,7 +472,8 @@ class WordInfoCache:
             "source": info.source.value,
             "evidence": [list(pair) for pair in info.evidence] if info.evidence is not None else None,
         }
-        return _word_info(put_json_if_absent(self.path_for(info.keyword, info.source), record))
+        path = self.path_for(info.keyword, info.source)
+        return _word_info(path, put_json_if_absent(path, record))
 
     def entries(self, source: RetrievalSource | None = None) -> list[WordInfo]:
         sources = [source] if source else list(RetrievalSource)
@@ -499,7 +482,7 @@ class WordInfoCache:
             directory = self.root / src.value
             if not directory.is_dir():
                 continue
-            found.extend(_word_info(read_json(path)) for path in sorted(directory.glob("*.json")))
+            found.extend(_word_info(path, read_json(path)) for path in sorted(directory.glob("*.json")))
         return found
 
     def purge(self, source: RetrievalSource | None = None) -> int:
@@ -515,14 +498,18 @@ class WordInfoCache:
         return removed
 
 
-def _word_info(record: dict) -> WordInfo:
-    evidence = record.get("evidence")
-    return WordInfo(
-        keyword=record["keyword"],
-        definition=record["definition"],
-        source=RetrievalSource(record["source"]),
-        evidence=tuple((url, idx) for url, idx in evidence) if evidence is not None else None,
-    )
+def _word_info(path: Path, record: dict) -> WordInfo:
+    """The definition cached at path; CorruptRecord if record does not hold a valid one."""
+    try:
+        evidence = record.get("evidence")
+        return WordInfo(
+            keyword=record["keyword"],
+            definition=record["definition"],
+            source=RetrievalSource(record["source"]),
+            evidence=tuple((url, idx) for url, idx in evidence) if evidence is not None else None,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptRecord(path, f"{type(exc).__name__}: {exc}") from exc
 
 
 def get_word_info(

@@ -22,7 +22,6 @@ from sarcrag.core import DatasetKind, PipelineVariant, RetrievalSource
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import SampleSkipped
 from sarcrag.gateway import ChatRequest, Gateway, Purpose, TranscriptStore
-from sarcrag.keywords import HeuristicTagger
 from sarcrag.pipeline import PipelineDeps, run_pipeline
 from sarcrag.retrieval import WordInfo, WordInfoCache
 
@@ -143,7 +142,7 @@ def main(out: Path = FIXTURE) -> None:
         samples = load_dataset(kind, FIXTURE / "data" / filename)
         text_to_sid = {s.text: s.id for s in samples}
         gateway = Gateway(ScriptedBackend(text_to_sid), store=store)
-        deps = PipelineDeps(gateway=gateway, tagger=HeuristicTagger(), cache=cache)
+        deps = PipelineDeps(gateway=gateway, cache=cache)
         for sample in samples:
             try:
                 trace = run_pipeline(sample, variant, deps)

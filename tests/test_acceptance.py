@@ -33,7 +33,7 @@ from sarcrag.datasets import load_mustard
 from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
 from sarcrag.gateway import Gateway, Purpose, TranscriptStore
-from sarcrag.keywords import HeuristicTagger, parse_csv_keywords
+from sarcrag.keywords import parse_csv_keywords
 from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, default_few_shot, run_pipeline
 from sarcrag.retrieval import (
     Bm25Params,
@@ -275,7 +275,7 @@ class RecordingGateway:
 class AlgebraSearch:
     def search(self, query, max_results):
         snippet = " ".join(f"fact{i} about {query}" for i in range(10))
-        return [SearchResult(keyword=query, url="https://ref.example/a", snippet=snippet, rank=1)]
+        return [SearchResult(url="https://ref.example/a", snippet=snippet)]
 
 
 EXPECTED_SEQUENCES = {
@@ -313,9 +313,7 @@ class TestVariantCallAlgebra:
         captured = {}
         for variant in PipelineVariant:
             gateway = RecordingGateway(gateway_factory())
-            deps = PipelineDeps(
-                gateway=gateway, tagger=HeuristicTagger(), search=AlgebraSearch(), cache=None
-            )
+            deps = PipelineDeps(gateway=gateway, search=AlgebraSearch(), cache=None)
             trace = run_pipeline(self.algebra_sample(), variant, deps)
             assert trace.verdict is Label.SARCASTIC
             captured[variant] = gateway

@@ -3,6 +3,8 @@
 import argparse
 import io
 import json
+import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,15 @@ from sarcrag.cli import (
     read_run_log,
     report_from_log,
 )
-from sarcrag.core import RetrievalSource
+from sarcrag.core import DatasetKind, LanguageTag, RetrievalSource
+from sarcrag.datasets import load_dataset
 from sarcrag.errors import ConfigError, LogParseError
+from sarcrag.pipeline import build_p1
 from sarcrag.retrieval import WordInfo, WordInfoCache
+from sarcrag.templates import load_templates
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay"
+GOLDEN_RUN = Path(__file__).parent / "golden" / "replay" / "semeval_pmpwl.jsonl"
 
 RUN_ARG_NAMES = (
     "dataset",
@@ -282,11 +288,159 @@ class TestRunCommand:
         assert [r["sample_id"] for r in records] == ["semeval:1", "semeval:2"]
         assert [r["verdict"] for r in records] == ["YES", "NO"]
 
+    def test_crash_stops_new_samples(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        data = tmp_path / "five.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n"
+            + "".join(f"{n}\t1\tsample number {n}\n" for n in range(1, 6)),
+            encoding="utf-8",
+        )
+        run_pipeline = cli.run_pipeline
+        called = []
+
+        def crash_on_third(sample, variant, deps):
+            called.append(sample.id)
+            if sample.id == "semeval:3":
+                raise RuntimeError("crashed mid-run")
+            return run_pipeline(sample, variant, deps)
+
+        monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
+        with pytest.raises(RuntimeError):
+            live_run(tmp_path, data, "pmp", "--concurrency", "1")
+        assert called == ["semeval:1", "semeval:2", "semeval:3"]
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
+        assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1", "semeval:2"]
+
+    def test_next_sample_starts_when_any_running_one_finishes(self, tmp_path, capsys, monkeypatch):
+        # semeval:1 runs until semeval:3 has started, which it can only do in the
+        # slot semeval:2 frees; records still come out in sample order.
+        run_pipeline = cli.run_pipeline
+        third_started = threading.Event()
+        waited = []
+
+        def hold_first(sample, variant, deps):
+            if sample.id == "semeval:1":
+                waited.append(third_started.wait(timeout=10))
+            if sample.id == "semeval:3":
+                third_started.set()
+            return run_pipeline(sample, variant, deps)
+
+        monkeypatch.setattr(cli, "run_pipeline", hold_first)
+        code, _, run_dir = run_fixture_cli(tmp_path, capsys, "--concurrency", "2")
+        assert code == 0
+        assert waited == [True]
+        records = read_run_log(run_dir / "run.jsonl")
+        assert [r["sample_id"] for r in records] == [
+            "semeval:1", "semeval:2", "semeval:3", "semeval:4",
+        ]
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--dataset", "semeval", "--backend", "replay"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+
+
+def answer_yes(self, url, **kwargs):
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b'{"message": {"content": "Final decision: YES"}}'
+    return response
+
+
+def live_run(tmp_path, data, variant, *extra):
+    return main(
+        [
+            "run",
+            "--dataset", "semeval",
+            "--data-path", str(data),
+            "--variant", variant,
+            "--model", "m",
+            "--backend", "live",
+            "--endpoint", "http://chat.invalid/api/chat",
+            "--transcripts", str(tmp_path / "transcripts"),
+            "--cache", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "runs"),
+            *extra,
+        ]
+    )
+
+
+class TestCorruptRecords:
+    """A corrupt store or cache file skips only the sample that reads it, and stays."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        shutil.copytree(FIXTURE / "transcripts", tmp_path / "transcripts")
+        shutil.copytree(FIXTURE / "cache", tmp_path / "cache")
+        return tmp_path
+
+    def replay(self, tmp_path):
+        code = main(
+            [
+                "run",
+                "--dataset", "semeval",
+                "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
+                "--variant", "pmpwl",
+                "--model", "fixture-model",
+                "--backend", "replay",
+                "--transcripts", str(tmp_path / "transcripts"),
+                "--cache", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "runs"),
+            ]
+        )
+        assert code == 0
+        return read_run_log(tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl" / "run.jsonl")
+
+    def assert_only_skipped(self, records, sample_id):
+        golden = read_run_log(GOLDEN_RUN)
+        assert [r["sample_id"] for r in records] == [g["sample_id"] for g in golden]
+        for record, expected in zip(records, golden):
+            record.pop("wall_time")
+            if record["sample_id"] == sample_id:
+                assert record["skipped_reason"].startswith("CorruptRecord: corrupt record ")
+            else:
+                assert record == expected
+
+    def p1_transcript(self, tmp_path, sample_id):
+        (digest,) = [r["p1_digest"] for r in read_run_log(GOLDEN_RUN) if r["sample_id"] == sample_id]
+        return tmp_path / "transcripts" / "fixture-model" / f"{digest}.json"
+
+    def test_truncated_transcript_in_a_replay(self, store):
+        path = self.p1_transcript(store, "semeval:1")
+        path.write_text('{"digest": "trunc', encoding="utf-8")
+        self.assert_only_skipped(self.replay(store), "semeval:1")
+        assert path.read_text(encoding="utf-8") == '{"digest": "trunc'
+
+    def test_transcript_with_edited_messages(self, store):
+        path = self.p1_transcript(store, "semeval:2")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["messages"][1]["content"] += " (edited)"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        self.assert_only_skipped(self.replay(store), "semeval:2")
+
+    def test_truncated_cache_file(self, store):
+        path = store / "cache" / "llm_only" / "heathrow.json"
+        path.write_text('{"keyword": "Heath', encoding="utf-8")
+        self.assert_only_skipped(self.replay(store), "semeval:3")
+
+    def test_truncated_transcript_in_a_live_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        data = FIXTURE / "data" / "semeval_mini.tsv"
+        first = load_dataset(DatasetKind.SEMEVAL_2018_T3, data)[0]
+        digest = build_p1(first, [], load_templates(LanguageTag.ENGLISH)).digest
+        path = tmp_path / "transcripts" / "m" / f"{digest}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text('{"digest": "trunc', encoding="utf-8")
+        assert live_run(tmp_path, data, "pmp", "--concurrency", "1") == 0
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl")
+        assert [r["sample_id"] for r in records] == [
+            "semeval:1", "semeval:2", "semeval:3", "semeval:4",
+        ]
+        assert records[0]["skipped_reason"].startswith("CorruptRecord: corrupt record ")
+        assert [r["verdict"] for r in records[1:]] == ["YES", "YES", "YES"]
+        assert path.read_text(encoding="utf-8") == '{"digest": "trunc'
 
 
 class TestLiveTransport:

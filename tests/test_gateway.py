@@ -3,13 +3,20 @@
 import errno
 import json
 import os
+import re
 import sys
 import threading
 
 import pytest
 import requests
 
-from sarcrag.errors import EmptyResponse, MissingTranscript, StoreWriteError, TransportError
+from sarcrag.errors import (
+    CorruptRecord,
+    EmptyResponse,
+    MissingTranscript,
+    StoreWriteError,
+    TransportError,
+)
 from sarcrag.gateway import (
     ChatMessage,
     ChatRequest,
@@ -95,10 +102,10 @@ class TestTranscriptStore:
         store = TranscriptStore(tmp_path)
         request = make_request()
         store.save(request, "recorded answer")
-        assert store.lookup(request.digest) == "recorded answer"
+        assert store.lookup(request) == "recorded answer"
 
     def test_lookup_missing_returns_none(self, tmp_path):
-        assert TranscriptStore(tmp_path).lookup("0" * 64) is None
+        assert TranscriptStore(tmp_path).lookup(make_request()) is None
 
     def test_rerecord_same_text_is_idempotent(self, tmp_path):
         store = TranscriptStore(tmp_path)
@@ -115,8 +122,18 @@ class TestTranscriptStore:
         before = store.path_for(request.digest).read_bytes()
         assert store.save(request, "new") == "old"
         assert store.path_for(request.digest).read_bytes() == before
-        assert store.lookup(request.digest) == "old"
+        assert store.lookup(request) == "old"
         assert not caplog.records
+
+    @pytest.mark.parametrize("content", ['{"digest": "trunc', '{"digest": "x"}', "[]"])
+    def test_save_over_a_corrupt_record_raises(self, tmp_path, content):
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(CorruptRecord, match=re.escape(str(path))):
+            store.save(request, "answer")
+        assert path.read_text(encoding="utf-8") == content
 
     def test_concurrent_writers_of_one_digest(self, tmp_path):
         # One store object per thread, as separate processes would have.
@@ -142,7 +159,7 @@ class TestTranscriptStore:
         assert not any(thread.is_alive() for thread in threads)
         assert len(kept) == 8
         assert len(set(kept)) == 1
-        assert TranscriptStore(tmp_path).lookup(request.digest) == kept[0]
+        assert TranscriptStore(tmp_path).lookup(request) == kept[0]
         assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest}.json"]
 
     def test_save_does_not_collide_with_another_writers_temp_file(self, tmp_path):
@@ -404,7 +421,7 @@ class TestGateway:
         exchange = gateway.chat(request)
         assert exchange.response_text == "fresh answer"
         assert exchange.backend == "live"
-        assert store.lookup(request.digest) == "fresh answer"
+        assert store.lookup(request) == "fresh answer"
 
     def test_store_hit_makes_no_backend_call(self, tmp_path):
         class Unreachable:
@@ -434,7 +451,7 @@ class TestGateway:
         request = make_request()
         exchange = Gateway(Racing(), store).chat(request)
         assert exchange.response_text == "first writer"
-        assert store.lookup(request.digest) == "first writer"
+        assert store.lookup(request) == "first writer"
 
     def test_exchange_log_appends_one_line_per_call(self, tmp_path):
         class OneShot:

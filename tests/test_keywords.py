@@ -6,25 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarcrag.core import (
-    DatasetKind,
-    ExtractionMethod,
-    Label,
-    LanguageTag,
-    Sample,
-)
-from sarcrag.errors import MalformedCSV, TaggerError
+from sarcrag.core import DatasetKind, Label, LanguageTag, Sample
+from sarcrag.errors import MalformedCSV
 from sarcrag.gateway import Gateway, Purpose
 from sarcrag.keywords import (
     HeuristicTagger,
     KeywordSet,
-    PartOfSpeech,
-    TaggedToken,
     extract_llm_based,
     extract_token_tagging,
     is_sentence_initial,
     parse_csv_keywords,
-    tag_tokens,
 )
 
 
@@ -57,7 +48,6 @@ class TestHeuristicTagger:
     def test_capitalized_non_stopword(self):
         tokens = HeuristicTagger().tag("I love Paris in winter")
         assert [t.surface for t in tokens] == ["Paris"]
-        assert tokens[0].pos is PartOfSpeech.PROPER_NOUN
         assert tokens[0].char_span == (7, 12)
 
     def test_no_capitalized_tokens(self):
@@ -90,71 +80,42 @@ class TestHeuristicTagger:
         (token,) = HeuristicTagger().tag(text)
         assert text[token.char_span[0] : token.char_span[1]] == token.surface == "Kuala Lumpur"
 
-
-class TestTagTokens:
-    def test_requires_non_empty_text(self):
-        with pytest.raises(ValueError):
-            tag_tokens("", HeuristicTagger())
-
-    def test_filters_untyped_tokens(self):
-        class NoisyTagger:
-            def tag(self, text):
-                return [
-                    TaggedToken("love", PartOfSpeech.OTHER, (2, 6)),
-                    TaggedToken("Paris", PartOfSpeech.PROPER_NOUN, (7, 12)),
-                ]
-
-        kept = tag_tokens("I love Paris", NoisyTagger())
-        assert [t.surface for t in kept] == ["Paris"]
-
-    def test_rejects_out_of_bounds_spans(self):
-        class BadTagger:
-            def tag(self, text):
-                return [TaggedToken("x", PartOfSpeech.PROPER_NOUN, (0, 99))]
-
-        with pytest.raises(TaggerError):
-            tag_tokens("short", BadTagger())
-
-    def test_rejects_overlapping_spans(self):
-        class OverlapTagger:
-            def tag(self, text):
-                return [
-                    TaggedToken("Par", PartOfSpeech.PROPER_NOUN, (0, 3)),
-                    TaggedToken("aris", PartOfSpeech.PROPER_NOUN, (1, 5)),
-                ]
-
-        with pytest.raises(TaggerError):
-            tag_tokens("Paris", OverlapTagger())
+    @given(st.text(alphabet="Ab .!?,'\"\n\t", max_size=40))
+    @settings(max_examples=300)
+    def test_spans_are_ordered_in_bounds_and_disjoint(self, text):
+        previous_end = 0
+        for token in HeuristicTagger().tag(text):
+            start, end = token.char_span
+            assert previous_end <= start < end <= len(text)
+            assert text[start:end] == token.surface
+            previous_end = end
 
 
 class TestExtractTokenTagging:
     def test_case_fold_dedup_keeps_first(self):
-        keywords = extract_token_tagging(
-            sample_of("Paris is nice but PARIS is better"), HeuristicTagger()
-        )
+        keywords = extract_token_tagging(sample_of("Paris is nice but PARIS is better"))
         assert keywords.keywords == ("Paris",)
-        assert keywords.source is ExtractionMethod.TOKEN_TAGGING
 
     def test_empty_when_no_proper_nouns(self):
-        keywords = extract_token_tagging(sample_of("nothing notable here"), HeuristicTagger())
+        keywords = extract_token_tagging(sample_of("nothing notable here"))
         assert keywords.keywords == ()
         assert not keywords
 
     def test_output_subset_of_tagged_surfaces(self):
         text = "Chandler told Monica that Paris beats London in winter"
-        surfaces = {t.surface for t in tag_tokens(text, HeuristicTagger())}
-        keywords = extract_token_tagging(sample_of(text), HeuristicTagger())
+        surfaces = {t.surface for t in HeuristicTagger().tag(text)}
+        keywords = extract_token_tagging(sample_of(text))
         assert set(keywords.keywords) <= surfaces
 
     def test_keyword_count_cap(self):
         # "and" breaks merge runs so each name stays a separate keyword
         text = " and ".join(f"City{letter}" for letter in string.ascii_uppercase[:12])
-        keywords = extract_token_tagging(sample_of(text), HeuristicTagger())
+        keywords = extract_token_tagging(sample_of(text))
         assert len(keywords.keywords) == 8
 
     def test_overlong_keywords_dropped(self):
         run = "Alpha Beta Gamma Delta Epsilon Zeta"  # 6 tokens, one merged run
-        keywords = extract_token_tagging(sample_of(run), HeuristicTagger())
+        keywords = extract_token_tagging(sample_of(run))
         assert keywords.keywords == ()
 
 
@@ -183,7 +144,6 @@ class TestExtractLlmBased:
         )
         keywords = extract_llm_based(sample, gateway)
         assert keywords.keywords == ("wkwk", "kw", "IPB")
-        assert keywords.source is ExtractionMethod.LLM_BASED
         assert [r.purpose for r in gateway.requests] == [
             Purpose.KEYWORD_IDENTIFY,
             Purpose.KEYWORD_CLEAN,
@@ -246,11 +206,11 @@ class TestParseCsvKeywords:
 class TestKeywordSet:
     def test_rejects_case_fold_duplicates(self):
         with pytest.raises(ValueError):
-            KeywordSet(keywords=("A", "a"), source=ExtractionMethod.LLM_BASED, sample_id="x")
+            KeywordSet(keywords=("A", "a"))
 
     def test_rejects_pure_punctuation(self):
         with pytest.raises(ValueError):
-            KeywordSet(keywords=("!!!",), source=ExtractionMethod.LLM_BASED, sample_id="x")
+            KeywordSet(keywords=("!!!",))
 
     def test_may_be_empty(self):
-        assert not KeywordSet(keywords=(), source=ExtractionMethod.TOKEN_TAGGING, sample_id="x")
+        assert not KeywordSet(keywords=())

@@ -4,7 +4,6 @@ import pytest
 
 from sarcrag.core import (
     DatasetKind,
-    ExtractionMethod,
     Label,
     LanguageTag,
     PipelineVariant,
@@ -13,12 +12,10 @@ from sarcrag.core import (
 )
 from sarcrag.errors import (
     SampleSkipped,
-    TemplateLanguageMismatch,
     TransportError,
     VerdictNotFound,
 )
 from sarcrag.gateway import Purpose
-from sarcrag.keywords import HeuristicTagger
 from sarcrag.pipeline import (
     FewShotBlock,
     PipelineDeps,
@@ -137,10 +134,6 @@ class TestBuildP1:
             sample.text + "\n" + render_word_info_block([word_info()], EN)
         )
 
-    def test_language_mismatch_rejected(self):
-        with pytest.raises(TemplateLanguageMismatch):
-            build_p1(en_sample(), [], ID)
-
 
 class TestBuildP2:
     def test_plain_request(self):
@@ -212,7 +205,7 @@ LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
 
 class FakeSearch:
     def search(self, query, max_results):
-        return [SearchResult(keyword=query, url="https://a.com", snippet=LONG_SNIPPET, rank=1)]
+        return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
 
 
 class TestRunPipeline:
@@ -240,24 +233,16 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        deps = PipelineDeps(gateway=gateway, tagger=HeuristicTagger())
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, deps)
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.DEFINE_WORD, Purpose.P1, Purpose.P2]
-        assert trace.keywords.source is ExtractionMethod.TOKEN_TAGGING
         assert trace.keywords.keywords == ("Paris",)
         assert [w.keyword for w in trace.word_infos] == ["Paris"]
         p1_user = gateway.requests[1].messages[1].content
         assert "Paris is The capital of France." in p1_user
 
-    def test_tagging_variant_without_tagger_skips(self):
-        gateway = PurposeGateway({Purpose.P1: ["x"], Purpose.P2: ["yes"]})
-        with pytest.raises(SampleSkipped) as info:
-            run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
-        assert "TaggerError" in info.value.reason
-
     def test_no_keywords_means_plain_p1(self):
         gateway = PurposeGateway({Purpose.P1: ["analysis"], Purpose.P2: ["Final decision: NO"]})
-        deps = PipelineDeps(gateway=gateway, tagger=HeuristicTagger())
+        deps = PipelineDeps(gateway=gateway)
         trace = run_pipeline(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.word_infos == ()
@@ -282,7 +267,6 @@ class TestRunPipeline:
             Purpose.P1,
             Purpose.P2,
         ]
-        assert trace.keywords.source is ExtractionMethod.LLM_BASED
         assert trace.word_infos[0].source is RetrievalSource.GOOGLE_SEARCH
         assert trace.word_infos[0].evidence
 
@@ -309,11 +293,8 @@ class TestRunPipeline:
         }
         plain = PurposeGateway(script)
         shot = PurposeGateway(script)
-        tagger = HeuristicTagger()
-        run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain, tagger=tagger))
-        run_pipeline(
-            en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot, tagger=tagger)
-        )
+        run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain))
+        run_pipeline(en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot))
         assert plain.purposes == shot.purposes
         plain_p2, shot_p2 = plain.requests[-1], shot.requests[-1]
         assert plain_p2.messages[1].content == shot_p2.messages[1].content
