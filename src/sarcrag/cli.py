@@ -162,6 +162,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         samples = samples[: config.limit]
     run_dir = config.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
+    # The run directory holds this run's outputs only: a report or exchange lines
+    # that an earlier run left there would pass for this run's.
+    for stale in ("report.json", "report.txt", "exchanges.jsonl"):
+        (run_dir / stale).unlink(missing_ok=True)
     deps = build_deps(config, run_dir)
 
     def run_one(sample) -> dict:

@@ -8,12 +8,14 @@ internal path asks the model directly. Both are cached on disk.
 from __future__ import annotations
 
 import codecs
+import hashlib
 import html.parser
 import itertools
 import math
 import re
 import urllib.parse
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -80,16 +82,21 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class Chunk:
+    """A window of page text; `tokens` is `bm25_tokenize(text)`, computed here when not given."""
+
     text: str
     source_url: str
     index: int
     token_count: int
+    tokens: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("chunk index must be >= 0")
         if self.token_count < 1:
             raise ValueError("chunk must contain at least one token")
+        if not self.tokens:
+            object.__setattr__(self, "tokens", tuple(bm25_tokenize(self.text)))
 
 
 @dataclass(frozen=True)
@@ -136,9 +143,12 @@ class WordInfo:
             raise ValueError("evidence is carried exactly by web-sourced definitions")
 
 
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def bm25_tokenize(text: str) -> list[str]:
     """Case-fold and split on whitespace and punctuation; no stemming or stopwords."""
-    return re.findall(r"[^\W_]+", text.casefold(), re.UNICODE)
+    return _TOKEN.findall(text.casefold())
 
 
 def split_sentences(text: str) -> list[str]:
@@ -164,22 +174,34 @@ def trim_to_sentences(text: str, limit: int = MAX_DEFINITION_SENTENCES) -> str:
 def chunk_document(
     text: str, chunk_size: int, overlap: int, *, source_url: str = ""
 ) -> list[Chunk]:
-    """Sliding word windows of chunk_size stepping by (chunk_size - overlap)."""
+    """Sliding word windows of chunk_size stepping by (chunk_size - overlap).
+
+    Each distinct word is tokenized once. A window's tokens are its words'
+    tokens in order, which equals tokenizing the window: tokens never span
+    whitespace, and case folding maps each character on its own.
+    """
     if not text.strip():
         raise ValueError("text must be non-empty")
     if overlap < 0 or chunk_size <= overlap:
         raise ValueError("require chunk_size > overlap >= 0")
     words = text.split()
+    vocabulary = {word: bm25_tokenize(word) for word in set(words)}
+    word_tokens = [vocabulary[word] for word in words]
     step = chunk_size - overlap
     chunks: list[Chunk] = []
     for ordinal, offset in enumerate(range(0, len(words), step)):
-        window = " ".join(words[offset : offset + chunk_size])
-        tokens = bm25_tokenize(window)
+        tokens = tuple(itertools.chain.from_iterable(word_tokens[offset : offset + chunk_size]))
         # Windows of pure punctuation carry nothing rankable; drop them.
         if not tokens:
             continue
         chunks.append(
-            Chunk(text=window, source_url=source_url, index=ordinal, token_count=len(tokens))
+            Chunk(
+                text=" ".join(words[offset : offset + chunk_size]),
+                source_url=source_url,
+                index=ordinal,
+                token_count=len(tokens),
+                tokens=tokens,
+            )
         )
     return chunks
 
@@ -187,12 +209,10 @@ def chunk_document(
 def corpus_stats(chunks: Sequence[Chunk]) -> CorpusStats:
     if not chunks:
         raise ValueError("corpus must contain at least one chunk")
-    df: dict[str, int] = {}
-    total_len = 0
+    df: Counter[str] = Counter()
     for chunk in chunks:
-        total_len += chunk.token_count
-        for term in set(bm25_tokenize(chunk.text)):
-            df[term] = df.get(term, 0) + 1
+        df.update(set(chunk.tokens))
+    total_len = sum(chunk.token_count for chunk in chunks)
     return CorpusStats(n_docs=len(chunks), avg_doc_len=total_len / len(chunks), df=df)
 
 
@@ -203,10 +223,9 @@ def bm25_idf(n_docs: int, df_term: int) -> float:
 def bm25_score(
     query: Sequence[str], doc: Chunk, stats: CorpusStats, params: Bm25Params
 ) -> float:
-    doc_terms = bm25_tokenize(doc.text)
     score = 0.0
     for term in query:
-        freq = doc_terms.count(term)
+        freq = doc.tokens.count(term)
         if freq == 0:
             continue
         idf = bm25_idf(stats.n_docs, stats.df.get(term, 0))
@@ -448,6 +467,11 @@ def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> Wo
     )
 
 
+# Longest percent-quoted keyword used as a file name: 255 bytes, the usual limit,
+# less ".json" and the ".xxxxxxxx.tmp" that put_json_if_absent's temporary file adds.
+MAX_QUOTED_NAME = 255 - len(".json") - len(".xxxxxxxx.tmp")
+
+
 class WordInfoCache:
     """Directory of per-keyword definition files, keyed by (source, case-folded keyword)."""
 
@@ -455,7 +479,11 @@ class WordInfoCache:
         self.root = Path(root)
 
     def path_for(self, keyword: str, source: RetrievalSource) -> Path:
-        name = urllib.parse.quote(keyword.casefold(), safe="")
+        folded = keyword.casefold()
+        name = urllib.parse.quote(folded, safe="")
+        if len(name) > MAX_QUOTED_NAME:
+            # quote() always escapes "=", so no quoted keyword can take this name.
+            name = "sha256=" + hashlib.sha256(folded.encode("utf-8")).hexdigest()
         return self.root / source.value / f"{name}.json"
 
     def lookup(self, keyword: str, source: RetrievalSource) -> WordInfo | None:

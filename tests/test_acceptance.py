@@ -77,6 +77,30 @@ VOCAB = [
 ]
 
 
+URLS = ["https://a.com", "https://b.com", "https://c.com"]
+
+
+def assert_ranking_matches_oracle(rng, chunks, params):
+    """Scores and top-k order of chunks equal the oracle's over their whitespace-split texts."""
+    docs = [c.text.split() for c in chunks]
+    query = rng.sample(VOCAB, rng.randint(1, 3))
+    stats = corpus_stats(chunks)
+    for chunk, doc in zip(chunks, docs):
+        got = bm25_score(query, chunk, stats, params)
+        want = oracle_score(query, doc, docs)
+        assert abs(got - want) <= 1e-9
+    top_k = rng.randint(1, len(chunks))
+    got_order = rank_chunks(" ".join(query), chunks, params, top_k)
+    scored = [(oracle_score(query, d, docs), c) for d, c in zip(docs, chunks)]
+    want_order = [
+        c
+        for _, c in sorted(
+            scored, key=lambda pair: (-pair[0], pair[1].source_url, pair[1].index)
+        )
+    ][:top_k]
+    assert got_order == want_order
+
+
 class TestRankingOracleEquivalence:
     def test_500_random_corpora(self):
         rng = random.Random(20240817)
@@ -89,31 +113,26 @@ class TestRankingOracleEquivalence:
                 chunks.append(
                     Chunk(
                         text=" ".join(words),
-                        source_url=rng.choice(
-                            ["https://a.com", "https://b.com", "https://c.com"]
-                        ),
+                        source_url=rng.choice(URLS),
                         index=index,
                         token_count=len(words),
                     )
                 )
-            docs = [c.text.split() for c in chunks]
-            query = rng.sample(VOCAB, rng.randint(1, 3))
-            stats = corpus_stats(chunks)
-            for chunk, doc in zip(chunks, docs):
-                got = bm25_score(query, chunk, stats, params)
-                want = oracle_score(query, doc, docs)
-                assert abs(got - want) <= 1e-9
-            top_k = rng.randint(1, len(chunks))
-            got_order = rank_chunks(" ".join(query), chunks, params, top_k)
-            scored = [(oracle_score(query, d, docs), c) for d, c in zip(docs, chunks)]
-            want_order = [
-                c
-                for _, c in sorted(
-                    scored, key=lambda pair: (-pair[0], pair[1].source_url, pair[1].index)
-                )
-            ][:top_k]
-            assert got_order == want_order
+            assert_ranking_matches_oracle(rng, chunks, params)
         assert time.perf_counter() - started < 5.0
+
+    def test_500_random_chunked_pages(self):
+        # Chunks as chunk_document builds them, with the tokens they carry.
+        rng = random.Random(20261019)
+        params = Bm25Params()
+        for _ in range(500):
+            chunks = []
+            for url in rng.sample(URLS, rng.randint(1, 3)):
+                words = rng.choices(VOCAB, k=rng.randint(1, 150))
+                overlap = rng.randint(0, 20)
+                chunk_size = overlap + rng.randint(1, 40)
+                chunks.extend(chunk_document(" ".join(words), chunk_size, overlap, source_url=url))
+            assert_ranking_matches_oracle(rng, chunks, params)
 
 
 # --- 2. frozen ranking golden values --------------------------------------

@@ -367,6 +367,56 @@ def live_run(tmp_path, data, variant, *extra):
     )
 
 
+class TestReusedRunDirectory:
+    """A second run into one --out leaves only its own outputs."""
+
+    def test_crash_removes_the_earlier_report(self, tmp_path, capsys, monkeypatch):
+        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
+        assert (run_dir / "report.json").exists()
+
+        def crash(sample, variant, deps):
+            raise RuntimeError("crashed mid-run")
+
+        monkeypatch.setattr(cli, "run_pipeline", crash)
+        with pytest.raises(RuntimeError):
+            run_fixture_cli(tmp_path, capsys)
+        assert not (run_dir / "report.json").exists()
+        assert not (run_dir / "report.txt").exists()
+
+    def test_all_skipped_run_removes_the_earlier_report(self, tmp_path, capsys):
+        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
+        assert (run_dir / "report.txt").exists()
+        # semeval:4 replays to a verdict-less reflection, so this run skips everything
+        data = tmp_path / "only_skipped.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n4\t0\tthe quarterly report is ready for review\n",
+            encoding="utf-8",
+        )
+        code, captured, _ = run_fixture_cli(tmp_path, capsys, "--data-path", str(data))
+        assert code == 0
+        assert "every sample was skipped" in captured.out
+        assert len(read_run_log(run_dir / "run.jsonl")) == 1
+        assert not (run_dir / "report.json").exists()
+        assert not (run_dir / "report.txt").exists()
+
+    def test_second_live_run_starts_an_empty_exchange_log(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        data = tmp_path / "two.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n1\t1\tfirst sample\n2\t0\tsecond sample\n",
+            encoding="utf-8",
+        )
+        exchange_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "exchanges.jsonl"
+        backends = []
+        for _ in range(2):
+            assert live_run(tmp_path, data, "pmp", "--concurrency", "1") == 0
+            lines = exchange_log.read_text(encoding="utf-8").splitlines()
+            backends.append([json.loads(line)["backend"] for line in lines])
+        # Two samples of two chats each; the second run is answered from the store.
+        assert [len(run) for run in backends] == [4, 4]
+        assert backends[1] == ["store"] * 4
+
+
 class TestCorruptRecords:
     """A corrupt store or cache file skips only the sample that reads it, and stays."""
 

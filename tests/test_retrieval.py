@@ -1,5 +1,6 @@
 """Retrieval: tokenizing, chunking, BM25 ranking, definition building, caching."""
 
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,8 @@ import threading
 
 import pytest
 import requests
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sarcrag.core import LanguageTag, RetrievalSource
 from sarcrag.errors import (
@@ -20,6 +23,7 @@ from sarcrag.gateway import Purpose
 from sarcrag.retrieval import (
     FETCH_BLOCK_BYTES,
     MAX_FETCHED_CHARS,
+    MAX_QUOTED_NAME,
     Bm25Params,
     Chunk,
     CorpusStats,
@@ -94,7 +98,30 @@ class TestSentences:
         assert trim_to_sentences("no terminator here", 2) == "no terminator here"
 
 
+# Punctuation, "_", characters whose case folding expands or changes them
+# ("ß", "ﬁ", "İ", "Σ"), and whitespace other than " " that str.split() splits on.
+TOKENIZER_EDGES = ".,!?'-_" + "ßﬁİΣς" + "\t\n\x1c\x85\xa0\u2003\u2028\u3000"
+
+
 class TestChunking:
+    @given(
+        text=st.text(st.one_of(st.sampled_from(TOKENIZER_EDGES), st.characters()), max_size=200),
+        overlap=st.integers(0, 10),
+        step=st.integers(1, 10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_carried_tokens_equal_tokenizing_the_window(self, text, overlap, step):
+        assume(text.strip())
+        chunk_size = overlap + step
+        chunks = chunk_document(text, chunk_size, overlap)
+        words = text.split()
+        windows = [" ".join(words[o : o + chunk_size]) for o in range(0, len(words), step)]
+        kept = [(ordinal, w) for ordinal, w in enumerate(windows) if bm25_tokenize(w)]
+        assert [(c.index, c.text) for c in chunks] == kept
+        for chunk in chunks:
+            assert list(chunk.tokens) == bm25_tokenize(chunk.text)
+            assert chunk.token_count == len(chunk.tokens)
+
     def test_ten_words_size_four_overlap_one(self):
         words = [f"w{i}" for i in range(10)]
         chunks = chunk_document(" ".join(words), 4, 1, source_url="https://e.com")
@@ -660,6 +687,22 @@ class TestWordInfoCache:
         assert cache.lookup("a/b c", RetrievalSource.LLM_ONLY) is not None
         for p in tmp_path.rglob("*.json"):
             assert "/" not in p.stem
+
+    def test_long_non_ascii_keyword_is_named_by_its_digest(self, tmp_path):
+        # 44 characters pass the keyword caps, but quote to a 489-byte file name.
+        keyword = "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40
+        cache = WordInfoCache(tmp_path)
+        info = self.make_info(keyword)
+        assert cache.store(info) == info
+        assert cache.lookup("WKWK" + keyword[4:], RetrievalSource.LLM_ONLY) == info
+        assert cache.entries() == [info]
+        digest = hashlib.sha256(keyword.encode("utf-8")).hexdigest()
+        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"sha256={digest}.json"]
+
+    def test_quoted_name_at_the_length_limit_is_kept(self, tmp_path):
+        keyword = "k" * MAX_QUOTED_NAME
+        WordInfoCache(tmp_path).store(self.make_info(keyword))
+        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"{keyword}.json"]
 
     def test_entries_and_purge(self, tmp_path):
         cache = WordInfoCache(tmp_path)
