@@ -191,11 +191,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     # At most `concurrency` samples are unfinished; the next starts when any one finishes.
     # Each record is on disk as soon as it and every earlier sample are done. A sample
     # that raises (SampleSkipped aside) stops new samples: the running ones finish, the
-    # records before it are written, and its exception propagates.
+    # records before it are written, and its exception propagates. A sample's thread
+    # defines its first keyword, and `definers` the others, so at most 2 * concurrency
+    # threads call out at once.
     records: list[dict] = []
     futures = []
     log_path = run_dir / "run.jsonl"
-    with log_path.open("w", encoding="utf-8") as fh, ThreadPoolExecutor(config.concurrency) as pool:
+    with (
+        log_path.open("w", encoding="utf-8") as fh,
+        ThreadPoolExecutor(config.concurrency) as definers,
+        ThreadPoolExecutor(config.concurrency) as pool,
+    ):
+        deps.definers = definers
 
         def write_ready(block: bool) -> None:
             while len(records) < len(futures) and (block or futures[len(records)].done()):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 import time
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
 from .errors import (
@@ -128,12 +130,17 @@ def parse_verdict(a2: str) -> Label:
 
 @dataclass
 class PipelineDeps:
-    """Everything run_pipeline may need; which parts are used depends on the variant."""
+    """Everything run_pipeline may need; which parts are used depends on the variant.
+
+    `definers` runs a sample's keyword definitions after its first, which the
+    sample's own thread defines; without it, the sample's thread defines all.
+    """
 
     gateway: Gateway
     search: SearchPort | None = None
     cache: WordInfoCache | None = None
     fetcher: PageFetcher | None = None
+    definers: Executor | None = None
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,45 @@ _SKIP_ERRORS = (
 )
 
 
+def _define_keywords(
+    keywords: tuple[str, ...],
+    define: Callable[[str], WordInfo],
+    definers: Executor | None,
+) -> list[WordInfo]:
+    """Every keyword's definition, in keyword order, leaving out unavailable ones.
+
+    The first keyword is defined in this thread, and the others on `definers`
+    at the same time, or after it in this thread when `definers` is None.
+    After an error that skips the sample the other keywords are still defined,
+    so a run defines the same keywords on any schedule. Any other error (such
+    as StoreWriteError) stops the run, so the definitions not yet started are
+    dropped. Then the first error other than DefinitionUnavailable, in keyword
+    order, is raised once every started definition has finished: none outlives
+    the call.
+    """
+    later = [definers.submit(define, keyword) for keyword in keywords[1:]] if definers else []
+    word_infos: list[WordInfo] = []
+    errors: list[Exception] = []
+    try:
+        for index, keyword in enumerate(keywords):
+            try:
+                word_infos.append(later[index - 1].result() if index and later else define(keyword))
+            except DefinitionUnavailable:
+                continue
+            except _SKIP_ERRORS as exc:
+                errors.append(exc)
+            except Exception as exc:
+                errors.append(exc)
+                break
+    finally:
+        for future in later:
+            future.cancel()
+        wait(later)
+    if errors:
+        raise errors[0]
+    return word_infos
+
+
 def run_pipeline(
     sample: Sample, variant: PipelineVariant, deps: PipelineDeps
 ) -> PipelineTrace:
@@ -173,21 +219,19 @@ def run_pipeline(
 
         word_infos: list[WordInfo] = []
         if plan.retrieval is not None and keywords:
-            for keyword in keywords.keywords:
-                try:
-                    word_infos.append(
-                        get_word_info(
-                            keyword,
-                            plan.retrieval,
-                            deps.gateway,
-                            sample.language,
-                            cache=deps.cache,
-                            search=deps.search,
-                            fetcher=deps.fetcher,
-                        )
-                    )
-                except DefinitionUnavailable:
-                    continue
+            word_infos = _define_keywords(
+                keywords.keywords,
+                lambda keyword: get_word_info(
+                    keyword,
+                    plan.retrieval,
+                    deps.gateway,
+                    sample.language,
+                    cache=deps.cache,
+                    search=deps.search,
+                    fetcher=deps.fetcher,
+                ),
+                deps.definers,
+            )
 
         p1_request = build_p1(sample, word_infos, templates)
         p1_exchange = deps.gateway.chat(p1_request)

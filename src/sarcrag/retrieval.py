@@ -13,8 +13,10 @@ import html.parser
 import itertools
 import math
 import re
+import threading
 import urllib.parse
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -472,11 +474,48 @@ def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> Wo
 MAX_QUOTED_NAME = 255 - len(".json") - len(".xxxxxxxx.tmp")
 
 
+class SingleFlight:
+    """Merges concurrent calls that share a key into the one already running.
+
+    The first caller of a key runs the call in its own thread; callers of that
+    key that arrive while it runs wait for it and get its result, or raise its
+    exception. A key is forgotten once its call returns, so a later caller runs
+    the call afresh. Compare Go's golang.org/x/sync/singleflight.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._running: dict[object, Future] = {}
+
+    def run(self, key: object, call: Callable[[], object]) -> object:
+        with self._lock:
+            running = self._running.get(key)
+            if running is None:
+                future = self._running[key] = Future()
+        if running is not None:
+            return running.result()
+        try:
+            result = call()
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
+        else:
+            future.set_result(result)
+            return result
+        finally:
+            with self._lock:
+                del self._running[key]
+
+
 class WordInfoCache:
-    """Directory of per-keyword definition files, keyed by (source, case-folded keyword)."""
+    """Directory of per-keyword definition files, keyed by (source, case-folded keyword).
+
+    `in_flight` merges concurrent get_word_info misses of one key.
+    """
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        self.in_flight = SingleFlight()
 
     def path_for(self, keyword: str, source: RetrievalSource) -> Path:
         folded = keyword.casefold()
@@ -550,14 +589,15 @@ def get_word_info(
     search: SearchPort | None = None,
     fetcher: PageFetcher | None = None,
 ) -> WordInfo:
-    """Cache-first definition lookup for one keyword via the requested path."""
-    if cache is not None:
-        cached = cache.lookup(keyword, source)
-        if cached is not None:
-            return cached
-    if source is RetrievalSource.LLM_ONLY:
-        info = define_llm_only(keyword, gateway, language)
-    else:
+    """Cache-first definition lookup for one keyword via the requested path.
+
+    Concurrent calls with one cache key share one lookup, and on a miss one
+    definition: the others get the definition the cache keeps, or its error.
+    """
+
+    def define() -> WordInfo:
+        if source is RetrievalSource.LLM_ONLY:
+            return define_llm_only(keyword, gateway, language)
         if search is None:
             raise DefinitionUnavailable(
                 f"no cached definition for {keyword!r} and no search client configured"
@@ -567,7 +607,13 @@ def get_word_info(
         if not corpus:
             raise DefinitionUnavailable(f"search produced no usable text for {keyword!r}")
         top = rank_chunks(keyword, corpus, Bm25Params(), DEFAULT_TOP_K)
-        info = refine_definition(keyword, top, gateway, language)
-    if cache is not None:
-        return cache.store(info)
-    return info
+        return refine_definition(keyword, top, gateway, language)
+
+    if cache is None:
+        return define()
+
+    def lookup_or_define() -> WordInfo:
+        cached = cache.lookup(keyword, source)
+        return cached if cached is not None else cache.store(define())
+
+    return cache.in_flight.run((source, keyword.casefold()), lookup_or_define)

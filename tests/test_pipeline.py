@@ -1,7 +1,14 @@
 """Pipeline: few-shot blocks, prompt assembly, verdict parsing, variant orchestration."""
 
-import pytest
+import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+import requests
+
+from sarcrag.cli import main
 from sarcrag.core import (
     DatasetKind,
     Label,
@@ -12,10 +19,13 @@ from sarcrag.core import (
 )
 from sarcrag.errors import (
     SampleSkipped,
+    SearchQuotaExceeded,
+    StoreWriteError,
     TransportError,
     VerdictNotFound,
 )
-from sarcrag.gateway import Purpose
+from sarcrag.gateway import Gateway, Purpose
+from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import (
     FewShotBlock,
     PipelineDeps,
@@ -26,7 +36,7 @@ from sarcrag.pipeline import (
     render_word_info_block,
     run_pipeline,
 )
-from sarcrag.retrieval import SearchResult, WordInfo
+from sarcrag.retrieval import SearchResult, WordInfo, get_word_info
 from sarcrag.templates import load_templates
 
 EN = load_templates(LanguageTag.ENGLISH)
@@ -330,3 +340,159 @@ class TestRunPipeline:
         with pytest.raises(SampleSkipped) as info:
             run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
         assert "TransportError" in info.value.reason
+
+
+class DefineBackend:
+    """Chat backend for a real Gateway that defines each keyword, answering
+    definitions in the order given, whatever order they are asked in."""
+
+    name = "live"
+
+    def __init__(self, answer_order=()):
+        self.answer_order = list(answer_order)
+        self.defined = []
+        self._turn = threading.Condition()
+
+    def complete(self, request):
+        if request.purpose is Purpose.DEFINE_WORD:
+            keyword = request.messages[1].content
+            with self._turn:
+                if self.answer_order:
+                    earlier = set(self.answer_order[: self.answer_order.index(keyword)])
+                    assert self._turn.wait_for(lambda: earlier <= set(self.defined), timeout=10)
+                self.defined.append(keyword)
+                self._turn.notify_all()
+            return f"A city called {keyword}."
+        return "Final decision: YES" if request.purpose is Purpose.P2 else "analysis"
+
+
+class TestKeywordFanOut:
+    SAMPLE = en_sample("i saw Paris, London and Berlin yesterday")
+
+    def test_completion_order_does_not_reach_the_prompt(self):
+        sequential = DefineBackend()
+        expected = run_pipeline(
+            self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(sequential))
+        )
+        backend = DefineBackend(answer_order=["Berlin", "London", "Paris"])
+        with ThreadPoolExecutor(2) as definers:
+            deps = PipelineDeps(gateway=Gateway(backend), definers=definers)
+            trace = run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, deps)
+        assert sequential.defined == ["Paris", "London", "Berlin"]
+        assert backend.defined == ["Berlin", "London", "Paris"]
+        assert trace.word_infos == expected.word_infos
+        assert [w.keyword for w in trace.word_infos] == ["Paris", "London", "Berlin"]
+        assert trace.p1_exchange.request.digest == expected.p1_exchange.request.digest
+
+    def test_sample_error_waits_for_every_definition(self, monkeypatch):
+        finished = []
+
+        def traced_get_word_info(keyword, *args, **kwargs):
+            try:
+                return get_word_info(keyword, *args, **kwargs)
+            finally:
+                finished.append(keyword)
+
+        class QuotaSearch:
+            def search(self, query, max_results):
+                if query == "Paris":
+                    raise SearchQuotaExceeded("search quota rejected (429)")
+                time.sleep(0.2)
+                return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
+
+        monkeypatch.setattr("sarcrag.pipeline.get_word_info", traced_get_word_info)
+        gateway = PurposeGateway(
+            {
+                Purpose.KEYWORD_IDENTIFY: ["i do not know Paris or London"],
+                Purpose.KEYWORD_CLEAN: ["Paris,London"],
+                Purpose.REFINE_CHUNKS: ["A city."],
+                Purpose.P1: ["analysis"],
+                Purpose.P2: ["Final decision: NO"],
+            }
+        )
+        with ThreadPoolExecutor(1) as definers:
+            deps = PipelineDeps(gateway=gateway, search=QuotaSearch(), definers=definers)
+            with pytest.raises(SampleSkipped) as info:
+                run_pipeline(self.SAMPLE, PipelineVariant.PMP_WG, deps)
+            assert finished == ["Paris", "London"]
+        assert info.value.reason.startswith("SearchQuotaExceeded: ")
+        assert Purpose.P1 not in gateway.purposes
+
+    def test_run_stopping_error_ends_the_loop_without_a_pool(self, monkeypatch):
+        called = []
+
+        def failing_get_word_info(keyword, *args, **kwargs):
+            called.append(keyword)
+            raise StoreWriteError("disk full")
+
+        monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
+        with pytest.raises(StoreWriteError):
+            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
+        assert called == ["Paris"]
+
+    def test_run_stopping_error_drops_definitions_not_started(self, monkeypatch):
+        london_started = threading.Event()
+        called, finished = [], []
+
+        def traced_get_word_info(keyword, *args, **kwargs):
+            called.append(keyword)
+            if keyword == "Paris":
+                assert london_started.wait(timeout=10)
+                raise StoreWriteError("disk full")
+            london_started.set()
+            time.sleep(0.2)
+            finished.append(keyword)
+            return WordInfo(keyword=keyword, definition="A city.", source=RetrievalSource.LLM_ONLY)
+
+        monkeypatch.setattr("sarcrag.pipeline.get_word_info", traced_get_word_info)
+        with ThreadPoolExecutor(1) as definers:
+            deps = PipelineDeps(gateway=Gateway(DefineBackend()), definers=definers)
+            with pytest.raises(StoreWriteError):
+                run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, deps)
+            # London was running, so the sample waited for it; Berlin had not started.
+            assert finished == ["London"]
+        assert sorted(called) == ["London", "Paris"]
+
+    def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
+        before = set(threading.enumerate())
+        alive = []
+
+        def post(self, url, **kwargs):
+            alive.append(len(set(threading.enumerate()) - before))
+            time.sleep(0.002)
+            response = requests.Response()
+            response.status_code = 200
+            response._content = b'{"message": {"content": "Final decision: YES"}}'
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        names = iter(f"Name{n}" for n in range(32))
+        rows = [
+            f"{i}\t1\t" + " and ".join(next(names) for _ in range(MAX_KEYWORDS_PER_SAMPLE))
+            for i in range(1, 5)
+        ]
+        data = tmp_path / "eight_keywords.tsv"
+        data.write_text("Tweet index\tLabel\tTweet text\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "run",
+                "--dataset", "semeval",
+                "--data-path", str(data),
+                "--variant", "pmpwl",
+                "--model", "m",
+                "--backend", "live",
+                "--endpoint", "http://chat.invalid/api/chat",
+                "--concurrency", "2",
+                "--transcripts", str(tmp_path / "transcripts"),
+                "--cache", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "runs"),
+            ]
+        )
+        assert code == 0
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
+        records = [json.loads(line) for line in run_log.read_text().splitlines()]
+        assert [len(r["keywords"]) for r in records] == [MAX_KEYWORDS_PER_SAMPLE] * 4
+        # 32 definitions, 4 P1s, and 1 to 4 P2s: every P2 reads the same analysis,
+        # so each P2 that starts after the first is stored is answered by the store.
+        assert 37 <= len(alive) <= 40
+        assert max(alive) == 4

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import time
 
 import pytest
 import requests
@@ -18,6 +19,7 @@ from sarcrag.errors import (
     SearchQuotaExceeded,
     SearchTransportError,
     StoreWriteError,
+    TransportError,
 )
 from sarcrag.gateway import Purpose
 from sarcrag.retrieval import (
@@ -844,3 +846,63 @@ class TestGetWordInfo:
         gateway = ScriptedGateway(["A definition."])
         got = get_word_info("kw", RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH)
         assert got.definition == "A definition."
+
+    class SlowGateway:
+        """Counts chats, and answers (or raises) after a pause; it merges nothing itself."""
+
+        def __init__(self, outcome):
+            self.outcome = outcome
+            self.requests = []
+
+        def chat(self, request):
+            self.requests.append(request)
+            # Long enough for every other thread to arrive while this call runs.
+            time.sleep(0.2)
+            if isinstance(self.outcome, Exception):
+                raise self.outcome
+
+            class Exchange:
+                response_text = self.outcome
+
+            return Exchange()
+
+    def miss_together(self, gateway, cache):
+        """Eight threads define "penny" or "Penny" at once; what each got or raised."""
+        barrier = threading.Barrier(8)
+        got = [None] * 8
+
+        def define(n):
+            barrier.wait(timeout=10)
+            keyword = "Penny" if n % 2 else "penny"
+            try:
+                got[n] = get_word_info(keyword, RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH, cache=cache)
+            except Exception as exc:
+                got[n] = exc
+
+        threads = [threading.Thread(target=define, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        return got
+
+    def test_concurrent_misses_of_one_keyword_make_one_request(self, tmp_path):
+        gateway = self.SlowGateway("A definition.")
+        cache = WordInfoCache(tmp_path)
+        got = self.miss_together(gateway, cache)
+        assert [r.purpose for r in gateway.requests] == [Purpose.DEFINE_WORD]
+        # Every caller gets the definition the cache keeps, whichever casing defined it.
+        assert got == [cache.lookup("penny", RetrievalSource.LLM_ONLY)] * 8
+
+    def test_leader_error_reaches_every_concurrent_miss(self, tmp_path):
+        gateway = self.SlowGateway(TransportError("chat endpoint failed: HTTP 400, not retried"))
+        cache = WordInfoCache(tmp_path)
+        got = self.miss_together(gateway, cache)
+        assert len(gateway.requests) == 1
+        assert all(isinstance(e, TransportError) and "HTTP 400" in str(e) for e in got)
+        assert cache.lookup("penny", RetrievalSource.LLM_ONLY) is None
+        # The key is forgotten once its call returns, so a later miss asks again.
+        with pytest.raises(TransportError):
+            get_word_info("penny", RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH, cache=cache)
+        assert len(gateway.requests) == 2

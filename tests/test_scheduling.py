@@ -1,0 +1,182 @@
+"""A run's stored bytes do not depend on how its samples and definitions are scheduled.
+
+The real CLI runs one input set on several schedules: `--concurrency` 1, 2
+and 4, and the samples in reverse order. The chat model, the search engine and
+the web pages are patched in at `requests.Session`; each answers as a pure
+function of its request, after a seeded random sleep, so calls finish in a
+different order on each schedule. Every schedule must leave byte-identical
+transcript and cache trees, and the same `run.jsonl` records but for
+`wall_time`.
+"""
+
+import hashlib
+import io
+import json
+import random
+import re
+import threading
+import time
+
+import pytest
+import requests
+
+from sarcrag.cli import main
+from sarcrag.core import LanguageTag
+from sarcrag.retrieval import GoogleSearchClient
+from sarcrag.templates import load_templates
+
+EN = load_templates(LanguageTag.ENGLISH)
+CHAT_URL = "http://chat.invalid/api/chat"
+SHARED_PAGE = "https://pages.invalid/london-airports"
+
+TEXTS = [
+    # Two keywords whose searches return the same page.
+    "flying from Heathrow via Gatwick, what fun",
+    "love waiting at Heathrow all day",
+    # Two samples with the same text.
+    "so glad Monday is back",
+    "so glad Monday is back",
+    "nothing to see here",
+    "Brighton and Leeds in one afternoon, easy",
+    # More than one definition on the pool, to finish in any order.
+    "Oxford, Cambridge and Bristol on one ticket, sure",
+    "the weather in Leeds is lovely again",
+]
+
+# Two casings of one keyword: the definition cache keys by the case-folded
+# keyword, so whichever sample defines it first sets what both P1s say.
+CASINGS = ["we love PENNY so much", "we love Penny so much"]
+
+SCHEDULES = [("1", False), ("2", False), ("4", False), ("1", True)]
+
+
+def answer(messages):
+    """The fake model: keyword steps follow the text, anything else is named by its digest."""
+    system, user = messages[0]["content"], messages[1]["content"]
+    if system == EN.keyword_identify:
+        return f"Words I do not know: {user}"
+    if system == EN.keyword_csv:
+        names = re.findall(r"\b[A-Z][A-Za-z]+", user.split(":", 1)[1])
+        return ",".join(names) if names else "NO UNKNOWN"
+    digest = hashlib.sha256(json.dumps(messages).encode()).hexdigest()
+    verdict = "YES" if int(digest, 16) % 2 else "NO"
+    return f"Note {digest[:12]}.\nFinal decision: {verdict}"
+
+
+def search_items(query):
+    url = SHARED_PAGE if query in ("Heathrow", "Gatwick") else f"https://pages.invalid/{query}"
+    return {"items": [{"link": url, "snippet": f"about {query}"}]}
+
+
+def page(url):
+    name = url.rsplit("/", 1)[1]
+    return f"<p>{name} " + " ".join(f"{name} fact {i}." for i in range(60)) + "</p>"
+
+
+@pytest.fixture
+def fake_services(monkeypatch):
+    """Patch chat, search and page fetches; returns a function that reseeds the sleeps."""
+    state = {"rng": random.Random(0)}
+    lock = threading.Lock()
+
+    def pause():
+        with lock:
+            delay = state["rng"].uniform(0, 0.02)
+        time.sleep(delay)
+
+    def post(self, url, **kwargs):
+        pause()
+        response = requests.Response()
+        response.status_code = 200
+        text = answer(kwargs["json"]["messages"])
+        response._content = json.dumps({"message": {"content": text}}).encode()
+        return response
+
+    def get(self, url, **kwargs):
+        pause()
+        response = requests.Response()
+        response.status_code = 200
+        if url == GoogleSearchClient.endpoint:
+            response._content = json.dumps(search_items(kwargs["params"]["q"])).encode()
+        else:
+            response.headers["Content-Type"] = "text/html; charset=utf-8"
+            response.encoding = "utf-8"
+            response.raw = io.BytesIO(page(url).encode())
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setattr(requests.Session, "get", get)
+    monkeypatch.setenv("SEARCH_API_KEY", "key")
+    monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
+    monkeypatch.delenv("LLM_ENDPOINT", raising=False)
+
+    def reseed(seed):
+        state["rng"] = random.Random(seed)
+
+    return reseed
+
+
+def run_schedule(root, texts, concurrency, reverse):
+    rows = [f"{i}\t{i % 2}\t{text}" for i, text in enumerate(texts, start=1)]
+    data = root / "data.tsv"
+    data.write_text(
+        "Tweet index\tLabel\tTweet text\n" + "\n".join(rows[::-1] if reverse else rows) + "\n",
+        encoding="utf-8",
+    )
+    code = main(
+        [
+            "run",
+            "--dataset", "semeval",
+            "--data-path", str(data),
+            "--variant", "pmpwg",
+            "--model", "m",
+            "--backend", "live",
+            "--endpoint", CHAT_URL,
+            "--concurrency", concurrency,
+            "--transcripts", str(root / "transcripts"),
+            "--cache", str(root / "cache"),
+            "--out", str(root / "runs"),
+        ]
+    )
+    assert code == 0
+    run_log = root / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl"
+    records = [json.loads(line) for line in run_log.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        del record["wall_time"]
+    files = {}
+    for tree in ("transcripts", "cache"):
+        for path in sorted((root / tree).rglob("*")):
+            if path.is_file():
+                files[str(path.relative_to(root))] = path.read_bytes()
+    return sorted(records, key=lambda r: r["sample_id"]), files
+
+
+def assert_schedule_independent(tmp_path, reseed, texts):
+    runs = []
+    for seed, (concurrency, reverse) in enumerate(SCHEDULES):
+        reseed(seed)
+        root = tmp_path / f"schedule{seed}"
+        root.mkdir()
+        runs.append(run_schedule(root, texts, concurrency, reverse))
+    (records, files), others = runs[0], runs[1:]
+    assert all(r["skipped_reason"] is None for r in records)
+    assert any(r["word_info_sources"] for r in records)
+    for schedule, (other_records, other_files) in zip(SCHEDULES[1:], others):
+        differing = sorted(
+            name for name in files.keys() | other_files.keys() if files.get(name) != other_files.get(name)
+        )
+        assert differing == [], f"schedule {schedule}"
+        assert other_records == records, f"schedule {schedule}"
+
+
+def test_stored_bytes_do_not_depend_on_the_schedule(tmp_path, fake_services):
+    assert_schedule_independent(tmp_path, fake_services, TEXTS)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: definitions are cached by case-folded keyword, so the casing "
+    "defined first is rendered into the other casing's P1",
+)
+def test_two_casings_of_one_keyword(tmp_path, fake_services):
+    assert_schedule_independent(tmp_path, fake_services, TEXTS + CASINGS)
