@@ -181,7 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "gold": sample.gold.value,
             "verdict": trace.verdict.value if trace else None,
             "skipped_reason": skip.reason if skip else None,
-            "keywords": list(trace.keywords.keywords) if trace and trace.keywords else [],
+            "keywords": list(trace.keywords) if trace and trace.keywords else [],
             "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
             "p1_digest": trace.p1_exchange.request.digest if trace else None,
             "p2_digest": trace.p2_exchange.request.digest if trace else None,
@@ -236,12 +236,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_VERDICTS = tuple(label.value for label in Label)
+
+
 def read_run_log(path: Path | str) -> list[dict]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise LogParseError(f"cannot read run log: {exc}") from exc
     records: list[dict] = []
+    seen: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -249,9 +253,23 @@ def read_run_log(path: Path | str) -> list[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+        if not isinstance(record, dict):
+            raise LogParseError("not a JSON object", line=line_no)
         for key in ("sample_id", "gold", "verdict", "skipped_reason"):
             if key not in record:
                 raise LogParseError(f"missing key {key!r}", line=line_no)
+        sample_id = record["sample_id"]
+        if not isinstance(sample_id, str):
+            raise LogParseError(f"sample_id must be a string, got {sample_id!r}", line=line_no)
+        if sample_id in seen:
+            raise LogParseError(f"repeated sample_id {sample_id!r}", line=line_no)
+        seen.add(sample_id)
+        if record["gold"] not in _VERDICTS:
+            raise LogParseError(f"gold must be YES or NO, got {record['gold']!r}", line=line_no)
+        if record["verdict"] not in _VERDICTS + (None,):
+            raise LogParseError(
+                f"verdict must be YES, NO or null, got {record['verdict']!r}", line=line_no
+            )
         records.append(record)
     return records
 

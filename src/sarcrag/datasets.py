@@ -69,7 +69,11 @@ def load_mustard(path: Path | str) -> list[Sample]:
             raise FormatError(f"entry {key!r}: utterance must be non-empty")
         if not isinstance(sarcasm, bool):
             raise FormatError(f"entry {key!r}: sarcasm must be boolean")
-        context = entry.get("context") or []
+        context = entry.get("context")
+        if context is None:
+            context = []
+        elif not isinstance(context, list) or not all(isinstance(line, str) for line in context):
+            raise FormatError(f"entry {key!r}: context must be a list of strings")
         samples.append(
             Sample(
                 id=f"{kind.value}:{key}",

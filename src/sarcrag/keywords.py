@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .core import Sample
 from .errors import MalformedCSV
 from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
-from .templates import PromptTemplateSet, load_templates
+from .templates import load_templates
 
 MAX_KEYWORD_TOKENS = 5
 MAX_KEYWORD_CHARS = 64
@@ -46,21 +46,6 @@ STOPWORDS = frozenset(
 class TaggedToken:
     surface: str
     char_span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class KeywordSet:
-    keywords: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        folded = [k.casefold() for k in self.keywords]
-        if len(set(folded)) != len(folded):
-            raise ValueError("keywords must be unique after case-folding")
-        if any(not k or not _has_word_char(k) for k in self.keywords):
-            raise ValueError("keywords must contain at least one word character")
-
-    def __bool__(self) -> bool:
-        return bool(self.keywords)
 
 
 def _has_word_char(token: str) -> bool:
@@ -144,16 +129,14 @@ def _cap_keywords(candidates: list[str]) -> tuple[str, ...]:
     return tuple(kept)
 
 
-def extract_token_tagging(sample: Sample) -> KeywordSet:
+def extract_token_tagging(sample: Sample) -> tuple[str, ...]:
     surfaces = [token.surface for token in HeuristicTagger().tag(sample.text)]
-    return KeywordSet(keywords=_cap_keywords(surfaces))
+    return _cap_keywords(surfaces)
 
 
-def extract_llm_based(
-    sample: Sample, gateway: Gateway, templates: PromptTemplateSet | None = None
-) -> KeywordSet:
+def extract_llm_based(sample: Sample, gateway: Gateway) -> tuple[str, ...]:
     """Ask the model which words it does not understand, then reformat the answer as CSV."""
-    templates = templates or load_templates(sample.language)
+    templates = load_templates(sample.language)
     identify = gateway.chat(
         ChatRequest(
             messages=(
@@ -172,7 +155,7 @@ def extract_llm_based(
             purpose=Purpose.KEYWORD_CLEAN,
         )
     )
-    return KeywordSet(keywords=_cap_keywords(parse_csv_keywords(cleaned.response_text)))
+    return _cap_keywords(parse_csv_keywords(cleaned.response_text))
 
 
 def parse_csv_keywords(raw: str) -> list[str]:

@@ -27,54 +27,12 @@ from .errors import (
     VerdictNotFound,
 )
 from .gateway import ChatExchange, ChatMessage, ChatRequest, Gateway, Purpose, Role
-from .keywords import KeywordSet, extract_llm_based, extract_token_tagging
+from .keywords import extract_llm_based, extract_token_tagging
 from .retrieval import PageFetcher, SearchPort, WordInfo, WordInfoCache, get_word_info
 from .templates import PromptTemplateSet, load_templates
 
 # Connective between a keyword and its definition in the word-info block.
 _CONNECTIVE = {"en": "is", "id": "adalah"}
-
-_DECISION_PREFIXES = ("Final decision:", "Keputusan akhir:")
-
-
-@dataclass(frozen=True)
-class FewShotBlock:
-    """Worked reflection examples appended to the P2 system prompt."""
-
-    examples: tuple[str, ...]
-    header: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.examples:
-            raise ValueError("few-shot block needs at least one example")
-        for example in self.examples:
-            last = example.rstrip().splitlines()[-1].strip()
-            if not (
-                last.startswith(_DECISION_PREFIXES)
-                and last.split(":", 1)[1].strip() in ("YES", "NO")
-            ):
-                raise ValueError(f"example must end with a decision line, got {last!r}")
-
-    def render(self) -> str:
-        body = "\n".join(self.examples)
-        return f"{self.header}\n{body}" if self.header else body
-
-    @classmethod
-    def from_template(cls, text: str) -> "FewShotBlock":
-        lines = text.split("\n")
-        starts = [i for i, line in enumerate(lines) if line.startswith("Tweet: ")]
-        if not starts:
-            raise ValueError("template contains no examples")
-        header = "\n".join(lines[: starts[0]])
-        bounds = starts + [len(lines)]
-        examples = tuple(
-            "\n".join(lines[a:b]).rstrip("\n") for a, b in zip(bounds, bounds[1:])
-        )
-        return cls(examples=examples, header=header)
-
-
-def default_few_shot(templates: PromptTemplateSet) -> FewShotBlock:
-    return FewShotBlock.from_template(templates.fewshot_header_and_examples)
 
 
 def render_word_info_block(
@@ -102,15 +60,13 @@ def build_p1(
     )
 
 
-def build_p2(
-    a1: str, few_shot: FewShotBlock | None, templates: PromptTemplateSet
-) -> ChatRequest:
-    """P2 request: reflection instructions over the raw preliminary analysis."""
+def build_p2(a1: str, few_shot: bool, templates: PromptTemplateSet) -> ChatRequest:
+    """P2 request: reflection instructions, plus the worked examples when few_shot."""
     if not a1:
         raise ValueError("preliminary analysis must be non-empty")
     system = templates.p2_system
-    if few_shot is not None:
-        system = system + "\n" + few_shot.render()
+    if few_shot:
+        system = system + "\n" + templates.fewshot_header_and_examples
     return ChatRequest(
         messages=(ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, a1)),
         purpose=Purpose.P2,
@@ -145,7 +101,7 @@ class PipelineDeps:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    keywords: KeywordSet | None
+    keywords: tuple[str, ...] | None
     word_infos: tuple[WordInfo, ...]
     p1_exchange: ChatExchange
     p2_exchange: ChatExchange
@@ -211,16 +167,16 @@ def run_pipeline(
     plan = variant_plan(variant)
     templates = load_templates(sample.language)
     try:
-        keywords: KeywordSet | None = None
+        keywords: tuple[str, ...] | None = None
         if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
             keywords = extract_token_tagging(sample)
         elif plan.extraction is ExtractionMethod.LLM_BASED:
-            keywords = extract_llm_based(sample, deps.gateway, templates)
+            keywords = extract_llm_based(sample, deps.gateway)
 
         word_infos: list[WordInfo] = []
         if plan.retrieval is not None and keywords:
             word_infos = _define_keywords(
-                keywords.keywords,
+                keywords,
                 lambda keyword: get_word_info(
                     keyword,
                     plan.retrieval,
@@ -235,8 +191,7 @@ def run_pipeline(
 
         p1_request = build_p1(sample, word_infos, templates)
         p1_exchange = deps.gateway.chat(p1_request)
-        few_shot = default_few_shot(templates) if plan.few_shot else None
-        p2_request = build_p2(p1_exchange.response_text, few_shot, templates)
+        p2_request = build_p2(p1_exchange.response_text, plan.few_shot, templates)
         p2_exchange = deps.gateway.chat(p2_request)
         verdict = parse_verdict(p2_exchange.response_text)
     except _SKIP_ERRORS as exc:

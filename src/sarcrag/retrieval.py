@@ -15,11 +15,10 @@ import math
 import re
 import threading
 import urllib.parse
-from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import requests
 from requests.compat import chardet
@@ -37,6 +36,8 @@ MAX_FETCHED_CHARS = 20_000
 FETCH_BLOCK_BYTES = 16 * 1024
 MAX_DEFINITION_SENTENCES = 2
 WEB_TIMEOUT_S = 10.0
+BM25_K1 = 1.2
+BM25_B = 0.75
 
 USER_AGENT = "sarcrag/0.1 (text-retrieval client for sarcasm-detection experiments)"
 
@@ -84,49 +85,12 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A window of page text; `tokens` is `bm25_tokenize(text)`, computed here when not given."""
+    """A window of page text; `tokens` is `bm25_tokenize(text)`."""
 
     text: str
     source_url: str
     index: int
-    token_count: int
-    tokens: tuple[str, ...] = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("chunk index must be >= 0")
-        if self.token_count < 1:
-            raise ValueError("chunk must contain at least one token")
-        if not self.tokens:
-            object.__setattr__(self, "tokens", tuple(bm25_tokenize(self.text)))
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    n_docs: int
-    avg_doc_len: float
-    df: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        if self.n_docs < 1:
-            raise ValueError("corpus must contain at least one document")
-        if self.avg_doc_len <= 0:
-            raise ValueError("average document length must be positive")
-        for term, count in self.df.items():
-            if not 0 <= count <= self.n_docs:
-                raise ValueError(f"df[{term!r}] = {count} outside [0, {self.n_docs}]")
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must lie in [0, 1]")
+    tokens: tuple[str, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -201,56 +165,47 @@ def chunk_document(
                 text=" ".join(words[offset : offset + chunk_size]),
                 source_url=source_url,
                 index=ordinal,
-                token_count=len(tokens),
                 tokens=tokens,
             )
         )
     return chunks
 
 
-def corpus_stats(chunks: Sequence[Chunk]) -> CorpusStats:
-    if not chunks:
-        raise ValueError("corpus must contain at least one chunk")
-    df: Counter[str] = Counter()
-    for chunk in chunks:
-        df.update(set(chunk.tokens))
-    total_len = sum(chunk.token_count for chunk in chunks)
-    return CorpusStats(n_docs=len(chunks), avg_doc_len=total_len / len(chunks), df=df)
-
-
 def bm25_idf(n_docs: int, df_term: int) -> float:
     return math.log((n_docs - df_term + 0.5) / (df_term + 0.5) + 1.0)
 
 
-def bm25_score(
-    query: Sequence[str], doc: Chunk, stats: CorpusStats, params: Bm25Params
-) -> float:
-    score = 0.0
-    for term in query:
-        freq = doc.tokens.count(term)
-        if freq == 0:
-            continue
-        idf = bm25_idf(stats.n_docs, stats.df.get(term, 0))
-        norm = params.k1 * (1.0 - params.b + params.b * doc.token_count / stats.avg_doc_len)
-        score += idf * freq * (params.k1 + 1.0) / (freq + norm)
-    return score
+def bm25_scores(keyword: str, chunks: Sequence[Chunk]) -> list[float]:
+    """Okapi BM25 score of each chunk for the tokenized keyword, at k1 BM25_K1 and b BM25_B.
 
-
-def rank_chunks(
-    keyword: str, chunks: Sequence[Chunk], params: Bm25Params, top_k: int
-) -> list[Chunk]:
-    """Chunks by descending score for the tokenized keyword; ties by (url, index)."""
+    Term and document frequencies are counted for the query's terms only.
+    See Robertson & Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009.
+    """
     if not chunks:
         raise ValueError("chunks must be non-empty")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
     query = bm25_tokenize(keyword)
-    stats = corpus_stats(chunks)
-    scored = sorted(
-        chunks,
-        key=lambda c: (-bm25_score(query, c, stats, params), c.source_url, c.index),
+    freqs = [{term: chunk.tokens.count(term) for term in query} for chunk in chunks]
+    df = {term: sum(1 for freq in freqs if freq[term]) for term in query}
+    avg_len = sum(len(chunk.tokens) for chunk in chunks) / len(chunks)
+    scores = []
+    for chunk, freq in zip(chunks, freqs):
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(chunk.tokens) / avg_len)
+        score = 0.0
+        for term in query:
+            if freq[term]:
+                idf = bm25_idf(len(chunks), df[term])
+                score += idf * freq[term] * (BM25_K1 + 1.0) / (freq[term] + norm)
+        scores.append(score)
+    return scores
+
+
+def rank_chunks(keyword: str, chunks: Sequence[Chunk]) -> list[Chunk]:
+    """The DEFAULT_TOP_K best chunks by descending score for keyword; ties by (url, index)."""
+    scores = bm25_scores(keyword, chunks)
+    order = sorted(
+        range(len(chunks)), key=lambda i: (-scores[i], chunks[i].source_url, chunks[i].index)
     )
-    return scored[: min(top_k, len(scored))]
+    return [chunks[i] for i in order[:DEFAULT_TOP_K]]
 
 
 class SearchPort(Protocol):
@@ -305,14 +260,10 @@ def _search_items(body: object) -> list[dict]:
     return items
 
 
-def search_web(
-    keyword: str, client: SearchPort, max_results: int = DEFAULT_MAX_RESULTS
-) -> list[SearchResult]:
+def search_web(keyword: str, client: SearchPort) -> list[SearchResult]:
     if not keyword.strip():
         raise ValueError("keyword must be non-empty")
-    if max_results < 1:
-        raise ValueError("max_results must be >= 1")
-    return client.search(keyword, max_results)[:max_results]
+    return client.search(keyword, DEFAULT_MAX_RESULTS)[:DEFAULT_MAX_RESULTS]
 
 
 class _TextExtractor(html.parser.HTMLParser):
@@ -381,11 +332,7 @@ PageFetcher = Callable[[str], str]
 
 
 def gather_corpus(
-    results: Sequence[SearchResult],
-    fetcher: PageFetcher | None = None,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    overlap: int = DEFAULT_OVERLAP,
+    results: Sequence[SearchResult], fetcher: PageFetcher | None = None
 ) -> list[Chunk]:
     """One document per result: the snippet, or the page body when the snippet is thin."""
     chunks: list[Chunk] = []
@@ -401,7 +348,7 @@ def gather_corpus(
         if not text.strip():
             continue
         chunks.extend(
-            chunk_document(text, chunk_size, overlap, source_url=result.url)
+            chunk_document(text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, source_url=result.url)
         )
     return chunks
 
@@ -606,7 +553,7 @@ def get_word_info(
         corpus = gather_corpus(results, fetcher)
         if not corpus:
             raise DefinitionUnavailable(f"search produced no usable text for {keyword!r}")
-        top = rank_chunks(keyword, corpus, Bm25Params(), DEFAULT_TOP_K)
+        top = rank_chunks(keyword, corpus)
         return refine_definition(keyword, top, gateway, language)
 
     if cache is None:

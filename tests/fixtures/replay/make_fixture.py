@@ -146,7 +146,7 @@ def main(out: Path = FIXTURE) -> None:
         for sample in samples:
             try:
                 trace = run_pipeline(sample, variant, deps)
-                print(f"{sample.id}: {trace.verdict.value} keywords={list(trace.keywords.keywords) if trace.keywords else []}")
+                print(f"{sample.id}: {trace.verdict.value} keywords={list(trace.keywords or ())}")
             except SampleSkipped as skip:
                 print(f"{sample.id}: skipped ({skip.reason})")
 

@@ -34,16 +34,15 @@ from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
 from sarcrag.gateway import Gateway, Purpose, TranscriptStore
 from sarcrag.keywords import parse_csv_keywords
-from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, default_few_shot, run_pipeline
+from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, run_pipeline
 from sarcrag.retrieval import (
-    Bm25Params,
+    DEFAULT_TOP_K,
     Chunk,
     SearchResult,
     bm25_idf,
-    bm25_score,
+    bm25_scores,
     bm25_tokenize,
     chunk_document,
-    corpus_stats,
     rank_chunks,
 )
 from sarcrag.templates import load_templates
@@ -80,31 +79,29 @@ VOCAB = [
 URLS = ["https://a.com", "https://b.com", "https://c.com"]
 
 
-def assert_ranking_matches_oracle(rng, chunks, params):
+def assert_ranking_matches_oracle(rng, chunks):
     """Scores and top-k order of chunks equal the oracle's over their whitespace-split texts."""
     docs = [c.text.split() for c in chunks]
     query = rng.sample(VOCAB, rng.randint(1, 3))
-    stats = corpus_stats(chunks)
-    for chunk, doc in zip(chunks, docs):
-        got = bm25_score(query, chunk, stats, params)
+    got_scores = bm25_scores(" ".join(query), chunks)
+    assert len(got_scores) == len(chunks)
+    for got, doc in zip(got_scores, docs):
         want = oracle_score(query, doc, docs)
         assert abs(got - want) <= 1e-9
-    top_k = rng.randint(1, len(chunks))
-    got_order = rank_chunks(" ".join(query), chunks, params, top_k)
+    got_order = rank_chunks(" ".join(query), chunks)
     scored = [(oracle_score(query, d, docs), c) for d, c in zip(docs, chunks)]
     want_order = [
         c
         for _, c in sorted(
             scored, key=lambda pair: (-pair[0], pair[1].source_url, pair[1].index)
         )
-    ][:top_k]
+    ][:DEFAULT_TOP_K]
     assert got_order == want_order
 
 
 class TestRankingOracleEquivalence:
     def test_500_random_corpora(self):
         rng = random.Random(20240817)
-        params = Bm25Params()
         started = time.perf_counter()
         for _ in range(500):
             chunks = []
@@ -115,16 +112,15 @@ class TestRankingOracleEquivalence:
                         text=" ".join(words),
                         source_url=rng.choice(URLS),
                         index=index,
-                        token_count=len(words),
+                        tokens=tuple(words),
                     )
                 )
-            assert_ranking_matches_oracle(rng, chunks, params)
+            assert_ranking_matches_oracle(rng, chunks)
         assert time.perf_counter() - started < 5.0
 
     def test_500_random_chunked_pages(self):
         # Chunks as chunk_document builds them, with the tokens they carry.
         rng = random.Random(20261019)
-        params = Bm25Params()
         for _ in range(500):
             chunks = []
             for url in rng.sample(URLS, rng.randint(1, 3)):
@@ -132,7 +128,7 @@ class TestRankingOracleEquivalence:
                 overlap = rng.randint(0, 20)
                 chunk_size = overlap + rng.randint(1, 40)
                 chunks.extend(chunk_document(" ".join(words), chunk_size, overlap, source_url=url))
-            assert_ranking_matches_oracle(rng, chunks, params)
+            assert_ranking_matches_oracle(rng, chunks)
 
 
 # --- 2. frozen ranking golden values --------------------------------------
@@ -148,10 +144,9 @@ class TestRankingGoldenValues:
         assert abs(bm25_idf(1, 1) - self.IDF_SINGLE_DOC_TERM_PRESENT) < 1e-6
 
     def test_two_document_score_golden(self):
-        d1 = Chunk(text="a b a", source_url="", index=0, token_count=3)
-        d2 = Chunk(text="b c", source_url="", index=1, token_count=2)
-        stats = corpus_stats([d1, d2])
-        score = bm25_score(["a"], d1, stats, Bm25Params())
+        d1 = Chunk(text="a b a", source_url="", index=0, tokens=("a", "b", "a"))
+        d2 = Chunk(text="b c", source_url="", index=1, tokens=("b", "c"))
+        score, _ = bm25_scores("a", [d1, d2])
         assert abs(score - self.TWO_DOC_SCORE) < 1e-6
 
     def test_goldens_file_in_sync(self):
@@ -246,7 +241,7 @@ class TestPromptGoldens:
     @pytest.mark.parametrize("lang", ["en", "id"])
     def test_p2_with_few_shot(self, lang):
         _, _, templates = prompt_inputs(lang)
-        request = build_p2(PROMPT_A1[lang], default_few_shot(templates), templates)
+        request = build_p2(PROMPT_A1[lang], True, templates)
         assert request.messages[0].content == golden_text(lang, "p2_fewshot_system")
         assert request.messages[1].content == golden_text(lang, "p2_fewshot_user")
 
@@ -368,7 +363,7 @@ class TestVariantCallAlgebra:
             assert base_p2.messages[1] == shot_p2.messages[1]
             templates = load_templates(LanguageTag.ENGLISH)
             assert shot_p2.messages[0].content == (
-                base_p2.messages[0].content + "\n" + default_few_shot(templates).render()
+                base_p2.messages[0].content + "\n" + templates.fewshot_header_and_examples
             )
 
 
@@ -637,7 +632,7 @@ class TestChunkingProperties:
 
             chunk_size = rng.randint(1, 40)
             chunks = chunk_document(text, chunk_size, 0)
-            assert sum(c.token_count for c in chunks) == len(words)
+            assert sum(len(c.tokens) for c in chunks) == len(words)
             assert [w for c in chunks for w in c.text.split()] == words
 
             chunk_size = rng.randint(2, 40)
@@ -649,7 +644,7 @@ class TestChunkingProperties:
             for ordinal, (chunk, offset) in enumerate(zip(chunks, offsets)):
                 assert chunk.index == ordinal
                 assert chunk.text.split() == words[offset : offset + chunk_size]
-                assert chunk.token_count == len(bm25_tokenize(chunk.text))
+                assert list(chunk.tokens) == bm25_tokenize(chunk.text)
 
 
 # --- 10. optional live smoke test -------------------------------------------

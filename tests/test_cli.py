@@ -678,6 +678,38 @@ class TestRunLogReading:
         with pytest.raises(LogParseError):
             read_run_log(tmp_path / "absent.jsonl")
 
+    def test_null_verdict_is_valid(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        record = {"sample_id": "a", "gold": "NO", "verdict": None, "skipped_reason": "x"}
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert read_run_log(log) == [record]
+
+
+VALID_RECORD = {"sample_id": "a", "gold": "YES", "verdict": "YES", "skipped_reason": None}
+
+
+@pytest.mark.parametrize(
+    "second_line,message",
+    [
+        (json.dumps({**VALID_RECORD, "sample_id": "b", "gold": "MAYBE"}), "gold must be YES or NO"),
+        (json.dumps({**VALID_RECORD, "sample_id": "b", "gold": None}), "gold must be YES or NO"),
+        (json.dumps({**VALID_RECORD, "sample_id": "b", "verdict": "yes"}), "verdict must be"),
+        (json.dumps(list(VALID_RECORD)), "not a JSON object"),
+        ("5", "not a JSON object"),
+        (json.dumps({**VALID_RECORD, "sample_id": ["b"]}), "sample_id must be a string"),
+        (json.dumps(VALID_RECORD), "repeated sample_id 'a'"),
+    ],
+    ids=["gold-maybe", "gold-null", "verdict-lowercase", "array", "number", "id-list", "repeated-id"],
+)
+def test_report_names_the_line_of_a_malformed_record(tmp_path, capsys, second_line, message):
+    log = tmp_path / "run.jsonl"
+    log.write_text(json.dumps(VALID_RECORD) + "\n" + second_line + "\n", encoding="utf-8")
+    code = main(["report", str(log)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: line 2: ")
+    assert message in captured.err
+
 
 class TestReportCommand:
     def test_table_output(self, tmp_path, capsys):

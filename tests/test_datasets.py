@@ -118,6 +118,18 @@ class TestLoadMustard:
         path = write_mustard(tmp_path, {"k": {"utterance": "alone", "sarcasm": False}})
         assert load_mustard(path)[0].text == "{alone}"
 
+    def test_null_context_is_bare_braced_utterance(self, tmp_path):
+        path = write_mustard(tmp_path, {"k": {"context": None, "utterance": "x", "sarcasm": True}})
+        assert load_mustard(path)[0].text == "{x}"
+
+    @pytest.mark.parametrize("context", ["hello there", "", ["line", 3], [None], {"a": "b"}])
+    def test_context_other_than_a_list_of_strings_rejected(self, tmp_path, context):
+        path = write_mustard(
+            tmp_path, {"k7": {"context": context, "utterance": "sure, great", "sarcasm": True}}
+        )
+        with pytest.raises(FormatError, match="entry 'k7': context"):
+            load_mustard(path)
+
     def test_context_lines_joined_with_spaces(self, tmp_path):
         path = write_mustard(
             tmp_path,

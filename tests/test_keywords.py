@@ -1,5 +1,6 @@
 """Keyword extraction: tagging heuristic, model-based extraction, CSV parsing."""
 
+import re
 import string
 
 import pytest
@@ -11,7 +12,6 @@ from sarcrag.errors import MalformedCSV
 from sarcrag.gateway import Gateway, Purpose
 from sarcrag.keywords import (
     HeuristicTagger,
-    KeywordSet,
     extract_llm_based,
     extract_token_tagging,
     is_sentence_initial,
@@ -94,29 +94,29 @@ class TestHeuristicTagger:
 class TestExtractTokenTagging:
     def test_case_fold_dedup_keeps_first(self):
         keywords = extract_token_tagging(sample_of("Paris is nice but PARIS is better"))
-        assert keywords.keywords == ("Paris",)
+        assert keywords == ("Paris",)
 
     def test_empty_when_no_proper_nouns(self):
         keywords = extract_token_tagging(sample_of("nothing notable here"))
-        assert keywords.keywords == ()
+        assert keywords == ()
         assert not keywords
 
     def test_output_subset_of_tagged_surfaces(self):
         text = "Chandler told Monica that Paris beats London in winter"
         surfaces = {t.surface for t in HeuristicTagger().tag(text)}
         keywords = extract_token_tagging(sample_of(text))
-        assert set(keywords.keywords) <= surfaces
+        assert set(keywords) <= surfaces
 
     def test_keyword_count_cap(self):
         # "and" breaks merge runs so each name stays a separate keyword
         text = " and ".join(f"City{letter}" for letter in string.ascii_uppercase[:12])
         keywords = extract_token_tagging(sample_of(text))
-        assert len(keywords.keywords) == 8
+        assert len(keywords) == 8
 
     def test_overlong_keywords_dropped(self):
         run = "Alpha Beta Gamma Delta Epsilon Zeta"  # 6 tokens, one merged run
         keywords = extract_token_tagging(sample_of(run))
-        assert keywords.keywords == ()
+        assert keywords == ()
 
 
 class ScriptedGateway:
@@ -143,7 +143,7 @@ class TestExtractLlmBased:
             "jam kw wkwk", language=LanguageTag.INDONESIAN, dataset=DatasetKind.TWITTER_INDONESIA
         )
         keywords = extract_llm_based(sample, gateway)
-        assert keywords.keywords == ("wkwk", "kw", "IPB")
+        assert keywords == ("wkwk", "kw", "IPB")
         assert [r.purpose for r in gateway.requests] == [
             Purpose.KEYWORD_IDENTIFY,
             Purpose.KEYWORD_CLEAN,
@@ -155,12 +155,12 @@ class TestExtractLlmBased:
     def test_no_unknown_sentinel_yields_empty_set(self):
         gateway = ScriptedGateway(["all words are clear", "NO UNKNOWN"])
         keywords = extract_llm_based(sample_of("plain text"), gateway)
-        assert keywords.keywords == ()
+        assert keywords == ()
 
     def test_example_output_from_prompt(self):
         gateway = ScriptedGateway(["some words", "first,second,third"])
         keywords = extract_llm_based(sample_of("text"), gateway)
-        assert keywords.keywords == ("first", "second", "third")
+        assert keywords == ("first", "second", "third")
 
     def test_malformed_csv_propagates(self):
         gateway = ScriptedGateway(["words", "these are not comma separated values"])
@@ -204,13 +204,27 @@ class TestParseCsvKeywords:
 
 
 class TestKeywordSet:
+    """The keyword set an extractor returns: unique after case folding, each with a word character."""
+
     def test_rejects_case_fold_duplicates(self):
-        with pytest.raises(ValueError):
-            KeywordSet(keywords=("A", "a"))
+        gateway = ScriptedGateway(["words", "Paris, PARIS, kw, paris, KW"])
+        assert extract_llm_based(sample_of("text"), gateway) == ("Paris", "kw")
 
     def test_rejects_pure_punctuation(self):
-        with pytest.raises(ValueError):
-            KeywordSet(keywords=("!!!",))
+        gateway = ScriptedGateway(["words", "!!!, kw, ..., _"])
+        assert extract_llm_based(sample_of("text"), gateway) == ("kw",)
 
     def test_may_be_empty(self):
-        assert not KeywordSet(keywords=())
+        assert extract_llm_based(sample_of("text"), ScriptedGateway(["words", "!!!, ..."])) == ()
+
+    @given(st.text(alphabet="aAbBßS _!,.-", max_size=40))
+    @settings(max_examples=200)
+    def test_llm_based_output_unique_and_wordy(self, answer):
+        gateway = ScriptedGateway(["words", answer])
+        try:
+            keywords = extract_llm_based(sample_of("text"), gateway)
+        except MalformedCSV:
+            return
+        folded = [k.casefold() for k in keywords]
+        assert len(set(folded)) == len(folded)
+        assert all(re.search(r"[^\W_]", k) for k in keywords)

@@ -1,6 +1,7 @@
 """Pipeline: few-shot blocks, prompt assembly, verdict parsing, variant orchestration."""
 
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,11 +28,9 @@ from sarcrag.errors import (
 from sarcrag.gateway import Gateway, Purpose
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import (
-    FewShotBlock,
     PipelineDeps,
     build_p1,
     build_p2,
-    default_few_shot,
     parse_verdict,
     render_word_info_block,
     run_pipeline,
@@ -57,59 +56,42 @@ def word_info(keyword="Paris", definition="The capital of France."):
     return WordInfo(keyword=keyword, definition=definition, source=RetrievalSource.LLM_ONLY)
 
 
-EXAMPLE = "Tweet: something\nObservation: fine\nFinal decision: YES"
-EXAMPLE_NO = "Tweet: other\nObservation: fine\nFinal decision: NO"
+def packaged_few_shot(templates):
+    """The packaged few-shot block split before each "Tweet: " line: (header, examples)."""
+    header, *examples = re.split(
+        r"^(?=Tweet: )", templates.fewshot_header_and_examples, flags=re.MULTILINE
+    )
+    return header, examples
+
+
+def decision_lines(examples):
+    return [example.rstrip().splitlines()[-1].strip() for example in examples]
 
 
 class TestFewShotBlock:
+    """The packaged few-shot files, which build_p2 appends to P2 as written."""
+
     def test_requires_examples(self):
-        with pytest.raises(ValueError):
-            FewShotBlock(examples=())
+        for templates in (EN, ID):
+            assert packaged_few_shot(templates)[1], templates.language
 
     def test_requires_decision_line(self):
-        with pytest.raises(ValueError):
-            FewShotBlock(examples=("Tweet: x\nObservation: y",))
-        with pytest.raises(ValueError):
-            FewShotBlock(examples=("Tweet: x\nFinal decision: MAYBE",))
+        for templates in (EN, ID):
+            for line in decision_lines(packaged_few_shot(templates)[1]):
+                assert re.fullmatch(r"(Final decision|Keputusan akhir): (YES|NO)", line), line
 
     def test_indonesian_decision_line_accepted(self):
-        block = FewShotBlock(examples=("Tweet: x\nKeputusan akhir: NO",))
-        assert len(block.examples) == 1
-
-    def test_render_with_header(self):
-        block = FewShotBlock(examples=(EXAMPLE,), header="Examples:")
-        assert block.render() == "Examples:\n" + EXAMPLE
-
-    def test_render_without_header(self):
-        block = FewShotBlock(examples=(EXAMPLE, EXAMPLE_NO))
-        assert block.render() == EXAMPLE + "\n" + EXAMPLE_NO
-
-    def test_from_template_splits_on_tweet_lines(self):
-        text = "Header line\n" + EXAMPLE + "\n" + EXAMPLE_NO
-        block = FewShotBlock.from_template(text)
-        assert block.header == "Header line"
-        assert len(block.examples) == 2
-        assert block.examples[0] == EXAMPLE
-        assert block.examples[1] == EXAMPLE_NO
-
-    def test_from_template_without_header(self):
-        block = FewShotBlock.from_template(EXAMPLE)
-        assert block.header == ""
-        assert len(block.examples) == 1
-
-    def test_from_template_rejects_headerless_prose(self):
-        with pytest.raises(ValueError):
-            FewShotBlock.from_template("no examples at all")
+        _, examples = packaged_few_shot(ID)
+        assert decision_lines(examples) == ["Keputusan akhir: YES", "Keputusan akhir: NO"]
 
     def test_default_blocks_parse_for_both_languages(self):
-        en_block = default_few_shot(EN)
-        id_block = default_few_shot(ID)
-        assert len(en_block.examples) == 2
-        assert len(id_block.examples) == 2
-        assert en_block.header == "Here are example reflections:"
-        assert id_block.header == ""
-        decisions = [e.rstrip().splitlines()[-1] for e in en_block.examples]
-        assert decisions == ["Final decision: YES", "Final decision: NO"]
+        en_header, en_examples = packaged_few_shot(EN)
+        id_header, id_examples = packaged_few_shot(ID)
+        assert len(en_examples) == 2
+        assert len(id_examples) == 2
+        assert en_header == "Here are example reflections:\n"
+        assert id_header == ""
+        assert decision_lines(en_examples) == ["Final decision: YES", "Final decision: NO"]
 
 
 class TestWordInfoBlock:
@@ -147,19 +129,21 @@ class TestBuildP1:
 
 class TestBuildP2:
     def test_plain_request(self):
-        request = build_p2("the analysis", None, EN)
+        request = build_p2("the analysis", False, EN)
         assert request.purpose is Purpose.P2
         assert request.messages[0].content == EN.p2_system
         assert request.messages[1].content == "the analysis"
 
     def test_few_shot_appended_to_system(self):
-        block = FewShotBlock(examples=(EXAMPLE,))
-        request = build_p2("a1", block, EN)
-        assert request.messages[0].content == EN.p2_system + "\n" + EXAMPLE
+        for templates in (EN, ID):
+            request = build_p2("a1", True, templates)
+            assert request.messages[0].content == (
+                templates.p2_system + "\n" + templates.fewshot_header_and_examples
+            )
 
     def test_rejects_empty_analysis(self):
         with pytest.raises(ValueError):
-            build_p2("", None, EN)
+            build_p2("", False, EN)
 
 
 class TestParseVerdict:
@@ -245,7 +229,7 @@ class TestRunPipeline:
         )
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.DEFINE_WORD, Purpose.P1, Purpose.P2]
-        assert trace.keywords.keywords == ("Paris",)
+        assert trace.keywords == ("Paris",)
         assert [w.keyword for w in trace.word_infos] == ["Paris"]
         p1_user = gateway.requests[1].messages[1].content
         assert "Paris is The capital of France." in p1_user
@@ -291,7 +275,7 @@ class TestRunPipeline:
         )
         deps = PipelineDeps(gateway=gateway, search=FakeSearch())
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
-        assert trace.keywords.keywords == ()
+        assert trace.keywords == ()
         assert trace.word_infos == ()
         assert Purpose.REFINE_CHUNKS not in gateway.purposes
 
@@ -309,7 +293,7 @@ class TestRunPipeline:
         plain_p2, shot_p2 = plain.requests[-1], shot.requests[-1]
         assert plain_p2.messages[1].content == shot_p2.messages[1].content
         assert shot_p2.messages[0].content == (
-            EN.p2_system + "\n" + default_few_shot(EN).render()
+            EN.p2_system + "\n" + EN.fewshot_header_and_examples
         )
 
     def test_unavailable_definition_drops_keyword_only(self):

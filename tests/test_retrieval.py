@@ -25,19 +25,20 @@ from sarcrag.gateway import Purpose
 from sarcrag.retrieval import (
     FETCH_BLOCK_BYTES,
     MAX_FETCHED_CHARS,
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_MAX_RESULTS,
+    DEFAULT_OVERLAP,
+    DEFAULT_TOP_K,
     MAX_QUOTED_NAME,
-    Bm25Params,
     Chunk,
-    CorpusStats,
     GoogleSearchClient,
     SearchResult,
     WordInfo,
     WordInfoCache,
     bm25_idf,
-    bm25_score,
+    bm25_scores,
     bm25_tokenize,
     chunk_document,
-    corpus_stats,
     define_llm_only,
     fetch_page,
     gather_corpus,
@@ -56,7 +57,7 @@ def make_chunk(text, index=0, url="https://example.com/a"):
         text=text,
         source_url=url,
         index=index,
-        token_count=len(bm25_tokenize(text)),
+        tokens=tuple(bm25_tokenize(text)),
     )
 
 
@@ -122,7 +123,6 @@ class TestChunking:
         assert [(c.index, c.text) for c in chunks] == kept
         for chunk in chunks:
             assert list(chunk.tokens) == bm25_tokenize(chunk.text)
-            assert chunk.token_count == len(chunk.tokens)
 
     def test_ten_words_size_four_overlap_one(self):
         words = [f"w{i}" for i in range(10)]
@@ -135,7 +135,7 @@ class TestChunking:
             ["w9"],
         ]
         assert [c.index for c in chunks] == [0, 1, 2, 3]
-        assert [c.token_count for c in chunks] == [4, 4, 4, 1]
+        assert [len(c.tokens) for c in chunks] == [4, 4, 4, 1]
 
     def test_overlap_zero_partitions_words(self):
         words = [f"tok{i}" for i in range(11)]
@@ -159,10 +159,10 @@ class TestChunking:
             chunk_document("   ", 4, 0)
 
     def test_windows_without_indexable_tokens_dropped(self):
-        # middle window is pure punctuation and would have token_count 0
+        # middle window is pure punctuation and would carry no tokens
         text = "alpha beta ?! ?! gamma delta"
         chunks = chunk_document(text, 2, 0)
-        assert all(c.token_count >= 1 for c in chunks)
+        assert all(c.tokens for c in chunks)
         assert [c.text for c in chunks] == ["alpha beta", "gamma delta"]
         # the dropped window keeps its ordinal, so indices can have gaps
         assert [c.index for c in chunks] == [0, 2]
@@ -190,68 +190,49 @@ class TestBm25:
     def test_two_doc_worked_example(self):
         d1 = make_chunk("a b a", index=0)
         d2 = make_chunk("b c", index=1)
-        stats = corpus_stats([d1, d2])
-        score = bm25_score(["a"], d1, stats, Bm25Params())
+        score, other = bm25_scores("a", [d1, d2])
         expected = math.log(2.0) * (2 * 2.2) / (2 + 1.2 * (0.25 + 0.75 * (3 / 2.5)))
         assert math.isclose(score, expected, rel_tol=0, abs_tol=1e-12)
+        assert other == 0.0
 
     def test_score_zero_when_no_query_terms_present(self):
-        chunk = make_chunk("alpha beta gamma")
-        stats = corpus_stats([chunk])
-        assert bm25_score(["missing"], chunk, stats, Bm25Params()) == 0.0
+        assert bm25_scores("missing", [make_chunk("alpha beta gamma")]) == [0.0]
 
     def test_score_monotone_in_term_frequency(self):
         low = make_chunk("target filler filler filler")
         high = make_chunk("target target filler filler")
-        stats = corpus_stats([low, high])
-        params = Bm25Params()
-        assert bm25_score(["target"], high, stats, params) > bm25_score(
-            ["target"], low, stats, params
-        )
+        low_score, high_score = bm25_scores("target", [low, high])
+        assert high_score > low_score
 
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            Bm25Params(k1=-0.1)
-        with pytest.raises(ValueError):
-            Bm25Params(b=1.5)
+    def test_repeated_query_term_counts_twice(self):
+        chunks = [make_chunk("target here"), make_chunk("nothing")]
+        (once, _), (twice, _) = bm25_scores("target", chunks), bm25_scores("target Target", chunks)
+        assert math.isclose(twice, 2 * once, rel_tol=1e-12)
 
     def test_rank_orders_by_score_then_url_then_index(self):
         a = make_chunk("target here", url="https://b.com")
         b = make_chunk("target here", url="https://a.com")
         c = make_chunk("nothing relevant at all")
-        ranked = rank_chunks("target", [a, b, c], Bm25Params(), top_k=3)
+        ranked = rank_chunks("target", [a, b, c])
         assert [x.source_url for x in ranked[:2]] == ["https://a.com", "https://b.com"]
         assert ranked[2] is c
 
     def test_rank_index_breaks_same_url_ties(self):
         first = make_chunk("target here", index=0)
         second = make_chunk("target here", index=1)
-        ranked = rank_chunks("target", [second, first], Bm25Params(), top_k=2)
+        ranked = rank_chunks("target", [second, first])
         assert [x.index for x in ranked] == [0, 1]
 
     def test_rank_top_k_truncates(self):
-        chunks = [make_chunk(f"word{i} target", index=i) for i in range(5)]
-        ranked = rank_chunks("target", chunks, Bm25Params(), top_k=2)
-        assert len(ranked) == 2
+        chunks = [make_chunk(f"word{i} target", index=i) for i in range(DEFAULT_TOP_K + 2)]
+        ranked = rank_chunks("target", chunks)
+        assert [c.index for c in ranked] == list(range(DEFAULT_TOP_K))
 
     def test_rank_validates_inputs(self):
         with pytest.raises(ValueError):
-            rank_chunks("q", [], Bm25Params(), top_k=1)
+            rank_chunks("q", [])
         with pytest.raises(ValueError):
-            rank_chunks("q", [make_chunk("a")], Bm25Params(), top_k=0)
-
-
-class TestCorpusStats:
-    def test_counts_documents_and_df(self):
-        chunks = [make_chunk("apple banana"), make_chunk("banana cherry banana")]
-        stats = corpus_stats(chunks)
-        assert stats.n_docs == 2
-        assert stats.df == {"apple": 1, "banana": 2, "cherry": 1}
-        assert stats.avg_doc_len == (2 + 3) / 2
-
-    def test_df_bounded_by_n_docs(self):
-        with pytest.raises(ValueError):
-            CorpusStats(n_docs=1, avg_doc_len=2.0, df={"x": 2})
+            bm25_scores("q", [])
 
 
 class FakeSearch:
@@ -289,14 +270,22 @@ def make_result(snippet, url="https://a.com"):
 class TestSearchAndGather:
     def test_search_web_validates_inputs(self):
         with pytest.raises(ValueError):
-            search_web("", FakeSearch([]), max_results=5)
-        with pytest.raises(ValueError):
-            search_web("q", FakeSearch([]), max_results=0)
+            search_web("", FakeSearch([]))
 
     def test_search_web_truncates_to_max_results(self):
-        results = [make_result(f"s{i}") for i in range(5)]
-        got = search_web("kw", FakeSearch(results), max_results=2)
-        assert len(got) == 2
+        results = [make_result(f"s{i}") for i in range(DEFAULT_MAX_RESULTS + 2)]
+        search = FakeSearch(results)
+        got = search_web("kw", search)
+        assert got == results[:DEFAULT_MAX_RESULTS]
+        assert search.queries == [("kw", DEFAULT_MAX_RESULTS)]
+
+    def test_search_web_truncates_an_overlong_answer(self):
+        class Overlong(FakeSearch):
+            def search(self, query, max_results):
+                return self.results
+
+        results = [make_result(f"s{i}") for i in range(DEFAULT_MAX_RESULTS + 2)]
+        assert search_web("kw", Overlong(results)) == results[:DEFAULT_MAX_RESULTS]
 
     def test_gather_uses_long_snippets_without_fetching(self):
         fetched = []
@@ -305,14 +294,12 @@ class TestSearchAndGather:
             fetched.append(url)
             return "page body"
 
-        chunks = gather_corpus([make_result(LONG_SNIPPET)], fetcher, chunk_size=10, overlap=0)
+        chunks = gather_corpus([make_result(LONG_SNIPPET)], fetcher)
         assert fetched == []
         assert all(c.source_url == "https://a.com" for c in chunks)
 
     def test_gather_fetches_when_snippet_short(self):
-        chunks = gather_corpus(
-            [make_result("too short")], lambda url: LONG_SNIPPET, chunk_size=10, overlap=0
-        )
+        chunks = gather_corpus([make_result("too short")], lambda url: LONG_SNIPPET)
         assert chunks[0].text.startswith("word0")
 
     def test_gather_falls_back_to_snippet_on_fetch_error(self):
@@ -321,25 +308,32 @@ class TestSearchAndGather:
         def failing(url):
             raise requests.ConnectionError("boom")
 
-        chunks = gather_corpus([make_result("short snippet")], failing, chunk_size=10, overlap=0)
+        chunks = gather_corpus([make_result("short snippet")], failing)
         assert chunks[0].text == "short snippet"
 
     def test_gather_without_fetcher_uses_snippets(self):
-        chunks = gather_corpus([make_result("short snippet")], None, chunk_size=10, overlap=0)
+        chunks = gather_corpus([make_result("short snippet")], None)
         assert chunks[0].text == "short snippet"
 
     def test_gather_skips_results_with_no_text(self):
-        chunks = gather_corpus([make_result("")], None, chunk_size=10, overlap=0)
+        chunks = gather_corpus([make_result("")], None)
         assert chunks == []
 
-    def test_chunk_indices_restart_per_document(self):
-        results = [
-            make_result(LONG_SNIPPET, url="https://a.com"),
-            make_result(LONG_SNIPPET, url="https://b.com"),
+    def test_chunks_at_default_window_and_overlap(self):
+        words = [f"w{i}" for i in range(250)]
+        chunks = gather_corpus([make_result(" ".join(words))], None)
+        step = DEFAULT_CHUNK_SIZE - DEFAULT_OVERLAP
+        assert [c.text.split() for c in chunks] == [
+            words[offset : offset + DEFAULT_CHUNK_SIZE] for offset in range(0, 250, step)
         ]
-        chunks = gather_corpus(results, None, chunk_size=10, overlap=0)
-        first_b = next(c for c in chunks if c.source_url == "https://b.com")
-        assert first_b.index == 0
+
+    def test_chunk_indices_restart_per_document(self):
+        page = " ".join(f"word{i}" for i in range(250))
+        results = [make_result(page, url="https://a.com"), make_result(page, url="https://b.com")]
+        chunks = gather_corpus(results, None)
+        assert [(c.source_url, c.index) for c in chunks] == [
+            (url, index) for url in ("https://a.com", "https://b.com") for index in range(3)
+        ]
 
 
 class FakeHttpResponse:
