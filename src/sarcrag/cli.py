@@ -8,7 +8,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +58,8 @@ def _load_config_file(path: str | None) -> dict:
             data = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a mapping of keys to values")
     return data
@@ -104,7 +106,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             search_api_key=pick(None, "search_api_key", env="SEARCH_API_KEY"),
             search_engine_id=pick(None, "search_engine_id", env="SEARCH_ENGINE_ID"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     validate_config(config)
     return config
@@ -168,13 +170,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         (run_dir / stale).unlink(missing_ok=True)
     deps = build_deps(config, run_dir)
 
-    def run_one(sample) -> dict:
+    # A sample that raises (SampleSkipped aside) stops the run: no later sample
+    # starts, the running ones finish, and `map` raises the error once the records
+    # before it are written. Positions, not the mere fact of a crash, decide: a
+    # sample taken off the queue before the failed one may reach this check after it.
+    crashed: list[int] = []
+
+    def run_one(position: int, sample) -> dict | None:
+        if any(earlier < position for earlier in crashed):
+            return None
         started = time.monotonic()
         trace = skip = None
         try:
             trace = run_pipeline(sample, config.variant, deps)
         except SampleSkipped as exc:
             skip = exc
+        except BaseException:
+            crashed.append(position)
+            raise
         return {
             "sample_id": sample.id,
             "variant": config.variant.value,
@@ -185,17 +198,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
             "p1_digest": trace.p1_exchange.request.digest if trace else None,
             "p2_digest": trace.p2_exchange.request.digest if trace else None,
-            "wall_time": trace.wall_time if trace else time.monotonic() - started,
+            "wall_time": time.monotonic() - started,
         }
 
-    # At most `concurrency` samples are unfinished; the next starts when any one finishes.
-    # Each record is on disk as soon as it and every earlier sample are done. A sample
-    # that raises (SampleSkipped aside) stops new samples: the running ones finish, the
-    # records before it are written, and its exception propagates. A sample's thread
-    # defines its first keyword, and `definers` the others, so at most 2 * concurrency
-    # threads call out at once.
+    # At most `concurrency` samples run at once, and each record is on disk as soon as
+    # it and every earlier sample are done. A sample's thread defines its first
+    # keyword, and `definers` the others, so at most 2 * concurrency threads call out.
     records: list[dict] = []
-    futures = []
     log_path = run_dir / "run.jsonl"
     with (
         log_path.open("w", encoding="utf-8") as fh,
@@ -203,23 +212,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         ThreadPoolExecutor(config.concurrency) as pool,
     ):
         deps.definers = definers
-
-        def write_ready(block: bool) -> None:
-            while len(records) < len(futures) and (block or futures[len(records)].done()):
-                records.append(futures[len(records)].result())
-                fh.write(json.dumps(records[-1], ensure_ascii=False) + "\n")
-                fh.flush()
-
-        unfinished = set()
-        for sample in samples:
-            if len(unfinished) == config.concurrency:
-                _, unfinished = wait(unfinished, return_when=FIRST_COMPLETED)
-            if any(f.done() and f.exception() for f in futures[len(records):]):
-                break
-            write_ready(block=False)
-            futures.append(pool.submit(run_one, sample))
-            unfinished.add(futures[-1])
-        write_ready(block=True)
+        for record in pool.map(run_one, range(len(samples)), samples):
+            records.append(record)
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.flush()
 
     try:
         report = _report_from_records(records)
@@ -275,12 +271,11 @@ def read_run_log(path: Path | str) -> list[dict]:
 
 
 def _report_from_records(records: list[dict]):
-    golds = {r["sample_id"]: Label(r["gold"]) for r in records}
-    preds = [
-        (r["sample_id"], Label(r["verdict"]) if r["verdict"] is not None else None)
+    pairs = [
+        (Label(r["gold"]), Label(r["verdict"]) if r["verdict"] is not None else None)
         for r in records
     ]
-    return macro_metrics(confusion(preds, golds))
+    return macro_metrics(confusion(pairs))
 
 
 def report_from_log(path: Path | str):

@@ -81,13 +81,5 @@ class SampleSkipped(SarcragError):
         self.reason = reason
 
 
-class UnknownSampleId(SarcragError):
-    """A prediction refers to a sample id absent from the gold set."""
-
-
-class DuplicatePrediction(SarcragError):
-    """Two predictions were supplied for the same sample id."""
-
-
 class EmptyEvaluation(SarcragError):
     """Metrics were requested but no sample was scored."""

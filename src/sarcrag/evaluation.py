@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from .core import Label
-from .errors import DuplicatePrediction, EmptyEvaluation, UnknownSampleId
+from .errors import EmptyEvaluation
 
 CLASS_NAMES = ("sarcastic", "not_sarcastic")
 
@@ -21,11 +22,6 @@ class ConfusionMatrix:
     fn: int
     tn: int
     skipped: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "fn", "tn", "skipped"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
     @property
     def n_scored(self) -> int:
@@ -50,31 +46,17 @@ class MetricsReport:
     n_skipped: int
 
 
-def confusion(
-    preds: Iterable[tuple[str, Label | None]], golds: Mapping[str, Label]
-) -> ConfusionMatrix:
-    """Count predictions against gold labels; None predictions count as skipped."""
-    tp = fp = fn = tn = skipped = 0
-    seen: set[str] = set()
-    for sample_id, pred in preds:
-        if sample_id not in golds:
-            raise UnknownSampleId(sample_id)
-        if sample_id in seen:
-            raise DuplicatePrediction(sample_id)
-        seen.add(sample_id)
-        if pred is None:
-            skipped += 1
-            continue
-        gold = golds[sample_id]
-        if pred is Label.SARCASTIC and gold is Label.SARCASTIC:
-            tp += 1
-        elif pred is Label.SARCASTIC and gold is Label.NOT_SARCASTIC:
-            fp += 1
-        elif pred is Label.NOT_SARCASTIC and gold is Label.SARCASTIC:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn, skipped=skipped)
+def confusion(pairs: Iterable[tuple[Label, Label | None]]) -> ConfusionMatrix:
+    """Count (gold, verdict) pairs, repeats included; a None verdict counts as skipped."""
+    counts = Counter(pairs)
+    yes, no = Label.SARCASTIC, Label.NOT_SARCASTIC
+    return ConfusionMatrix(
+        tp=counts[yes, yes],
+        fp=counts[no, yes],
+        fn=counts[yes, no],
+        tn=counts[no, no],
+        skipped=counts[yes, None] + counts[no, None],
+    )
 
 
 def _ratio(numerator: int, denominator: int) -> float:
@@ -105,23 +87,8 @@ def macro_metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "precision_macro": report.precision_macro,
-        "recall_macro": report.recall_macro,
-        "f1_macro": report.f1_macro,
-        "per_class": {
-            name: {"precision": m.precision, "recall": m.recall, "f1": m.f1}
-            for name, m in report.per_class.items()
-        },
-        "n_scored": report.n_scored,
-        "n_skipped": report.n_skipped,
-    }
-
-
 def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
 def report_to_table(report: MetricsReport) -> str:

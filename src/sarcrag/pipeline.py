@@ -9,7 +9,6 @@ verdict.
 from __future__ import annotations
 
 import re
-import time
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from typing import Callable
@@ -106,7 +105,6 @@ class PipelineTrace:
     p1_exchange: ChatExchange
     p2_exchange: ChatExchange
     verdict: Label
-    wall_time: float
 
 
 _SKIP_ERRORS = (
@@ -163,7 +161,6 @@ def run_pipeline(
     sample: Sample, variant: PipelineVariant, deps: PipelineDeps
 ) -> PipelineTrace:
     """Execute one sample through the chosen variant; failures skip the sample only."""
-    started = time.monotonic()
     plan = variant_plan(variant)
     templates = load_templates(sample.language)
     try:
@@ -202,5 +199,4 @@ def run_pipeline(
         p1_exchange=p1_exchange,
         p2_exchange=p2_exchange,
         verdict=verdict,
-        wall_time=time.monotonic() - started,
     )

@@ -114,6 +114,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             build_run_config(replay_args(tmp_path, config=str(config_file)))
 
+    @pytest.mark.parametrize("text", ["[unclosed\n", "concurrency: [2]\n", "limit: [2]\n"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
+        config_file = tmp_path / "run.yaml"
+        config_file.write_text(text, encoding="utf-8")
+        code, captured, _ = run_fixture_cli(tmp_path, capsys, "--config", str(config_file))
+        assert code == 2
+        assert captured.err.startswith("error:")
+
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             build_run_config(replay_args(tmp_path, config=str(tmp_path / "absent.yaml")))
@@ -311,6 +319,29 @@ class TestRunCommand:
         assert called == ["semeval:1", "semeval:2", "semeval:3"]
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1", "semeval:2"]
+
+    def test_crash_stops_queued_samples_at_concurrency_2(self, tmp_path, capsys, monkeypatch):
+        # semeval:1 runs on until semeval:2 has crashed, so semeval:3 and semeval:4
+        # are still queued when the run stops.
+        run_pipeline = cli.run_pipeline
+        second_raised = threading.Event()
+        called = []
+
+        def crash_on_second(sample, variant, deps):
+            called.append(sample.id)
+            if sample.id == "semeval:1":
+                assert second_raised.wait(timeout=10)
+            if sample.id == "semeval:2":
+                second_raised.set()
+                raise RuntimeError("crashed mid-run")
+            return run_pipeline(sample, variant, deps)
+
+        monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
+        with pytest.raises(RuntimeError):
+            run_fixture_cli(tmp_path, capsys, "--concurrency", "2")
+        assert sorted(called) == ["semeval:1", "semeval:2"]
+        run_dir = tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
+        assert [r["sample_id"] for r in read_run_log(run_dir / "run.jsonl")] == ["semeval:1"]
 
     def test_next_sample_starts_when_any_running_one_finishes(self, tmp_path, capsys, monkeypatch):
         # semeval:1 runs until semeval:3 has started, which it can only do in the
