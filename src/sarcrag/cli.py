@@ -26,6 +26,8 @@ from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
 
 @dataclass
 class RunConfig:
+    """A run's settings; each field is named by its config-file key."""
+
     dataset: DatasetKind
     data_path: Path
     variant: PipelineVariant
@@ -34,20 +36,41 @@ class RunConfig:
     endpoint: str | None
     concurrency: int
     limit: int | None
-    out_dir: Path
-    transcripts_dir: Path
-    cache_dir: Path
+    out: Path
+    transcripts: Path
+    cache: Path
     search_api_key: str | None
     search_engine_id: str | None
 
     @property
     def run_dir(self) -> Path:
-        return self.out_dir / self.dataset.value / self.model / self.variant.value
+        return self.out / self.dataset.value / self.model / self.variant.value
 
     @property
     def store_dir(self) -> Path:
         # Live runs answer from the store first, so each model keeps its own.
-        return self.transcripts_dir / self.model
+        return self.transcripts / self.model
+
+
+# Each RunConfig field: its environment variable, default, and the conversion of
+# its value. A config file gives the two counts as integers and every other
+# setting as a string. Every field but the search credentials is also a flag.
+_SETTINGS = {
+    "dataset": (None, None, DatasetKind),
+    "data_path": (None, None, Path),
+    "variant": (None, None, PipelineVariant),
+    "model": (None, None, str),
+    "backend": (None, "live", str),
+    "endpoint": ("LLM_ENDPOINT", None, str),
+    "concurrency": (None, 4, int),
+    "limit": (None, None, int),
+    "out": (None, "runs", Path),
+    "transcripts": (None, "transcripts", Path),
+    "cache": (None, "cache", Path),
+    "search_api_key": ("SEARCH_API_KEY", None, str),
+    "search_engine_id": ("SEARCH_ENGINE_ID", None, str),
+}
+_REQUIRED = ("dataset", "data_path", "variant", "model")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -62,52 +85,38 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a mapping of keys to values")
+    unknown = sorted(str(key) for key in data.keys() - _SETTINGS.keys())
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: not a setting of sarcrag run")
     return data
 
 
-def _resolve(flag, env_name: str | None, file_values: dict, key: str, default=None):
-    """Flags win over environment variables, which win over the config file."""
-    if flag is not None:
-        return flag
-    if env_name:
-        env_value = os.environ.get(env_name)
-        if env_value:
-            return env_value
-    if file_values.get(key) is not None:
-        return file_values[key]
-    return default
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    """Each setting from its flag, else its environment variable, else the config file,
+    else its default.
+
+    Any fault raises ConfigError naming the setting's key, including a config-file
+    value of the wrong type that a flag or environment variable overrides.
+    """
     file_values = _load_config_file(args.config)
-
-    def pick(flag, key, default=None, env=None):
-        return _resolve(flag, env, file_values, key, default)
-
-    dataset = pick(args.dataset, "dataset")
-    data_path = pick(args.data_path, "data_path")
-    variant = pick(args.variant, "variant")
-    model = pick(args.model, "model")
-    if not dataset or not data_path or not variant or not model:
-        raise ConfigError("dataset, data-path, variant and model are all required")
-    try:
-        config = RunConfig(
-            dataset=DatasetKind(dataset),
-            data_path=Path(data_path),
-            variant=PipelineVariant(variant),
-            model=model,
-            backend=pick(args.backend, "backend", "live"),
-            endpoint=pick(args.endpoint, "endpoint", env="LLM_ENDPOINT"),
-            concurrency=int(pick(args.concurrency, "concurrency", 4)),
-            limit=(lambda v: int(v) if v is not None else None)(pick(args.limit, "limit")),
-            out_dir=Path(pick(args.out, "out", "runs")),
-            transcripts_dir=Path(pick(args.transcripts, "transcripts", "transcripts")),
-            cache_dir=Path(pick(args.cache, "cache", "cache")),
-            search_api_key=pick(None, "search_api_key", env="SEARCH_API_KEY"),
-            search_engine_id=pick(None, "search_engine_id", env="SEARCH_ENGINE_ID"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {}
+    for key, (env, default, convert) in _SETTINGS.items():
+        file_value = file_values.get(key)
+        expected = int if convert is int else str
+        if file_value is not None and type(file_value) is not expected:
+            raise ConfigError(f"{key}: expected {expected.__name__}, got {file_value!r}")
+        value = getattr(args, key, None)
+        if value is None and env:
+            value = os.environ.get(env) or None
+        if value is None:
+            value = file_value if file_value is not None else default
+        if key in _REQUIRED and not value:
+            raise ConfigError(f"{key}: required, as a flag or in the config file")
+        try:
+            values[key] = None if value is None else convert(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    config = RunConfig(**values)
     validate_config(config)
     return config
 
@@ -152,7 +161,7 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
     return PipelineDeps(
         gateway=gateway,
         search=search,
-        cache=WordInfoCache(config.cache_dir),
+        cache=WordInfoCache(config.cache),
         fetcher=fetcher,
     )
 
@@ -196,8 +205,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "skipped_reason": skip.reason if skip else None,
             "keywords": list(trace.keywords) if trace and trace.keywords else [],
             "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
-            "p1_digest": trace.p1_exchange.request.digest if trace else None,
-            "p2_digest": trace.p2_exchange.request.digest if trace else None,
+            "p1_digest": trace.p1_digest if trace else None,
+            "p2_digest": trace.p2_digest if trace else None,
             "wall_time": time.monotonic() - started,
         }
 

@@ -44,7 +44,6 @@ class Sample:
     id: str
     text: str
     gold: Label
-    dataset: DatasetKind
     language: LanguageTag
 
     def __post_init__(self) -> None:

@@ -22,8 +22,11 @@ def load_semeval(path: Path | str) -> list[Sample]:
     """Tab-separated rows of (index, label, tweet) under a header line."""
     kind = DatasetKind.SEMEVAL_2018_T3
     samples: list[Sample] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    # Universal newlines: rows end at \n, \r\n or \r only, not at the other
+    # characters str.splitlines() breaks on (U+2028, \x85, \x0c, ...), which
+    # a tweet may hold.
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -39,7 +42,6 @@ def load_semeval(path: Path | str) -> list[Sample]:
                 id=f"{kind.value}:{index.strip()}",
                 text=text,
                 gold=_binary_label(label, line_no),
-                dataset=kind,
                 language=DATASET_LANGUAGE[kind],
             )
         )
@@ -79,7 +81,6 @@ def load_mustard(path: Path | str) -> list[Sample]:
                 id=f"{kind.value}:{key}",
                 text=normalize_text(flatten_dialogue(context, utterance)),
                 gold=Label.SARCASTIC if sarcasm else Label.NOT_SARCASTIC,
-                dataset=kind,
                 language=DATASET_LANGUAGE[kind],
             )
         )
@@ -124,7 +125,6 @@ def load_twitter_id(path: Path | str) -> list[Sample]:
                     id=f"{kind.value}:{row_index}",
                     text=text,
                     gold=_binary_label(row[label_col], line_no),
-                    dataset=kind,
                     language=DATASET_LANGUAGE[kind],
                 )
             )

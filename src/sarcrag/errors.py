@@ -18,7 +18,6 @@ class FormatError(SarcragError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class TransportError(SarcragError):
@@ -34,7 +33,6 @@ class MissingTranscript(SarcragError):
 
     def __init__(self, digest: str) -> None:
         super().__init__(f"no recorded response for request digest {digest}")
-        self.digest = digest
 
 
 class MalformedCSV(SarcragError):

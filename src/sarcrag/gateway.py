@@ -1,7 +1,7 @@
 """Chat-completion transport: live HTTP backend and deterministic record/replay store.
 
 Every call is a ChatRequest (one system message, then user/assistant turns) and
-comes back as a ChatExchange. Exchanges are keyed by a digest of the ordered
+comes back as the answer text. Exchanges are keyed by a digest of the ordered
 (role, content) pairs. The store answers first and keeps the first answer
 recorded for a digest, so a recorded run can be replayed bit-for-bit without a
 model server.
@@ -90,14 +90,6 @@ def request_digest(messages: tuple[ChatMessage, ...]) -> str:
 def message_dicts(messages: tuple[ChatMessage, ...]) -> list[dict]:
     """Messages as the JSON objects that chat endpoints and the store use."""
     return [{"role": m.role.value, "content": m.content} for m in messages]
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    request: ChatRequest
-    response_text: str
-    backend: str
-    latency: float
 
 
 def read_json(path: Path) -> dict:
@@ -291,7 +283,7 @@ class Gateway:
         self.exchange_log = exchange_log
         self._log_lock = threading.Lock()
 
-    def chat(self, request: ChatRequest) -> ChatExchange:
+    def chat(self, request: ChatRequest) -> str:
         started = time.monotonic()
         response_text = self.store.lookup(request) if self.store is not None else None
         if response_text is not None:
@@ -306,23 +298,17 @@ class Gateway:
         latency = time.monotonic() - started
         if not response_text.strip():
             raise EmptyResponse(f"empty model output for {request.purpose.value} request")
-        exchange = ChatExchange(
-            request=request,
-            response_text=response_text,
-            backend=backend,
-            latency=latency,
-        )
         if self.exchange_log is not None:
-            self._append_log(exchange)
-        return exchange
+            self._append_log(request, backend, latency)
+        return response_text
 
-    def _append_log(self, exchange: ChatExchange) -> None:
+    def _append_log(self, request: ChatRequest, backend: str, latency: float) -> None:
         line = json.dumps(
             {
-                "digest": exchange.request.digest,
-                "purpose_tag": exchange.request.purpose.value,
-                "backend": exchange.backend,
-                "latency": exchange.latency,
+                "digest": request.digest,
+                "purpose_tag": request.purpose.value,
+                "backend": backend,
+                "latency": latency,
             }
         )
         with self._log_lock:

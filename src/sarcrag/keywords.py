@@ -1,14 +1,13 @@
 """Keyword extraction: a proper-noun tagging heuristic and the two-call model procedure.
 
-Token tagging keeps the proper nouns found by HeuristicTagger; the model-based
-path first asks which words the model does not understand, then asks it to
-reformat that answer as CSV.
+Token tagging keeps the runs of capitalized words that proper_noun_runs finds;
+the model-based path first asks which words the model does not understand, then
+asks it to reformat that answer as CSV.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import Sample
 from .errors import MalformedCSV
@@ -42,71 +41,34 @@ STOPWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TaggedToken:
-    surface: str
-    char_span: tuple[int, int]
-
-
 def _has_word_char(token: str) -> bool:
     return re.search(r"[^\W_]", token) is not None
 
 
-def is_sentence_initial(text: str, start: int) -> bool:
-    """True when only whitespace, or a sentence terminator plus whitespace, precedes start."""
-    prefix = text[:start]
-    trimmed = prefix.rstrip(" \t\r\f\v")
-    if not trimmed or trimmed.endswith(("\n", ".", "!", "?")):
-        return True
-    return False
+def proper_noun_runs(text: str) -> list[str]:
+    """Capitalized non-stopword words in text order, adjacent ones merged into one run.
 
-
-def _word_spans(text: str) -> list[tuple[str, int, int]]:
-    """Whitespace tokens with leading/trailing punctuation stripped, plus their spans."""
-    spans = []
-    for match in re.finditer(r"\S+", text):
-        raw = match.group()
-        head = len(raw) - len(raw.lstrip("\"'([{¡¿«„“‘"))
-        tail = len(raw) - len(raw.rstrip("\"')]},.;:!?«»”’…"))
-        core = raw[head : len(raw) - tail] if tail else raw[head:]
-        if not core:
-            continue
-        spans.append((core, match.start() + head, match.start() + head + len(core)))
-    return spans
-
-
-class HeuristicTagger:
-    """Tags capitalized non-stopword tokens as proper nouns, merging adjacent runs.
-
-    Tokens come out in text order with disjoint, in-bounds spans. A run never
-    crosses a sentence boundary and never spans intervening punctuation, so
-    "loves Paris. Monica said" yields two separate tokens.
+    Each word is stripped of leading and trailing punctuation. Two tagged words join
+    only when whitespace alone lies between them and that whitespace, less its
+    trailing spaces and tabs, does not end a line. So "loves Paris. Monica said", and
+    two names on consecutive lines, each give two runs; "Kuala Lumpur" gives one.
     """
-
-    def tag(self, text: str) -> list[TaggedToken]:
-        tokens: list[TaggedToken] = []
-        run: list[tuple[str, int, int]] = []
-
-        def flush() -> None:
-            if not run:
-                return
-            start, end = run[0][1], run[-1][2]
-            tokens.append(TaggedToken(surface=text[start:end], char_span=(start, end)))
-            run.clear()
-
-        for core, start, end in _word_spans(text):
-            qualifies = core[0].isupper() and core.casefold() not in STOPWORDS
-            if not qualifies:
-                flush()
+    spans: list[list[int]] = []
+    previous_tagged = False
+    for match in re.finditer(r"\S+", text):
+        opened = match.group().lstrip("\"'([{¡¿«„“‘")
+        word = opened.rstrip("\"')]},.;:!?«»”’…")
+        start = match.end() - len(opened)
+        tagged = bool(word) and word[0].isupper() and word.casefold() not in STOPWORDS
+        if tagged and previous_tagged:
+            between = text[spans[-1][1] : start]
+            if between.isspace() and not between.rstrip(" \t\r\f\v").endswith("\n"):
+                spans[-1][1] = start + len(word)
                 continue
-            if run:
-                between = text[run[-1][2] : start]
-                adjacent = between.strip() == "" and not is_sentence_initial(text, start)
-                if not adjacent:
-                    flush()
-            run.append((core, start, end))
-        flush()
-        return tokens
+        if tagged:
+            spans.append([start, start + len(word)])
+        previous_tagged = tagged
+    return [text[start:end] for start, end in spans]
 
 
 def _cap_keywords(candidates: list[str]) -> tuple[str, ...]:
@@ -130,14 +92,13 @@ def _cap_keywords(candidates: list[str]) -> tuple[str, ...]:
 
 
 def extract_token_tagging(sample: Sample) -> tuple[str, ...]:
-    surfaces = [token.surface for token in HeuristicTagger().tag(sample.text)]
-    return _cap_keywords(surfaces)
+    return _cap_keywords(proper_noun_runs(sample.text))
 
 
 def extract_llm_based(sample: Sample, gateway: Gateway) -> tuple[str, ...]:
     """Ask the model which words it does not understand, then reformat the answer as CSV."""
     templates = load_templates(sample.language)
-    identify = gateway.chat(
+    identified = gateway.chat(
         ChatRequest(
             messages=(
                 ChatMessage(Role.SYSTEM, templates.keyword_identify),
@@ -150,12 +111,12 @@ def extract_llm_based(sample: Sample, gateway: Gateway) -> tuple[str, ...]:
         ChatRequest(
             messages=(
                 ChatMessage(Role.SYSTEM, templates.keyword_csv),
-                ChatMessage(Role.USER, identify.response_text),
+                ChatMessage(Role.USER, identified),
             ),
             purpose=Purpose.KEYWORD_CLEAN,
         )
     )
-    return _cap_keywords(parse_csv_keywords(cleaned.response_text))
+    return _cap_keywords(parse_csv_keywords(cleaned))
 
 
 def parse_csv_keywords(raw: str) -> list[str]:

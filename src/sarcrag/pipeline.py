@@ -25,7 +25,7 @@ from .errors import (
     TransportError,
     VerdictNotFound,
 )
-from .gateway import ChatExchange, ChatMessage, ChatRequest, Gateway, Purpose, Role
+from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
 from .keywords import extract_llm_based, extract_token_tagging
 from .retrieval import PageFetcher, SearchPort, WordInfo, WordInfoCache, get_word_info
 from .templates import PromptTemplateSet, load_templates
@@ -102,8 +102,8 @@ class PipelineDeps:
 class PipelineTrace:
     keywords: tuple[str, ...] | None
     word_infos: tuple[WordInfo, ...]
-    p1_exchange: ChatExchange
-    p2_exchange: ChatExchange
+    p1_digest: str
+    p2_digest: str
     verdict: Label
 
 
@@ -187,16 +187,14 @@ def run_pipeline(
             )
 
         p1_request = build_p1(sample, word_infos, templates)
-        p1_exchange = deps.gateway.chat(p1_request)
-        p2_request = build_p2(p1_exchange.response_text, plan.few_shot, templates)
-        p2_exchange = deps.gateway.chat(p2_request)
-        verdict = parse_verdict(p2_exchange.response_text)
+        p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
+        verdict = parse_verdict(deps.gateway.chat(p2_request))
     except _SKIP_ERRORS as exc:
         raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
     return PipelineTrace(
         keywords=keywords,
         word_infos=tuple(word_infos),
-        p1_exchange=p1_exchange,
-        p2_exchange=p2_exchange,
+        p1_digest=p1_request.digest,
+        p2_digest=p2_request.digest,
         verdict=verdict,
     )

@@ -376,12 +376,11 @@ def refine_definition(
     user = f"{word_label}: {keyword}\n{passages_label}:\n" + "\n".join(
         f"- {chunk.text}" for chunk in top_chunks
     )
-    first = gateway.chat(
+    definition = gateway.chat(
         _definition_request(REFINE_SYSTEM[language], user, Purpose.REFINE_CHUNKS)
-    )
-    definition = first.response_text.strip()
+    ).strip()
     if len(split_sentences(definition)) > MAX_DEFINITION_SENTENCES:
-        retry = gateway.chat(
+        reasked = gateway.chat(
             _definition_request(
                 REFINE_SYSTEM[language],
                 user,
@@ -392,7 +391,7 @@ def refine_definition(
                 ),
             )
         )
-        definition = trim_to_sentences(retry.response_text.strip())
+        definition = trim_to_sentences(reasked.strip())
     return WordInfo(
         keyword=keyword,
         definition=definition,
@@ -405,12 +404,12 @@ def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> Wo
     """One model call defining the keyword from parametric knowledge alone."""
     if not keyword.strip():
         raise ValueError("keyword must be non-empty")
-    exchange = gateway.chat(
+    answer = gateway.chat(
         _definition_request(DEFINE_SYSTEM[language], keyword, Purpose.DEFINE_WORD)
     )
     return WordInfo(
         keyword=keyword,
-        definition=trim_to_sentences(exchange.response_text.strip()),
+        definition=trim_to_sentences(answer.strip()),
         source=RetrievalSource.LLM_ONLY,
         evidence=None,
     )

@@ -195,10 +195,7 @@ PROMPT_A1 = {
     ),
 }
 
-PROMPT_LANGUAGES = {
-    "en": (LanguageTag.ENGLISH, DatasetKind.SEMEVAL_2018_T3),
-    "id": (LanguageTag.INDONESIAN, DatasetKind.TWITTER_INDONESIA),
-}
+PROMPT_LANGUAGES = {"en": LanguageTag.ENGLISH, "id": LanguageTag.INDONESIAN}
 
 
 def golden_text(lang, name):
@@ -208,12 +205,11 @@ def golden_text(lang, name):
 def prompt_inputs(lang):
     from sarcrag.retrieval import WordInfo
 
-    language, dataset = PROMPT_LANGUAGES[lang]
+    language = PROMPT_LANGUAGES[lang]
     sample = Sample(
         id=f"golden:{lang}",
         text=PROMPT_SAMPLE_TEXT[lang],
         gold=Label.SARCASTIC,
-        dataset=dataset,
         language=language,
     )
     infos = [
@@ -319,7 +315,6 @@ class TestVariantCallAlgebra:
             id="algebra:1",
             text="i saw Paris yesterday",
             gold=Label.SARCASTIC,
-            dataset=DatasetKind.SEMEVAL_2018_T3,
             language=LanguageTag.ENGLISH,
         )
 

@@ -114,13 +114,31 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             build_run_config(replay_args(tmp_path, config=str(config_file)))
 
-    @pytest.mark.parametrize("text", ["[unclosed\n", "concurrency: [2]\n", "limit: [2]\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[unclosed\n",
+            "concurrency: [2]\n",
+            "concurrency: x\n",
+            "concurrency: true\n",
+            "limit: [2]\n",
+            "limit: 2.7\n",
+            "model: 7\n",
+            "model: [a]\n",
+            "out: 3\n",
+            "limt: 1\n",
+        ],
+    )
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
         config_file = tmp_path / "run.yaml"
         config_file.write_text(text, encoding="utf-8")
         code, captured, _ = run_fixture_cli(tmp_path, capsys, "--config", str(config_file))
         assert code == 2
         assert captured.err.startswith("error:")
+        # A value of the wrong type fails even where a flag overrides it, and
+        # every fault but a YAML syntax error names its key.
+        if ":" in text:
+            assert captured.err.startswith(f"error: {text.split(':')[0]}: ")
 
     def test_unreadable_config_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -78,7 +78,6 @@ class TestSample:
             id="semeval:1",
             text="sweet video",
             gold=Label.SARCASTIC,
-            dataset=DatasetKind.SEMEVAL_2018_T3,
             language=LanguageTag.ENGLISH,
         )
         base.update(overrides)

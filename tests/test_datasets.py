@@ -47,7 +47,6 @@ class TestLoadSemeval:
         assert [s.id for s in samples] == ["semeval:1", "semeval:2"]
         assert samples[0].gold is Label.SARCASTIC
         assert samples[1].gold is Label.NOT_SARCASTIC
-        assert all(s.dataset is DatasetKind.SEMEVAL_2018_T3 for s in samples)
         assert all(s.language is LanguageTag.ENGLISH for s in samples)
 
     def test_header_line_skipped(self, tmp_path):
@@ -80,6 +79,22 @@ class TestLoadSemeval:
     def test_duplicate_native_index_rejected(self, tmp_path):
         path = write_semeval(tmp_path, ["1\t1\ta", "1\t0\tb"])
         with pytest.raises(FormatError):
+            load_semeval(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1e"])
+    def test_row_ends_only_at_a_line_end(self, tmp_path, separator):
+        path = write_semeval(tmp_path, [f"1\t1\tI just love Mondays{separator}#not", "2\t0\tplain"])
+        samples = load_semeval(path)
+        assert [(s.id, s.text) for s in samples] == [
+            ("semeval:1", "I just love Mondays #not"),
+            ("semeval:2", "plain"),
+        ]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_line_end_ends_a_row(self, tmp_path, newline):
+        path = tmp_path / "data.tsv"
+        path.write_bytes(newline.join(["header", "1\t1\ta", "2\t0"]).encode("utf-8"))
+        with pytest.raises(FormatError, match="^line 3: "):
             load_semeval(path)
 
 

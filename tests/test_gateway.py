@@ -193,14 +193,19 @@ class TestTranscriptStore:
         assert record["response_text"] == "a definition"
 
 
+def logged_backends(log_path):
+    """The backend named on each line of an exchange log, in order."""
+    return [json.loads(line)["backend"] for line in log_path.read_text().splitlines()]
+
+
 class TestReplayBackend:
     def test_replays_verbatim(self, tmp_path):
         store = TranscriptStore(tmp_path)
         request = make_request()
         store.save(request, "stored response")
-        exchange = Gateway(None, store).chat(request)
-        assert exchange.response_text == "stored response"
-        assert exchange.backend == "store"
+        log_path = tmp_path / "exchanges.jsonl"
+        assert Gateway(None, store, exchange_log=log_path).chat(request) == "stored response"
+        assert logged_backends(log_path) == ["store"]
 
     def test_missing_digest_raises(self, tmp_path):
         gateway = Gateway(None, TranscriptStore(tmp_path))
@@ -212,7 +217,7 @@ class TestReplayBackend:
         request = make_request()
         store.save(request, "same thing")
         gateway = Gateway(None, store)
-        assert gateway.chat(request).response_text == gateway.chat(request).response_text
+        assert gateway.chat(request) == gateway.chat(request) == "same thing"
 
 
 class FakeResponse:
@@ -416,11 +421,11 @@ class TestGateway:
                 return "fresh answer"
 
         store = TranscriptStore(tmp_path / "store")
-        gateway = Gateway(OneShot(), store=store)
+        log_path = tmp_path / "exchanges.jsonl"
+        gateway = Gateway(OneShot(), store=store, exchange_log=log_path)
         request = make_request()
-        exchange = gateway.chat(request)
-        assert exchange.response_text == "fresh answer"
-        assert exchange.backend == "live"
+        assert gateway.chat(request) == "fresh answer"
+        assert logged_backends(log_path) == ["live"]
         assert store.lookup(request) == "fresh answer"
 
     def test_store_hit_makes_no_backend_call(self, tmp_path):
@@ -430,12 +435,12 @@ class TestGateway:
             def complete(self, request):
                 raise AssertionError("backend called for a stored request")
 
-        store = TranscriptStore(tmp_path)
+        store = TranscriptStore(tmp_path / "store")
         request = make_request()
         store.save(request, "recorded")
-        exchange = Gateway(Unreachable(), store).chat(request)
-        assert exchange.response_text == "recorded"
-        assert exchange.backend == "store"
+        log_path = tmp_path / "exchanges.jsonl"
+        assert Gateway(Unreachable(), store, exchange_log=log_path).chat(request) == "recorded"
+        assert logged_backends(log_path) == ["store"]
 
     def test_miss_returns_the_text_the_store_kept(self, tmp_path):
         class Racing:
@@ -449,8 +454,7 @@ class TestGateway:
 
         store = TranscriptStore(tmp_path)
         request = make_request()
-        exchange = Gateway(Racing(), store).chat(request)
-        assert exchange.response_text == "first writer"
+        assert Gateway(Racing(), store).chat(request) == "first writer"
         assert store.lookup(request) == "first writer"
 
     def test_exchange_log_appends_one_line_per_call(self, tmp_path):

@@ -7,88 +7,86 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarcrag.core import DatasetKind, Label, LanguageTag, Sample
+from sarcrag.core import Label, LanguageTag, Sample
 from sarcrag.errors import MalformedCSV
 from sarcrag.gateway import Gateway, Purpose
 from sarcrag.keywords import (
-    HeuristicTagger,
     extract_llm_based,
     extract_token_tagging,
-    is_sentence_initial,
     parse_csv_keywords,
+    proper_noun_runs,
 )
 
 
-def sample_of(text, language=LanguageTag.ENGLISH, dataset=DatasetKind.SEMEVAL_2018_T3):
-    return Sample(id="t:1", text=text, gold=Label.SARCASTIC, dataset=dataset, language=language)
-
-
-class TestSentenceInitial:
-    @pytest.mark.parametrize(
-        "text,start,expected",
-        [
-            ("Chandler said", 0, True),
-            ("  Chandler said", 2, True),
-            ("he saw. Monica left", 8, True),
-            ("really?  Monica left", 9, True),
-            ("wait!\n Monica left", 7, True),
-            ("line one\nMonica left", 9, True),
-            ("he saw Monica", 7, False),
-            ("he saw, Monica", 8, False),
-        ],
-    )
-    def test_rule(self, text, start, expected):
-        assert is_sentence_initial(text, start) is expected
+def sample_of(text, language=LanguageTag.ENGLISH):
+    return Sample(id="t:1", text=text, gold=Label.SARCASTIC, language=language)
 
 
 class TestHeuristicTagger:
-    def tag_surfaces(self, text):
-        return [t.surface for t in HeuristicTagger().tag(text)]
+    """proper_noun_runs: capitalized non-stopword words, merged into runs."""
 
     def test_capitalized_non_stopword(self):
-        tokens = HeuristicTagger().tag("I love Paris in winter")
-        assert [t.surface for t in tokens] == ["Paris"]
-        assert tokens[0].char_span == (7, 12)
+        assert proper_noun_runs("I love Paris in winter") == ["Paris"]
 
     def test_no_capitalized_tokens(self):
-        assert self.tag_surfaces("i love winter") == []
+        assert proper_noun_runs("i love winter") == []
 
     def test_adjacent_capitalized_tokens_merge(self):
-        assert self.tag_surfaces("Elon Musk founded SpaceX") == ["Elon Musk", "SpaceX"]
+        assert proper_noun_runs("Elon Musk founded SpaceX") == ["Elon Musk", "SpaceX"]
 
     def test_runs_broken_by_lowercase_words(self):
-        assert self.tag_surfaces("Chandler said Monica loves Paris") == [
+        assert proper_noun_runs("Chandler said Monica loves Paris") == [
             "Chandler",
             "Monica",
             "Paris",
         ]
 
     def test_capitalized_stopwords_excluded(self):
-        assert self.tag_surfaces("The cat sat on It") == []
+        assert proper_noun_runs("The cat sat on It") == []
 
     def test_no_merge_across_sentence_boundary(self):
-        assert self.tag_surfaces("they saw Paris. Monica left") == ["Paris", "Monica"]
+        assert proper_noun_runs("they saw Paris. Monica left") == ["Paris", "Monica"]
 
     def test_no_merge_across_newline(self):
-        assert self.tag_surfaces("loved Paris\nMonica agreed") == ["Paris", "Monica"]
+        assert proper_noun_runs("loved Paris\nMonica agreed") == ["Paris", "Monica"]
 
     def test_punctuation_stripped_from_surfaces(self):
-        assert self.tag_surfaces('she shouted "Heathrow!" twice') == ["Heathrow"]
+        assert proper_noun_runs('she shouted "Heathrow!" twice') == ["Heathrow"]
 
     def test_spans_index_into_text(self):
-        text = "visiting Kuala Lumpur soon"
-        (token,) = HeuristicTagger().tag(text)
-        assert text[token.char_span[0] : token.char_span[1]] == token.surface == "Kuala Lumpur"
+        assert proper_noun_runs("visiting Kuala Lumpur soon") == ["Kuala Lumpur"]
 
-    @given(st.text(alphabet="Ab .!?,'\"\n\t", max_size=40))
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # Whitespace that ends no line joins, whatever its kind.
+            pytest.param("Kuala\xa0Lumpur", ["Kuala\xa0Lumpur"], id="no-break-space"),
+            pytest.param("Paris\u2028Monica", ["Paris\u2028Monica"], id="line-separator"),
+            pytest.param("Paris\x85Monica", ["Paris\x85Monica"], id="next-line"),
+            pytest.param("Paris\x0cMonica", ["Paris\x0cMonica"], id="form-feed"),
+            pytest.param("Paris \t Monica", ["Paris \t Monica"], id="spaces-and-tab"),
+            # A line end splits, also with spaces or tabs around it.
+            pytest.param("Paris\r\nMonica", ["Paris", "Monica"], id="crlf"),
+            pytest.param("Paris \n Monica", ["Paris", "Monica"], id="newline-between-spaces"),
+            pytest.param("Paris\n\tMonica", ["Paris", "Monica"], id="newline-then-tab"),
+            # Punctuation between words splits, sentence-final or not.
+            pytest.param("Really?  Monica left", ["Really", "Monica"], id="question-mark"),
+            pytest.param("Wait!\n Monica left", ["Wait", "Monica"], id="exclamation-then-newline"),
+            pytest.param("Paris, Monica", ["Paris", "Monica"], id="comma"),
+        ],
+    )
+    def test_joins_only_across_whitespace_that_ends_no_line(self, text, expected):
+        assert proper_noun_runs(text) == expected
+
+    @given(st.text(alphabet="Ab .!?,'\"\n\t\r\xa0\u2028", max_size=40))
     @settings(max_examples=300)
     def test_spans_are_ordered_in_bounds_and_disjoint(self, text):
+        """The runs occur in the text in order and do not overlap."""
         previous_end = 0
-        for token in HeuristicTagger().tag(text):
-            start, end = token.char_span
-            assert previous_end <= start < end <= len(text)
-            assert text[start:end] == token.surface
-            previous_end = end
+        for run in proper_noun_runs(text):
+            start = text.find(run, previous_end)
+            assert start >= 0 and run
+            previous_end = start + len(run)
 
 
 class TestExtractTokenTagging:
@@ -103,7 +101,7 @@ class TestExtractTokenTagging:
 
     def test_output_subset_of_tagged_surfaces(self):
         text = "Chandler told Monica that Paris beats London in winter"
-        surfaces = {t.surface for t in HeuristicTagger().tag(text)}
+        surfaces = set(proper_noun_runs(text))
         keywords = extract_token_tagging(sample_of(text))
         assert set(keywords) <= surfaces
 
@@ -128,20 +126,13 @@ class ScriptedGateway:
 
     def chat(self, request):
         self.requests.append(request)
-        text = self.responses.pop(0)
-
-        class Exchange:
-            response_text = text
-
-        return Exchange()
+        return self.responses.pop(0)
 
 
 class TestExtractLlmBased:
     def test_two_calls_identify_then_csv(self):
         gateway = ScriptedGateway(["saya tidak mengerti wkwk, kw, IPB", "wkwk,kw,IPB"])
-        sample = sample_of(
-            "jam kw wkwk", language=LanguageTag.INDONESIAN, dataset=DatasetKind.TWITTER_INDONESIA
-        )
+        sample = sample_of("jam kw wkwk", language=LanguageTag.INDONESIAN)
         keywords = extract_llm_based(sample, gateway)
         assert keywords == ("wkwk", "kw", "IPB")
         assert [r.purpose for r in gateway.requests] == [

@@ -252,12 +252,7 @@ class ScriptedGateway:
 
     def chat(self, request):
         self.requests.append(request)
-        text = self.responses.pop(0)
-
-        class Exchange:
-            response_text = text
-
-        return Exchange()
+        return self.responses.pop(0)
 
 
 LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
@@ -854,11 +849,7 @@ class TestGetWordInfo:
             time.sleep(0.2)
             if isinstance(self.outcome, Exception):
                 raise self.outcome
-
-            class Exchange:
-                response_text = self.outcome
-
-            return Exchange()
+            return self.outcome
 
     def miss_together(self, gateway, cache):
         """Eight threads define "penny" or "Penny" at once; what each got or raised."""

@@ -3,7 +3,7 @@
     python3 bench/run.py --workload W --seed N --seconds S | python3 tools/check_bench_result.py
     python3 bench/run.py ... --trace 1 | python3 tools/check_bench_result.py --traced
 
-The last line on stdin must be a JSON object with `correct`, `attempted`,
+The last line on stdin must be a JSON object with `correct` true, `attempted`,
 `failed` and `metrics`; `NaN` and `Infinity` are rejected. Each `end_to_end`
 metric in BENCHMARK.json, or with --traced each `per_layer` one, must be in
 `metrics` with a finite number as its value. Exits 1 and lists what is
@@ -34,6 +34,8 @@ def problems(line: str, required: list[str]) -> list[str]:
     if not isinstance(result, dict):
         return ["not a JSON object"]
     found = [f"missing key {key!r}" for key in ("correct", "attempted", "failed", "metrics") if key not in result]
+    if "correct" in result and result["correct"] is not True:
+        found.append(f"correct is {result['correct']!r}: the run's output failed its check")
     metrics = result.get("metrics")
     if not isinstance(metrics, dict):
         return found or ["metrics is not an object"]
