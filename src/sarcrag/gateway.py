@@ -17,6 +17,7 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -264,12 +265,47 @@ def _extract_text(body: object) -> str:
     return text
 
 
+class SingleFlight:
+    """Merges concurrent calls that share a key into the one already running.
+
+    The first caller of a key runs the call in its own thread; callers of that
+    key that arrive while it runs wait for it and get its result, or raise its
+    exception. A key is forgotten once its call returns, so a later caller runs
+    the call afresh. Compare Go's golang.org/x/sync/singleflight.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._running: dict[object, Future] = {}
+
+    def run(self, key: object, call: Callable[[], object]) -> object:
+        with self._lock:
+            running = self._running.get(key)
+            if running is None:
+                future = self._running[key] = Future()
+        if running is not None:
+            return running.result()
+        try:
+            result = call()
+        except BaseException as exc:
+            future.set_exception(exc)
+            raise
+        else:
+            future.set_result(result)
+            return result
+        finally:
+            with self._lock:
+                del self._running[key]
+
+
 class Gateway:
     """Answers requests from the store when it holds them, else from the backend.
 
     With no backend, the gateway replays: a request the store lacks raises
     MissingTranscript. A backend answer is saved, and the answer the store
-    keeps (the first recorded for the digest) is returned.
+    keeps (the first recorded for the digest) is returned. Concurrent requests
+    with one digest share one lookup and, on a miss, one backend call; the
+    callers that waited for it are logged as answered by the store.
     """
 
     def __init__(
@@ -282,25 +318,38 @@ class Gateway:
         self.store = store
         self.exchange_log = exchange_log
         self._log_lock = threading.Lock()
+        self._in_flight = SingleFlight()
 
     def chat(self, request: ChatRequest) -> str:
         started = time.monotonic()
-        response_text = self.store.lookup(request) if self.store is not None else None
-        if response_text is not None:
+        merged = True
+
+        def answer() -> tuple[str, str]:
+            nonlocal merged
+            merged = False
+            return self._answer(request)
+
+        response_text, backend = self._in_flight.run(request.digest, answer)
+        if merged:
             backend = "store"
-        elif self.backend is None:
-            raise MissingTranscript(request.digest)
-        else:
-            backend = self.backend.name
-            response_text = self.backend.complete(request)
-            if self.store is not None and response_text.strip():
-                response_text = self.store.save(request, response_text)
         latency = time.monotonic() - started
         if not response_text.strip():
             raise EmptyResponse(f"empty model output for {request.purpose.value} request")
         if self.exchange_log is not None:
             self._append_log(request, backend, latency)
         return response_text
+
+    def _answer(self, request: ChatRequest) -> tuple[str, str]:
+        """(answer text, "store" or the backend's name)."""
+        response_text = self.store.lookup(request) if self.store is not None else None
+        if response_text is not None:
+            return response_text, "store"
+        if self.backend is None:
+            raise MissingTranscript(request.digest)
+        response_text = self.backend.complete(request)
+        if self.store is not None and response_text.strip():
+            response_text = self.store.save(request, response_text)
+        return response_text, self.backend.name
 
     def _append_log(self, request: ChatRequest, backend: str, latency: float) -> None:
         line = json.dumps(

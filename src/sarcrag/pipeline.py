@@ -1,7 +1,9 @@
 """Two-call analysis pipelines: prompt assembly, execution, and verdict parsing.
 
-The first call (P1) produces a preliminary pragmatic analysis of the input
-text, optionally grounded by keyword definitions. The second call (P2) reflects
+A sample runs in two stages. Grounding extracts its keywords and defines them
+(`ground`); the answer stage (`run_pipeline`) makes the two calls. The first
+call (P1) produces a preliminary pragmatic analysis of the input text,
+optionally grounded by the keyword definitions. The second call (P2) reflects
 on that analysis, optionally guided by worked examples, and ends with a YES/NO
 verdict.
 """
@@ -9,7 +11,6 @@ verdict.
 from __future__ import annotations
 
 import re
-from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,17 +86,12 @@ def parse_verdict(a2: str) -> Label:
 
 @dataclass
 class PipelineDeps:
-    """Everything run_pipeline may need; which parts are used depends on the variant.
-
-    `definers` runs a sample's keyword definitions after its first, which the
-    sample's own thread defines; without it, the sample's thread defines all.
-    """
+    """Everything a sample's stages may need; which parts are used depends on the variant."""
 
     gateway: Gateway
     search: SearchPort | None = None
     cache: WordInfoCache | None = None
     fetcher: PageFetcher | None = None
-    definers: Executor | None = None
 
 
 @dataclass(frozen=True)
@@ -118,51 +114,41 @@ _SKIP_ERRORS = (
 )
 
 
+# A sample's keywords (None when the variant extracts none) and their definitions.
+Grounding = tuple[tuple[str, ...] | None, tuple[WordInfo, ...]]
+
+
 def _define_keywords(
-    keywords: tuple[str, ...],
-    define: Callable[[str], WordInfo],
-    definers: Executor | None,
+    keywords: tuple[str, ...], define: Callable[[str], WordInfo]
 ) -> list[WordInfo]:
     """Every keyword's definition, in keyword order, leaving out unavailable ones.
 
-    The first keyword is defined in this thread, and the others on `definers`
-    at the same time, or after it in this thread when `definers` is None.
     After an error that skips the sample the other keywords are still defined,
     so a run defines the same keywords on any schedule. Any other error (such
-    as StoreWriteError) stops the run, so the definitions not yet started are
-    dropped. Then the first error other than DefinitionUnavailable, in keyword
-    order, is raised once every started definition has finished: none outlives
-    the call.
+    as StoreWriteError) stops the run, so the keywords after it are not
+    defined. Then the first error other than DefinitionUnavailable, in keyword
+    order, is raised.
     """
-    later = [definers.submit(define, keyword) for keyword in keywords[1:]] if definers else []
     word_infos: list[WordInfo] = []
     errors: list[Exception] = []
-    try:
-        for index, keyword in enumerate(keywords):
-            try:
-                word_infos.append(later[index - 1].result() if index and later else define(keyword))
-            except DefinitionUnavailable:
-                continue
-            except _SKIP_ERRORS as exc:
-                errors.append(exc)
-            except Exception as exc:
-                errors.append(exc)
-                break
-    finally:
-        for future in later:
-            future.cancel()
-        wait(later)
+    for keyword in keywords:
+        try:
+            word_infos.append(define(keyword))
+        except DefinitionUnavailable:
+            continue
+        except _SKIP_ERRORS as exc:
+            errors.append(exc)
+        except Exception as exc:
+            errors.append(exc)
+            break
     if errors:
         raise errors[0]
     return word_infos
 
 
-def run_pipeline(
-    sample: Sample, variant: PipelineVariant, deps: PipelineDeps
-) -> PipelineTrace:
-    """Execute one sample through the chosen variant; failures skip the sample only."""
+def ground(sample: Sample, variant: PipelineVariant, deps: PipelineDeps) -> Grounding:
+    """The sample's keywords and their definitions; failures skip the sample only."""
     plan = variant_plan(variant)
-    templates = load_templates(sample.language)
     try:
         keywords: tuple[str, ...] | None = None
         if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
@@ -183,9 +169,20 @@ def run_pipeline(
                     search=deps.search,
                     fetcher=deps.fetcher,
                 ),
-                deps.definers,
             )
+    except _SKIP_ERRORS as exc:
+        raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
+    return keywords, tuple(word_infos)
 
+
+def run_pipeline(
+    sample: Sample, variant: PipelineVariant, deps: PipelineDeps, grounding: Grounding
+) -> PipelineTrace:
+    """P1 and P2 for one grounded sample and the verdict; failures skip the sample only."""
+    plan = variant_plan(variant)
+    templates = load_templates(sample.language)
+    keywords, word_infos = grounding
+    try:
         p1_request = build_p1(sample, word_infos, templates)
         p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
         verdict = parse_verdict(deps.gateway.chat(p2_request))
@@ -193,7 +190,7 @@ def run_pipeline(
         raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
     return PipelineTrace(
         keywords=keywords,
-        word_infos=tuple(word_infos),
+        word_infos=word_infos,
         p1_digest=p1_request.digest,
         p2_digest=p2_request.digest,
         verdict=verdict,

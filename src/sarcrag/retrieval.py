@@ -13,9 +13,7 @@ import html.parser
 import itertools
 import math
 import re
-import threading
 import urllib.parse
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -25,7 +23,16 @@ from requests.compat import chardet
 
 from .core import LanguageTag, RetrievalSource
 from .errors import CorruptRecord, DefinitionUnavailable, SearchQuotaExceeded, SearchTransportError
-from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role, put_json_if_absent, read_json
+from .gateway import (
+    ChatMessage,
+    ChatRequest,
+    Gateway,
+    Purpose,
+    Role,
+    SingleFlight,
+    put_json_if_absent,
+    read_json,
+)
 
 DEFAULT_CHUNK_SIZE = 120
 DEFAULT_OVERLAP = 20
@@ -418,39 +425,6 @@ def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> Wo
 # Longest percent-quoted keyword used as a file name: 255 bytes, the usual limit,
 # less ".json" and the ".xxxxxxxx.tmp" that put_json_if_absent's temporary file adds.
 MAX_QUOTED_NAME = 255 - len(".json") - len(".xxxxxxxx.tmp")
-
-
-class SingleFlight:
-    """Merges concurrent calls that share a key into the one already running.
-
-    The first caller of a key runs the call in its own thread; callers of that
-    key that arrive while it runs wait for it and get its result, or raise its
-    exception. A key is forgotten once its call returns, so a later caller runs
-    the call afresh. Compare Go's golang.org/x/sync/singleflight.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._running: dict[object, Future] = {}
-
-    def run(self, key: object, call: Callable[[], object]) -> object:
-        with self._lock:
-            running = self._running.get(key)
-            if running is None:
-                future = self._running[key] = Future()
-        if running is not None:
-            return running.result()
-        try:
-            result = call()
-        except BaseException as exc:
-            future.set_exception(exc)
-            raise
-        else:
-            future.set_result(result)
-            return result
-        finally:
-            with self._lock:
-                del self._running[key]
 
 
 class WordInfoCache:

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,12 @@ from sarcrag.core import DatasetKind, LanguageTag, RetrievalSource
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import ConfigError, LogParseError
 from sarcrag.pipeline import build_p1
-from sarcrag.retrieval import WordInfo, WordInfoCache
+from sarcrag.retrieval import DEFINE_SYSTEM, WordInfo, WordInfoCache
 from sarcrag.templates import load_templates
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay"
 GOLDEN_RUN = Path(__file__).parent / "golden" / "replay" / "semeval_pmpwl.jsonl"
+EN = load_templates(LanguageTag.ENGLISH)
 
 RUN_ARG_NAMES = (
     "dataset",
@@ -301,10 +303,10 @@ class TestRunCommand:
     def test_crash_keeps_the_records_written_before_it(self, tmp_path, capsys, monkeypatch):
         run_pipeline = cli.run_pipeline
 
-        def crash_on_third(sample, variant, deps):
+        def crash_on_third(sample, variant, deps, grounding):
             if sample.id == "semeval:3":
                 raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps)
+            return run_pipeline(sample, variant, deps, grounding)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
         with pytest.raises(RuntimeError):
@@ -325,11 +327,11 @@ class TestRunCommand:
         run_pipeline = cli.run_pipeline
         called = []
 
-        def crash_on_third(sample, variant, deps):
+        def crash_on_third(sample, variant, deps, grounding):
             called.append(sample.id)
             if sample.id == "semeval:3":
                 raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps)
+            return run_pipeline(sample, variant, deps, grounding)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
         with pytest.raises(RuntimeError):
@@ -345,14 +347,14 @@ class TestRunCommand:
         second_raised = threading.Event()
         called = []
 
-        def crash_on_second(sample, variant, deps):
+        def crash_on_second(sample, variant, deps, grounding):
             called.append(sample.id)
             if sample.id == "semeval:1":
                 assert second_raised.wait(timeout=10)
             if sample.id == "semeval:2":
                 second_raised.set()
                 raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps)
+            return run_pipeline(sample, variant, deps, grounding)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
         with pytest.raises(RuntimeError):
@@ -368,12 +370,12 @@ class TestRunCommand:
         third_started = threading.Event()
         waited = []
 
-        def hold_first(sample, variant, deps):
+        def hold_first(sample, variant, deps, grounding):
             if sample.id == "semeval:1":
                 waited.append(third_started.wait(timeout=10))
             if sample.id == "semeval:3":
                 third_started.set()
-            return run_pipeline(sample, variant, deps)
+            return run_pipeline(sample, variant, deps, grounding)
 
         monkeypatch.setattr(cli, "run_pipeline", hold_first)
         code, _, run_dir = run_fixture_cli(tmp_path, capsys, "--concurrency", "2")
@@ -416,6 +418,119 @@ def live_run(tmp_path, data, variant, *extra):
     )
 
 
+NAMES = ["Alice", "Bruno", "Carla", "Dmitri", "Edgar", "Fiona"]
+
+
+class NameChat:
+    """Chat model for samples that each name one person: records, by sample number,
+    which samples' keywords were defined and in what order, and can hold P1."""
+
+    def __init__(self, monkeypatch, on_p1=lambda sample: None):
+        self.defined = []
+        self.arrived = threading.Condition()
+        self.on_p1 = on_p1
+        monkeypatch.setattr(requests.Session, "post", self.post)
+
+    def data(self, tmp_path):
+        data = tmp_path / "names.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n"
+            + "".join(f"{n}\t1\twe met {name} today\n" for n, name in enumerate(NAMES, start=1)),
+            encoding="utf-8",
+        )
+        return data
+
+    def wait_for_definition(self, sample):
+        with self.arrived:
+            return self.arrived.wait_for(lambda: sample in self.defined, timeout=10)
+
+    def post(self, url, **kwargs):
+        system, user = (message["content"] for message in kwargs["json"]["messages"])
+        if system == DEFINE_SYSTEM[LanguageTag.ENGLISH]:
+            with self.arrived:
+                self.defined.append(NAMES.index(user) + 1)
+                self.arrived.notify_all()
+            text = f"{user} is a person."
+        elif system.startswith(EN.p1_system):
+            self.on_p1(next(n for n, name in enumerate(NAMES, start=1) if name in user))
+            text = f"an analysis of {user}"
+        else:
+            text = "Final decision: YES"
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps({"message": {"content": text}}).encode()
+        return response
+
+
+class TestLookahead:
+    """Grounding runs ahead of the answer stage, by at most 2 * concurrency samples."""
+
+    def test_answer_overlaps_the_grounding_of_the_next_two_samples(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1, sample 1's P1 is held until sample 3's keyword is
+        # defined; sample 4's grounding waits until the answer stage takes up sample 2.
+        seen_while_held = []
+
+        def hold_first(sample):
+            if sample == 1:
+                reached = chat.wait_for_definition(3)
+                time.sleep(0.5)  # room for a definition of sample 4 to arrive, were it allowed
+                seen_while_held.append((reached, list(chat.defined)))
+
+        chat = NameChat(monkeypatch, on_p1=hold_first)
+        assert live_run(tmp_path, chat.data(tmp_path), "pmpwl", "--concurrency", "1") == 0
+        assert seen_while_held == [(True, [1, 2, 3])]
+        assert chat.defined == [1, 2, 3, 4, 5, 6]
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl")
+        assert [r["sample_id"] for r in records] == [f"semeval:{n}" for n in range(1, 7)]
+        # A sample's wall_time is its own work, not its wait for the held answer slot.
+        assert records[0]["wall_time"] >= 0.5
+        assert all(r["wall_time"] < 0.5 for r in records[1:])
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_crash_stops_grounding_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch, error):
+        # At --concurrency 1, the answer of sample 2 raises once sample 4, the last
+        # sample its lookahead allows, is grounded. Sample 5's grounding is then
+        # waiting at the gate and sample 6's is queued: neither may define anything.
+        chat = NameChat(monkeypatch)
+        ground, run_pipeline = cli.ground, cli.run_pipeline
+        fourth_grounded = threading.Event()
+
+        def signal_fourth(sample, variant, deps):
+            grounding = ground(sample, variant, deps)
+            if sample.id == "semeval:4":
+                fourth_grounded.set()
+            return grounding
+
+        def crash_on_second(sample, variant, deps, grounding):
+            if sample.id == "semeval:2":
+                assert fourth_grounded.wait(timeout=10)
+                time.sleep(0.2)  # for sample 5's grounding to reach the gate
+                raise error("crashed mid-run")
+            return run_pipeline(sample, variant, deps, grounding)
+
+        monkeypatch.setattr(cli, "ground", signal_fourth)
+        monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
+        data = chat.data(tmp_path)
+        before = set(threading.enumerate())
+        raised = []
+
+        def run():
+            try:
+                live_run(tmp_path, data, "pmpwl", "--concurrency", "1")
+            except BaseException as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert [type(exc) for exc in raised] == [error]
+        assert set(threading.enumerate()) - before == set()
+        assert chat.defined == [1, 2, 3, 4]
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
+        assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
+
+
 class TestReusedRunDirectory:
     """A second run into one --out leaves only its own outputs."""
 
@@ -423,7 +538,7 @@ class TestReusedRunDirectory:
         _, _, run_dir = run_fixture_cli(tmp_path, capsys)
         assert (run_dir / "report.json").exists()
 
-        def crash(sample, variant, deps):
+        def crash(sample, variant, deps, grounding):
             raise RuntimeError("crashed mid-run")
 
         monkeypatch.setattr(cli, "run_pipeline", crash)

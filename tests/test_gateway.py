@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import time
 
 import pytest
 import requests
@@ -476,3 +477,70 @@ class TestGateway:
         assert lines[0]["digest"] == first.digest
         assert lines[0]["purpose_tag"] == "P1"
         assert [line["backend"] for line in lines] == ["live", "live", "store"]
+
+
+class TestConcurrentMisses:
+    """Concurrent requests with one digest share one backend call."""
+
+    class Slow:
+        name = "live"
+
+        def __init__(self, answer):
+            self.answer = answer
+            self.calls = []
+
+        def complete(self, request):
+            self.calls.append(request.digest)
+            time.sleep(0.5)  # long enough for every other caller to arrive
+            if isinstance(self.answer, Exception):
+                raise self.answer
+            return self.answer
+
+    def chat_at_once(self, gateway, request, n=8):
+        """Each caller's answer, or the exception it raised, from n threads behind a barrier."""
+        outcomes = []
+        start = threading.Barrier(n, timeout=30)
+
+        def call():
+            start.wait()
+            try:
+                outcomes.append(gateway.chat(request))
+            except TransportError as exc:
+                outcomes.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return outcomes
+
+    def test_one_backend_call_and_one_stored_file(self, tmp_path):
+        backend = self.Slow("the answer")
+        store = TranscriptStore(tmp_path / "store")
+        log_path = tmp_path / "exchanges.jsonl"
+        request = make_request()
+        outcomes = self.chat_at_once(Gateway(backend, store, exchange_log=log_path), request)
+        assert outcomes == ["the answer"] * 8
+        assert backend.calls == [request.digest]
+        assert [p.name for p in store.root.iterdir()] == [f"{request.digest}.json"]
+        # The caller that made the call logs the backend; the seven that waited for it, the store.
+        assert sorted(logged_backends(log_path)) == ["live"] + ["store"] * 7
+
+    def test_leader_error_reaches_every_caller_and_stores_nothing(self, tmp_path):
+        error = TransportError("chat endpoint failed: HTTP 503 after 3 attempts")
+        backend = self.Slow(error)
+        store = TranscriptStore(tmp_path / "store")
+        log_path = tmp_path / "exchanges.jsonl"
+        request = make_request()
+        outcomes = self.chat_at_once(Gateway(backend, store, exchange_log=log_path), request)
+        assert outcomes == [error] * 8
+        assert backend.calls == [request.digest]
+        assert not store.root.exists() or list(store.root.iterdir()) == []
+        assert not log_path.exists()

@@ -4,7 +4,6 @@ import json
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -30,6 +29,7 @@ from sarcrag.pipeline import (
     PipelineDeps,
     build_p1,
     build_p2,
+    ground,
     parse_verdict,
     render_word_info_block,
     run_pipeline,
@@ -165,6 +165,11 @@ class TestParseVerdict:
             parse_verdict(text)
 
 
+def run_sample(sample, variant, deps):
+    """Both stages of one sample, as `sarcrag run` runs them."""
+    return run_pipeline(sample, variant, deps, ground(sample, variant, deps))
+
+
 class PurposeGateway:
     """Scripted stand-in for Gateway: answers by request purpose, records every call."""
 
@@ -198,7 +203,7 @@ class FakeSearch:
 class TestRunPipeline:
     def test_plain_variant_two_calls(self):
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: YES"]})
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+        trace = run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.keywords is None
         assert trace.word_infos == ()
@@ -207,7 +212,7 @@ class TestRunPipeline:
 
     def test_p2_reads_a1_verbatim(self):
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: NO"]})
-        run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+        run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         p2 = gateway.requests[-1]
         assert p2.messages[1].content == "an analysis"
 
@@ -219,7 +224,7 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
+        trace = run_sample(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.DEFINE_WORD, Purpose.P1, Purpose.P2]
         assert trace.keywords == ("Paris",)
         assert [w.keyword for w in trace.word_infos] == ["Paris"]
@@ -229,7 +234,7 @@ class TestRunPipeline:
     def test_no_keywords_means_plain_p1(self):
         gateway = PurposeGateway({Purpose.P1: ["analysis"], Purpose.P2: ["Final decision: NO"]})
         deps = PipelineDeps(gateway=gateway)
-        trace = run_pipeline(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
+        trace = run_sample(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.word_infos == ()
         assert gateway.requests[0].messages[1].content == "nothing notable here"
@@ -245,7 +250,7 @@ class TestRunPipeline:
             }
         )
         deps = PipelineDeps(gateway=gateway, search=FakeSearch())
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
+        trace = run_sample(en_sample(), PipelineVariant.PMP_WG, deps)
         assert gateway.purposes == [
             Purpose.KEYWORD_IDENTIFY,
             Purpose.KEYWORD_CLEAN,
@@ -266,7 +271,7 @@ class TestRunPipeline:
             }
         )
         deps = PipelineDeps(gateway=gateway, search=FakeSearch())
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
+        trace = run_sample(en_sample(), PipelineVariant.PMP_WG, deps)
         assert trace.keywords == ()
         assert trace.word_infos == ()
         assert Purpose.REFINE_CHUNKS not in gateway.purposes
@@ -279,8 +284,8 @@ class TestRunPipeline:
         }
         plain = PurposeGateway(script)
         shot = PurposeGateway(script)
-        run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain))
-        run_pipeline(en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot))
+        run_sample(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain))
+        run_sample(en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot))
         assert plain.purposes == shot.purposes
         plain_p2, shot_p2 = plain.requests[-1], shot.requests[-1]
         assert plain_p2.messages[1].content == shot_p2.messages[1].content
@@ -298,7 +303,7 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, PipelineDeps(gateway=gateway))
+        trace = run_sample(en_sample(), PipelineVariant.PMP_WG, PipelineDeps(gateway=gateway))
         assert trace.word_infos == ()
         assert trace.verdict is Label.NOT_SARCASTIC
         assert gateway.requests[-2].messages[1].content == en_sample().text
@@ -308,57 +313,29 @@ class TestRunPipeline:
             {Purpose.P1: ["analysis"], Purpose.P2: ["the reading does not converge."]}
         )
         with pytest.raises(SampleSkipped) as info:
-            run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+            run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         assert info.value.sample_id == "semeval:9"
         assert "VerdictNotFound" in info.value.reason
 
     def test_transport_failure_skips_sample(self):
         with pytest.raises(SampleSkipped) as info:
-            run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
+            run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
         assert "TransportError" in info.value.reason
 
 
 class DefineBackend:
-    """Chat backend for a real Gateway that defines each keyword, answering
-    definitions in the order given, whatever order they are asked in."""
+    """Chat backend for a real Gateway that defines each keyword."""
 
     name = "live"
 
-    def __init__(self, answer_order=()):
-        self.answer_order = list(answer_order)
-        self.defined = []
-        self._turn = threading.Condition()
-
     def complete(self, request):
         if request.purpose is Purpose.DEFINE_WORD:
-            keyword = request.messages[1].content
-            with self._turn:
-                if self.answer_order:
-                    earlier = set(self.answer_order[: self.answer_order.index(keyword)])
-                    assert self._turn.wait_for(lambda: earlier <= set(self.defined), timeout=10)
-                self.defined.append(keyword)
-                self._turn.notify_all()
-            return f"A city called {keyword}."
+            return f"A city called {request.messages[1].content}."
         return "Final decision: YES" if request.purpose is Purpose.P2 else "analysis"
 
 
 class TestKeywordFanOut:
     SAMPLE = en_sample("i saw Paris, London and Berlin yesterday")
-
-    def test_completion_order_does_not_reach_the_prompt(self):
-        sequential = DefineBackend()
-        expected = run_pipeline(
-            self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(sequential))
-        )
-        backend = DefineBackend(answer_order=["Berlin", "London", "Paris"])
-        with ThreadPoolExecutor(2) as definers:
-            deps = PipelineDeps(gateway=Gateway(backend), definers=definers)
-            trace = run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, deps)
-        assert sequential.defined == ["Paris", "London", "Berlin"]
-        assert backend.defined == ["Berlin", "London", "Paris"]
-        assert trace.word_infos == expected.word_infos
-        assert [w.keyword for w in trace.word_infos] == ["Paris", "London", "Berlin"]
-        assert trace.p1_digest == expected.p1_digest
 
     def test_sample_error_waits_for_every_definition(self, monkeypatch):
         finished = []
@@ -373,7 +350,6 @@ class TestKeywordFanOut:
             def search(self, query, max_results):
                 if query == "Paris":
                     raise SearchQuotaExceeded("search quota rejected (429)")
-                time.sleep(0.2)
                 return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", traced_get_word_info)
@@ -386,11 +362,10 @@ class TestKeywordFanOut:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        with ThreadPoolExecutor(1) as definers:
-            deps = PipelineDeps(gateway=gateway, search=QuotaSearch(), definers=definers)
-            with pytest.raises(SampleSkipped) as info:
-                run_pipeline(self.SAMPLE, PipelineVariant.PMP_WG, deps)
-            assert finished == ["Paris", "London"]
+        deps = PipelineDeps(gateway=gateway, search=QuotaSearch())
+        with pytest.raises(SampleSkipped) as info:
+            run_sample(self.SAMPLE, PipelineVariant.PMP_WG, deps)
+        assert finished == ["Paris", "London"]
         assert info.value.reason.startswith("SearchQuotaExceeded: ")
         assert Purpose.P1 not in gateway.purposes
 
@@ -403,31 +378,8 @@ class TestKeywordFanOut:
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
         with pytest.raises(StoreWriteError):
-            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
+            run_sample(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
         assert called == ["Paris"]
-
-    def test_run_stopping_error_drops_definitions_not_started(self, monkeypatch):
-        london_started = threading.Event()
-        called, finished = [], []
-
-        def traced_get_word_info(keyword, *args, **kwargs):
-            called.append(keyword)
-            if keyword == "Paris":
-                assert london_started.wait(timeout=10)
-                raise StoreWriteError("disk full")
-            london_started.set()
-            time.sleep(0.2)
-            finished.append(keyword)
-            return WordInfo(keyword=keyword, definition="A city.", source=RetrievalSource.LLM_ONLY)
-
-        monkeypatch.setattr("sarcrag.pipeline.get_word_info", traced_get_word_info)
-        with ThreadPoolExecutor(1) as definers:
-            deps = PipelineDeps(gateway=Gateway(DefineBackend()), definers=definers)
-            with pytest.raises(StoreWriteError):
-                run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, deps)
-            # London was running, so the sample waited for it; Berlin had not started.
-            assert finished == ["London"]
-        assert sorted(called) == ["London", "Paris"]
 
     def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
         before = set(threading.enumerate())
