@@ -7,9 +7,8 @@ import functools
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleSkipped, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
 from .gateway import Gateway, LiveBackend, TranscriptStore
-from .pipeline import PipelineDeps, ground, run_pipeline
+from .pipeline import PipelineDeps, run_pipeline
 from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
 
 
@@ -180,55 +179,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         (run_dir / stale).unlink(missing_ok=True)
     deps = build_deps(config, run_dir)
 
-    # Each sample runs in two stages: grounding (keywords and their definitions) on
-    # `grounders`, then the answer stage (P1, P2, verdict) on `answerers`, each pool
-    # `concurrency` threads, so at most 2 * concurrency threads call out. Grounding
-    # runs in sample order ahead of the answer stage, so one sample's P1/P2 overlaps
-    # later samples' grounding; the grounding of sample p starts only once the
-    # answer stage has taken up sample p - 2 * concurrency, which bounds how much a
-    # crash leaves defined but unanswered. Each record is on disk as soon as it and
-    # every earlier sample are done.
+    # At most 2 * concurrency samples run at once, each whole on one thread: its
+    # grounding (keywords and their definitions), then P1, P2 and the verdict. So at
+    # most 2 * concurrency threads call out, each with one request in flight. Each
+    # record is on disk as soon as it and every earlier sample are done.
     #
-    # A sample that raises (SampleSkipped aside) stops the run: no later sample's
-    # answer starts, and `map` raises the error once the records before it are
-    # written. Positions, not the mere fact of a crash, decide: a sample taken off
-    # the queue before the failed one may reach this check after it. Any exception
-    # that leaves the record loop, Ctrl-C included, then cancels queued groundings,
-    # releases those waiting at the gate to start no work, and lets the running
-    # groundings and answers finish.
-    lookahead = 2 * config.concurrency
-    gate = threading.Condition()
-    taken = 0
-    stopped = False
+    # A sample that raises (SampleSkipped aside) stops the run: no later sample
+    # starts, the running ones finish, and `map` raises the error once the records
+    # before it are written. Positions, not the mere fact of a crash, decide: a
+    # sample taken off the queue before the failed one may reach this check after it.
     crashed: list[int] = []
 
-    def ground_one(position: int, sample):
-        with gate:
-            gate.wait_for(lambda: stopped or taken > position - lookahead)
-            if stopped:
-                raise CancelledError()
-        started = time.monotonic()
-        try:
-            grounding = ground(sample, config.variant, deps)
-        except SampleSkipped as exc:
-            grounding = exc
-        return grounding, time.monotonic() - started
-
-    def answer_one(position: int, sample, grounded: Future) -> dict | None:
-        nonlocal taken
+    def run_one(position: int, sample) -> dict | None:
         if any(earlier < position for earlier in crashed):
             return None
-        with gate:
-            taken += 1
-            gate.notify_all()
+        started = time.monotonic()
         trace = skip = None
         try:
-            grounding, ground_time = grounded.result()
-            started = time.monotonic()
-            if isinstance(grounding, SampleSkipped):
-                skip = grounding
-            else:
-                trace = run_pipeline(sample, config.variant, deps, grounding)
+            trace = run_pipeline(sample, config.variant, deps)
         except SampleSkipped as exc:
             skip = exc
         except BaseException:
@@ -244,28 +212,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
             "p1_digest": trace.p1_digest if trace else None,
             "p2_digest": trace.p2_digest if trace else None,
-            "wall_time": ground_time + time.monotonic() - started,
+            "wall_time": time.monotonic() - started,
         }
 
     records: list[dict] = []
     log_path = run_dir / "run.jsonl"
     with (
         log_path.open("w", encoding="utf-8") as fh,
-        ThreadPoolExecutor(config.concurrency) as grounders,
-        ThreadPoolExecutor(config.concurrency) as answerers,
+        ThreadPoolExecutor(2 * config.concurrency) as pool,
     ):
-        try:
-            grounded = [grounders.submit(ground_one, *item) for item in enumerate(samples)]
-            for record in answerers.map(answer_one, range(len(samples)), samples, grounded):
-                records.append(record)
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                fh.flush()
-        except BaseException:
-            with gate:
-                stopped = True
-                gate.notify_all()
-            grounders.shutdown(wait=False, cancel_futures=True)
-            raise
+        for record in pool.map(run_one, range(len(samples)), samples):
+            records.append(record)
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.flush()
 
     try:
         report = _report_from_records(records)
@@ -369,7 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model")
     run.add_argument("--backend", choices=["live", "replay"])
     run.add_argument("--endpoint")
-    run.add_argument("--concurrency", type=int)
+    run.add_argument(
+        "--concurrency",
+        type=int,
+        help="N: run up to 2N samples at once, on at most 2N threads with 2N requests in flight"
+        " (default 4)",
+    )
     run.add_argument("--limit", type=int)
     run.add_argument("--out")
     run.add_argument("--transcripts", help="transcript store root, one directory per model")

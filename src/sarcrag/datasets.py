@@ -25,7 +25,7 @@ def load_semeval(path: Path | str) -> list[Sample]:
     # Universal newlines: rows end at \n, \r\n or \r only, not at the other
     # characters str.splitlines() breaks on (U+2028, \x85, \x0c, ...), which
     # a tweet may hold.
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -52,7 +52,7 @@ def load_semeval(path: Path | str) -> list[Sample]:
 def load_mustard(path: Path | str) -> list[Sample]:
     """JSON object keyed by entry id; context lines and the braced target utterance."""
     kind = DatasetKind.MUSTARD
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -99,7 +99,7 @@ def flatten_dialogue(context: list[str], utterance: str) -> str:
 def load_twitter_id(path: Path | str) -> list[Sample]:
     """Delimited rows with tweet and label columns; comma or tab separated."""
     kind = DatasetKind.TWITTER_INDONESIA
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         first = fh.readline()
         if not first:
             raise FormatError("empty file", line=1)

@@ -1,9 +1,7 @@
 """Two-call analysis pipelines: prompt assembly, execution, and verdict parsing.
 
-A sample runs in two stages. Grounding extracts its keywords and defines them
-(`ground`); the answer stage (`run_pipeline`) makes the two calls. The first
-call (P1) produces a preliminary pragmatic analysis of the input text,
-optionally grounded by the keyword definitions. The second call (P2) reflects
+The first call (P1) produces a preliminary pragmatic analysis of the input
+text, optionally grounded by keyword definitions. The second call (P2) reflects
 on that analysis, optionally guided by worked examples, and ends with a YES/NO
 verdict.
 """
@@ -14,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
+from .core import ExtractionMethod, Label, PipelineVariant, Sample, VariantPlan, variant_plan
 from .errors import (
     CorruptRecord,
     DefinitionUnavailable,
@@ -86,7 +84,7 @@ def parse_verdict(a2: str) -> Label:
 
 @dataclass
 class PipelineDeps:
-    """Everything a sample's stages may need; which parts are used depends on the variant."""
+    """Everything run_pipeline may need; which parts are used depends on the variant."""
 
     gateway: Gateway
     search: SearchPort | None = None
@@ -112,10 +110,6 @@ _SKIP_ERRORS = (
     VerdictNotFound,
     CorruptRecord,
 )
-
-
-# A sample's keywords (None when the variant extracts none) and their definitions.
-Grounding = tuple[tuple[str, ...] | None, tuple[WordInfo, ...]]
 
 
 def _define_keywords(
@@ -146,43 +140,41 @@ def _define_keywords(
     return word_infos
 
 
-def ground(sample: Sample, variant: PipelineVariant, deps: PipelineDeps) -> Grounding:
-    """The sample's keywords and their definitions; failures skip the sample only."""
-    plan = variant_plan(variant)
-    try:
-        keywords: tuple[str, ...] | None = None
-        if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
-            keywords = extract_token_tagging(sample)
-        elif plan.extraction is ExtractionMethod.LLM_BASED:
-            keywords = extract_llm_based(sample, deps.gateway)
+def ground(
+    sample: Sample, plan: VariantPlan, deps: PipelineDeps
+) -> tuple[tuple[str, ...] | None, tuple[WordInfo, ...]]:
+    """The sample's keywords (None when the plan extracts none) and their definitions."""
+    keywords: tuple[str, ...] | None = None
+    if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
+        keywords = extract_token_tagging(sample)
+    elif plan.extraction is ExtractionMethod.LLM_BASED:
+        keywords = extract_llm_based(sample, deps.gateway)
 
-        word_infos: list[WordInfo] = []
-        if plan.retrieval is not None and keywords:
-            word_infos = _define_keywords(
-                keywords,
-                lambda keyword: get_word_info(
-                    keyword,
-                    plan.retrieval,
-                    deps.gateway,
-                    sample.language,
-                    cache=deps.cache,
-                    search=deps.search,
-                    fetcher=deps.fetcher,
-                ),
-            )
-    except _SKIP_ERRORS as exc:
-        raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
+    word_infos: list[WordInfo] = []
+    if plan.retrieval is not None and keywords:
+        word_infos = _define_keywords(
+            keywords,
+            lambda keyword: get_word_info(
+                keyword,
+                plan.retrieval,
+                deps.gateway,
+                sample.language,
+                cache=deps.cache,
+                search=deps.search,
+                fetcher=deps.fetcher,
+            ),
+        )
     return keywords, tuple(word_infos)
 
 
 def run_pipeline(
-    sample: Sample, variant: PipelineVariant, deps: PipelineDeps, grounding: Grounding
+    sample: Sample, variant: PipelineVariant, deps: PipelineDeps
 ) -> PipelineTrace:
-    """P1 and P2 for one grounded sample and the verdict; failures skip the sample only."""
+    """Execute one sample through the chosen variant; failures skip the sample only."""
     plan = variant_plan(variant)
     templates = load_templates(sample.language)
-    keywords, word_infos = grounding
     try:
+        keywords, word_infos = ground(sample, plan, deps)
         p1_request = build_p1(sample, word_infos, templates)
         p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
         verdict = parse_verdict(deps.gateway.chat(p2_request))

@@ -22,7 +22,7 @@ from sarcrag.core import DatasetKind, PipelineVariant, RetrievalSource
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import SampleSkipped
 from sarcrag.gateway import ChatRequest, Gateway, Purpose, TranscriptStore
-from sarcrag.pipeline import PipelineDeps, ground, run_pipeline
+from sarcrag.pipeline import PipelineDeps, run_pipeline
 from sarcrag.retrieval import WordInfo, WordInfoCache
 
 FIXTURE = Path(__file__).resolve().parent
@@ -145,7 +145,7 @@ def main(out: Path = FIXTURE) -> None:
         deps = PipelineDeps(gateway=gateway, cache=cache)
         for sample in samples:
             try:
-                trace = run_pipeline(sample, variant, deps, ground(sample, variant, deps))
+                trace = run_pipeline(sample, variant, deps)
                 print(f"{sample.id}: {trace.verdict.value} keywords={list(trace.keywords or ())}")
             except SampleSkipped as skip:
                 print(f"{sample.id}: skipped ({skip.reason})")

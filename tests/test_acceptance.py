@@ -34,7 +34,7 @@ from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
 from sarcrag.gateway import Gateway, Purpose, TranscriptStore
 from sarcrag.keywords import parse_csv_keywords
-from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, ground, run_pipeline
+from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, run_pipeline
 from sarcrag.retrieval import (
     DEFAULT_TOP_K,
     Chunk,
@@ -323,8 +323,7 @@ class TestVariantCallAlgebra:
         for variant in PipelineVariant:
             gateway = RecordingGateway(gateway_factory())
             deps = PipelineDeps(gateway=gateway, search=AlgebraSearch(), cache=None)
-            sample = self.algebra_sample()
-            trace = run_pipeline(sample, variant, deps, ground(sample, variant, deps))
+            trace = run_pipeline(self.algebra_sample(), variant, deps)
             assert trace.verdict is Label.SARCASTIC
             captured[variant] = gateway
         return captured

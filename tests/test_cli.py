@@ -6,6 +6,7 @@ import json
 import shutil
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -303,10 +304,10 @@ class TestRunCommand:
     def test_crash_keeps_the_records_written_before_it(self, tmp_path, capsys, monkeypatch):
         run_pipeline = cli.run_pipeline
 
-        def crash_on_third(sample, variant, deps, grounding):
+        def crash_on_third(sample, variant, deps):
             if sample.id == "semeval:3":
                 raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps, grounding)
+            return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
         with pytest.raises(RuntimeError):
@@ -317,68 +318,76 @@ class TestRunCommand:
         assert [r["verdict"] for r in records] == ["YES", "NO"]
 
     def test_crash_stops_new_samples(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1 the pool has two workers, so semeval:4 may start while
+        # semeval:3 runs; if it does, it runs on until the crash is recorded. No
+        # sample starts after that.
         monkeypatch.setattr(requests.Session, "post", answer_yes)
-        data = tmp_path / "five.tsv"
-        data.write_text(
-            "Tweet index\tLabel\tTweet text\n"
-            + "".join(f"{n}\t1\tsample number {n}\n" for n in range(1, 6)),
-            encoding="utf-8",
-        )
+        crash_recorded = watch_for_crash(monkeypatch)
+        data = numbered_samples(tmp_path, 5)
         run_pipeline = cli.run_pipeline
         called = []
 
-        def crash_on_third(sample, variant, deps, grounding):
+        def crash_on_third(sample, variant, deps):
             called.append(sample.id)
             if sample.id == "semeval:3":
                 raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps, grounding)
+            if sample.id == "semeval:4":
+                assert crash_recorded.wait(timeout=10)
+            return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
         with pytest.raises(RuntimeError):
             live_run(tmp_path, data, "pmp", "--concurrency", "1")
-        assert called == ["semeval:1", "semeval:2", "semeval:3"]
+        assert sorted(called) in (
+            ["semeval:1", "semeval:2", "semeval:3"],
+            ["semeval:1", "semeval:2", "semeval:3", "semeval:4"],
+        )
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1", "semeval:2"]
 
     def test_crash_stops_queued_samples_at_concurrency_2(self, tmp_path, capsys, monkeypatch):
-        # semeval:1 runs on until semeval:2 has crashed, so semeval:3 and semeval:4
+        # The pool has four workers. semeval:2 raises once semeval:1, 3 and 4 have
+        # started, and they run on until the crash is recorded, so semeval:5 to 8
         # are still queued when the run stops.
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        crash_recorded = watch_for_crash(monkeypatch)
+        data = numbered_samples(tmp_path, 8)
         run_pipeline = cli.run_pipeline
-        second_raised = threading.Event()
+        four_started = threading.Barrier(4)
         called = []
 
-        def crash_on_second(sample, variant, deps, grounding):
+        def crash_on_second(sample, variant, deps):
             called.append(sample.id)
-            if sample.id == "semeval:1":
-                assert second_raised.wait(timeout=10)
+            four_started.wait(timeout=10)
             if sample.id == "semeval:2":
-                second_raised.set()
                 raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps, grounding)
+            assert crash_recorded.wait(timeout=10)
+            return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
         with pytest.raises(RuntimeError):
-            run_fixture_cli(tmp_path, capsys, "--concurrency", "2")
-        assert sorted(called) == ["semeval:1", "semeval:2"]
-        run_dir = tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
-        assert [r["sample_id"] for r in read_run_log(run_dir / "run.jsonl")] == ["semeval:1"]
+            live_run(tmp_path, data, "pmp", "--concurrency", "2")
+        assert sorted(called) == [f"semeval:{n}" for n in range(1, 5)]
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
+        assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
 
     def test_next_sample_starts_when_any_running_one_finishes(self, tmp_path, capsys, monkeypatch):
-        # semeval:1 runs until semeval:3 has started, which it can only do in the
-        # slot semeval:2 frees; records still come out in sample order.
+        # At --concurrency 1 the pool has two workers. semeval:1 runs until semeval:3
+        # has started, which it can only do in the slot semeval:2 frees; records
+        # still come out in sample order.
         run_pipeline = cli.run_pipeline
         third_started = threading.Event()
         waited = []
 
-        def hold_first(sample, variant, deps, grounding):
+        def hold_first(sample, variant, deps):
             if sample.id == "semeval:1":
                 waited.append(third_started.wait(timeout=10))
             if sample.id == "semeval:3":
                 third_started.set()
-            return run_pipeline(sample, variant, deps, grounding)
+            return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", hold_first)
-        code, _, run_dir = run_fixture_cli(tmp_path, capsys, "--concurrency", "2")
+        code, _, run_dir = run_fixture_cli(tmp_path, capsys, "--concurrency", "1")
         assert code == 0
         assert waited == [True]
         records = read_run_log(run_dir / "run.jsonl")
@@ -418,15 +427,39 @@ def live_run(tmp_path, data, variant, *extra):
     )
 
 
+def numbered_samples(tmp_path, count):
+    data = tmp_path / "numbered.tsv"
+    data.write_text(
+        "Tweet index\tLabel\tTweet text\n"
+        + "".join(f"{n}\t1\tsample number {n}\n" for n in range(1, count + 1)),
+        encoding="utf-8",
+    )
+    return data
+
+
+def watch_for_crash(monkeypatch):
+    """An event set once a sample's crash reaches its future, so after `cmd_run` has recorded it."""
+    recorded = threading.Event()
+    set_exception = Future.set_exception
+
+    def set_and_signal(future, exception):
+        set_exception(future, exception)
+        if str(exception) == "crashed mid-run":
+            recorded.set()
+
+    monkeypatch.setattr(Future, "set_exception", set_and_signal)
+    return recorded
+
+
 NAMES = ["Alice", "Bruno", "Carla", "Dmitri", "Edgar", "Fiona"]
 
 
 class NameChat:
-    """Chat model for samples that each name one person: records, by sample number,
-    which samples' keywords were defined and in what order, and can hold P1."""
+    """Chat model for samples that each name one person: records each call as its
+    kind and the number of its sample, in order of arrival, and can hold P1."""
 
     def __init__(self, monkeypatch, on_p1=lambda sample: None):
-        self.defined = []
+        self.calls = []
         self.arrived = threading.Condition()
         self.on_p1 = on_p1
         monkeypatch.setattr(requests.Session, "post", self.post)
@@ -440,75 +473,77 @@ class NameChat:
         )
         return data
 
-    def wait_for_definition(self, sample):
+    def wait_for(self, call):
         with self.arrived:
-            return self.arrived.wait_for(lambda: sample in self.defined, timeout=10)
+            return self.arrived.wait_for(lambda: call in self.calls, timeout=10)
 
     def post(self, url, **kwargs):
         system, user = (message["content"] for message in kwargs["json"]["messages"])
+        sample = next(n for n, name in enumerate(NAMES, start=1) if name in user)
         if system == DEFINE_SYSTEM[LanguageTag.ENGLISH]:
-            with self.arrived:
-                self.defined.append(NAMES.index(user) + 1)
-                self.arrived.notify_all()
-            text = f"{user} is a person."
+            kind, text = "define", f"{user} is a person."
         elif system.startswith(EN.p1_system):
-            self.on_p1(next(n for n, name in enumerate(NAMES, start=1) if name in user))
-            text = f"an analysis of {user}"
+            kind, text = "P1", f"an analysis of {user}"
         else:
-            text = "Final decision: YES"
+            kind, text = "P2", "Final decision: YES"
+        with self.arrived:
+            self.calls.append((kind, sample))
+            self.arrived.notify_all()
+        if kind == "P1":
+            self.on_p1(sample)
         response = requests.Response()
         response.status_code = 200
         response._content = json.dumps({"message": {"content": text}}).encode()
         return response
 
 
-class TestLookahead:
-    """Grounding runs ahead of the answer stage, by at most 2 * concurrency samples."""
+class TestWholeSamples:
+    """Each sample runs whole, grounding then P1/P2, on one of 2 * concurrency workers."""
 
-    def test_answer_overlaps_the_grounding_of_the_next_two_samples(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1, sample 1's P1 is held until sample 3's keyword is
-        # defined; sample 4's grounding waits until the answer stage takes up sample 2.
-        seen_while_held = []
+    def test_held_sample_does_not_idle_the_other_worker(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1 the pool has two workers. While sample 1's P1 is held,
+        # the other worker runs samples 2 and 3 whole, up to sample 3's P2.
+        held = []
 
         def hold_first(sample):
             if sample == 1:
-                reached = chat.wait_for_definition(3)
-                time.sleep(0.5)  # room for a definition of sample 4 to arrive, were it allowed
-                seen_while_held.append((reached, list(chat.defined)))
+                started = time.monotonic()
+                reached = chat.wait_for(("P2", 3))
+                held.append((reached, time.monotonic() - started))
 
         chat = NameChat(monkeypatch, on_p1=hold_first)
         assert live_run(tmp_path, chat.data(tmp_path), "pmpwl", "--concurrency", "1") == 0
-        assert seen_while_held == [(True, [1, 2, 3])]
-        assert chat.defined == [1, 2, 3, 4, 5, 6]
+        [(reached, held_for)] = held
+        assert reached
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl")
         assert [r["sample_id"] for r in records] == [f"semeval:{n}" for n in range(1, 7)]
-        # A sample's wall_time is its own work, not its wait for the held answer slot.
-        assert records[0]["wall_time"] >= 0.5
-        assert all(r["wall_time"] < 0.5 for r in records[1:])
+        # A sample's wall_time is its own run, the hold included.
+        assert records[0]["wall_time"] >= held_for
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_crash_stops_grounding_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch, error):
-        # At --concurrency 1, the answer of sample 2 raises once sample 4, the last
-        # sample its lookahead allows, is grounded. Sample 5's grounding is then
-        # waiting at the gate and sample 6's is queued: neither may define anything.
+    def test_crash_stops_new_samples_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch, error):
+        # At --concurrency 1, sample 2 raises once sample 3 has started, and sample 3
+        # runs on until the crash is recorded. Samples 4 to 6 may start only after
+        # that, so none of them runs; sample 3 finishes.
         chat = NameChat(monkeypatch)
-        ground, run_pipeline = cli.ground, cli.run_pipeline
-        fourth_grounded = threading.Event()
+        crash_recorded = watch_for_crash(monkeypatch)
+        run_pipeline = cli.run_pipeline
+        third_started = threading.Event()
+        # (sample, whether the crash was recorded yet), as each starts and finishes
+        started, finished = [], []
 
-        def signal_fourth(sample, variant, deps):
-            grounding = ground(sample, variant, deps)
-            if sample.id == "semeval:4":
-                fourth_grounded.set()
-            return grounding
-
-        def crash_on_second(sample, variant, deps, grounding):
+        def crash_on_second(sample, variant, deps):
+            started.append((sample.id, crash_recorded.is_set()))
             if sample.id == "semeval:2":
-                assert fourth_grounded.wait(timeout=10)
-                time.sleep(0.2)  # for sample 5's grounding to reach the gate
+                assert third_started.wait(timeout=10)
                 raise error("crashed mid-run")
-            return run_pipeline(sample, variant, deps, grounding)
+            if sample.id == "semeval:3":
+                third_started.set()
+                assert crash_recorded.wait(timeout=10)
+            trace = run_pipeline(sample, variant, deps)
+            finished.append((sample.id, crash_recorded.is_set()))
+            return trace
 
-        monkeypatch.setattr(cli, "ground", signal_fourth)
         monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
         data = chat.data(tmp_path)
         before = set(threading.enumerate())
@@ -526,7 +561,9 @@ class TestLookahead:
         assert not runner.is_alive()
         assert [type(exc) for exc in raised] == [error]
         assert set(threading.enumerate()) - before == set()
-        assert chat.defined == [1, 2, 3, 4]
+        assert sorted(started) == [("semeval:1", False), ("semeval:2", False), ("semeval:3", False)]
+        assert ("semeval:3", True) in finished
+        assert {sample for _, sample in chat.calls} == {1, 3}
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
 
@@ -538,7 +575,7 @@ class TestReusedRunDirectory:
         _, _, run_dir = run_fixture_cli(tmp_path, capsys)
         assert (run_dir / "report.json").exists()
 
-        def crash(sample, variant, deps, grounding):
+        def crash(sample, variant, deps):
             raise RuntimeError("crashed mid-run")
 
         monkeypatch.setattr(cli, "run_pipeline", crash)

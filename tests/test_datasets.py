@@ -49,6 +49,12 @@ class TestLoadSemeval:
         assert samples[1].gold is Label.NOT_SARCASTIC
         assert all(s.language is LanguageTag.ENGLISH for s in samples)
 
+    def test_byte_order_mark_read_as_no_text(self, tmp_path):
+        plain = load_semeval(write_semeval(tmp_path, ["1\t1\tso helpful"]))
+        header = "\ufeffTweet index\tLabel\tTweet text"
+        bom = load_semeval(write_semeval(tmp_path, ["1\t1\tso helpful"], header=header))
+        assert bom == plain
+
     def test_header_line_skipped(self, tmp_path):
         path = write_semeval(tmp_path, ["7\t1\ttext"])
         assert [s.id for s in load_semeval(path)] == ["semeval:7"]
@@ -121,6 +127,13 @@ class TestLoadMustard:
         assert sample.gold is Label.SARCASTIC
         assert sample.language is LanguageTag.ENGLISH
         assert sample.text.endswith("{It's just a privilege to watch your mind at work.}")
+
+    def test_byte_order_mark_read_as_no_text(self, tmp_path):
+        payload = {"1_60": {"utterance": "Oh, great.", "sarcasm": True}}
+        plain = load_mustard(write_mustard(tmp_path, payload))
+        path = tmp_path / "data.json"
+        path.write_text("\ufeff" + json.dumps(payload), encoding="utf-8")
+        assert load_mustard(path) == plain
 
     def test_empty_context_is_bare_braced_utterance(self, tmp_path):
         path = write_mustard(
@@ -208,6 +221,11 @@ class TestLoadTwitterId:
         assert [s.id for s in samples] == ["twitter-id:0", "twitter-id:1"]
         assert samples[0].gold is Label.SARCASTIC
         assert all(s.language is LanguageTag.INDONESIAN for s in samples)
+
+    def test_byte_order_mark_read_as_no_text(self, tmp_path):
+        plain = load_twitter_id(write_twitter(tmp_path, "tweet,label\nhalo dunia,1\n"))
+        bom = load_twitter_id(write_twitter(tmp_path, "\ufefftweet,label\nhalo dunia,1\n"))
+        assert bom == plain
 
     def test_tab_separated(self, tmp_path):
         path = write_twitter(tmp_path, "tweet\tlabel\nhalo\t1\n", name="data.tsv")

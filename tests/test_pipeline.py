@@ -29,7 +29,6 @@ from sarcrag.pipeline import (
     PipelineDeps,
     build_p1,
     build_p2,
-    ground,
     parse_verdict,
     render_word_info_block,
     run_pipeline,
@@ -165,11 +164,6 @@ class TestParseVerdict:
             parse_verdict(text)
 
 
-def run_sample(sample, variant, deps):
-    """Both stages of one sample, as `sarcrag run` runs them."""
-    return run_pipeline(sample, variant, deps, ground(sample, variant, deps))
-
-
 class PurposeGateway:
     """Scripted stand-in for Gateway: answers by request purpose, records every call."""
 
@@ -203,7 +197,7 @@ class FakeSearch:
 class TestRunPipeline:
     def test_plain_variant_two_calls(self):
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: YES"]})
-        trace = run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.keywords is None
         assert trace.word_infos == ()
@@ -212,7 +206,7 @@ class TestRunPipeline:
 
     def test_p2_reads_a1_verbatim(self):
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: NO"]})
-        run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+        run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         p2 = gateway.requests[-1]
         assert p2.messages[1].content == "an analysis"
 
@@ -224,7 +218,7 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        trace = run_sample(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.DEFINE_WORD, Purpose.P1, Purpose.P2]
         assert trace.keywords == ("Paris",)
         assert [w.keyword for w in trace.word_infos] == ["Paris"]
@@ -234,7 +228,7 @@ class TestRunPipeline:
     def test_no_keywords_means_plain_p1(self):
         gateway = PurposeGateway({Purpose.P1: ["analysis"], Purpose.P2: ["Final decision: NO"]})
         deps = PipelineDeps(gateway=gateway)
-        trace = run_sample(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
+        trace = run_pipeline(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.word_infos == ()
         assert gateway.requests[0].messages[1].content == "nothing notable here"
@@ -250,7 +244,7 @@ class TestRunPipeline:
             }
         )
         deps = PipelineDeps(gateway=gateway, search=FakeSearch())
-        trace = run_sample(en_sample(), PipelineVariant.PMP_WG, deps)
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
         assert gateway.purposes == [
             Purpose.KEYWORD_IDENTIFY,
             Purpose.KEYWORD_CLEAN,
@@ -271,7 +265,7 @@ class TestRunPipeline:
             }
         )
         deps = PipelineDeps(gateway=gateway, search=FakeSearch())
-        trace = run_sample(en_sample(), PipelineVariant.PMP_WG, deps)
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
         assert trace.keywords == ()
         assert trace.word_infos == ()
         assert Purpose.REFINE_CHUNKS not in gateway.purposes
@@ -284,8 +278,8 @@ class TestRunPipeline:
         }
         plain = PurposeGateway(script)
         shot = PurposeGateway(script)
-        run_sample(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain))
-        run_sample(en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot))
+        run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain))
+        run_pipeline(en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot))
         assert plain.purposes == shot.purposes
         plain_p2, shot_p2 = plain.requests[-1], shot.requests[-1]
         assert plain_p2.messages[1].content == shot_p2.messages[1].content
@@ -303,7 +297,7 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        trace = run_sample(en_sample(), PipelineVariant.PMP_WG, PipelineDeps(gateway=gateway))
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, PipelineDeps(gateway=gateway))
         assert trace.word_infos == ()
         assert trace.verdict is Label.NOT_SARCASTIC
         assert gateway.requests[-2].messages[1].content == en_sample().text
@@ -313,13 +307,13 @@ class TestRunPipeline:
             {Purpose.P1: ["analysis"], Purpose.P2: ["the reading does not converge."]}
         )
         with pytest.raises(SampleSkipped) as info:
-            run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+            run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         assert info.value.sample_id == "semeval:9"
         assert "VerdictNotFound" in info.value.reason
 
     def test_transport_failure_skips_sample(self):
         with pytest.raises(SampleSkipped) as info:
-            run_sample(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
+            run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
         assert "TransportError" in info.value.reason
 
 
@@ -364,7 +358,7 @@ class TestKeywordFanOut:
         )
         deps = PipelineDeps(gateway=gateway, search=QuotaSearch())
         with pytest.raises(SampleSkipped) as info:
-            run_sample(self.SAMPLE, PipelineVariant.PMP_WG, deps)
+            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WG, deps)
         assert finished == ["Paris", "London"]
         assert info.value.reason.startswith("SearchQuotaExceeded: ")
         assert Purpose.P1 not in gateway.purposes
@@ -378,7 +372,7 @@ class TestKeywordFanOut:
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
         with pytest.raises(StoreWriteError):
-            run_sample(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
+            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
         assert called == ["Paris"]
 
     def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
