@@ -78,11 +78,13 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+            data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+    if data is None:  # an empty or comment-only file
+        return {}
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a mapping of keys to values")
     unknown = sorted(str(key) for key in data.keys() - _SETTINGS.keys())

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import ExtractionMethod, Label, PipelineVariant, Sample, VariantPlan, variant_plan
+from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
 from .errors import (
     CorruptRecord,
     DefinitionUnavailable,
@@ -112,69 +111,47 @@ _SKIP_ERRORS = (
 )
 
 
-def _define_keywords(
-    keywords: tuple[str, ...], define: Callable[[str], WordInfo]
-) -> list[WordInfo]:
-    """Every keyword's definition, in keyword order, leaving out unavailable ones.
-
-    After an error that skips the sample the other keywords are still defined,
-    so a run defines the same keywords on any schedule. Any other error (such
-    as StoreWriteError) stops the run, so the keywords after it are not
-    defined. Then the first error other than DefinitionUnavailable, in keyword
-    order, is raised.
-    """
-    word_infos: list[WordInfo] = []
-    errors: list[Exception] = []
-    for keyword in keywords:
-        try:
-            word_infos.append(define(keyword))
-        except DefinitionUnavailable:
-            continue
-        except _SKIP_ERRORS as exc:
-            errors.append(exc)
-        except Exception as exc:
-            errors.append(exc)
-            break
-    if errors:
-        raise errors[0]
-    return word_infos
-
-
-def ground(
-    sample: Sample, plan: VariantPlan, deps: PipelineDeps
-) -> tuple[tuple[str, ...] | None, tuple[WordInfo, ...]]:
-    """The sample's keywords (None when the plan extracts none) and their definitions."""
-    keywords: tuple[str, ...] | None = None
-    if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
-        keywords = extract_token_tagging(sample)
-    elif plan.extraction is ExtractionMethod.LLM_BASED:
-        keywords = extract_llm_based(sample, deps.gateway)
-
-    word_infos: list[WordInfo] = []
-    if plan.retrieval is not None and keywords:
-        word_infos = _define_keywords(
-            keywords,
-            lambda keyword: get_word_info(
-                keyword,
-                plan.retrieval,
-                deps.gateway,
-                sample.language,
-                cache=deps.cache,
-                search=deps.search,
-                fetcher=deps.fetcher,
-            ),
-        )
-    return keywords, tuple(word_infos)
-
-
 def run_pipeline(
     sample: Sample, variant: PipelineVariant, deps: PipelineDeps
 ) -> PipelineTrace:
-    """Execute one sample through the chosen variant; failures skip the sample only."""
+    """Execute one sample through the chosen variant: keywords, definitions, P1, P2.
+
+    An error in _SKIP_ERRORS skips the sample only, as SampleSkipped. Of the
+    keyword definitions, DefinitionUnavailable drops only its keyword. After a
+    skip error the sample's other keywords are still defined, so a run defines
+    the same keywords on any schedule; then the first skip error, in keyword
+    order, skips the sample. Any other error (such as StoreWriteError) stops
+    the run at once.
+    """
     plan = variant_plan(variant)
     templates = load_templates(sample.language)
+    keywords: tuple[str, ...] | None = None
+    word_infos: list[WordInfo] = []
+    definition_error: Exception | None = None
     try:
-        keywords, word_infos = ground(sample, plan, deps)
+        if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
+            keywords = extract_token_tagging(sample)
+        elif plan.extraction is ExtractionMethod.LLM_BASED:
+            keywords = extract_llm_based(sample, deps.gateway)
+        for keyword in keywords if plan.retrieval is not None and keywords else ():
+            try:
+                word_infos.append(
+                    get_word_info(
+                        keyword,
+                        plan.retrieval,
+                        deps.gateway,
+                        sample.language,
+                        cache=deps.cache,
+                        search=deps.search,
+                        fetcher=deps.fetcher,
+                    )
+                )
+            except DefinitionUnavailable:
+                continue
+            except _SKIP_ERRORS as exc:
+                definition_error = definition_error or exc
+        if definition_error is not None:
+            raise definition_error
         p1_request = build_p1(sample, word_infos, templates)
         p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
         verdict = parse_verdict(deps.gateway.chat(p2_request))
@@ -182,7 +159,7 @@ def run_pipeline(
         raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
     return PipelineTrace(
         keywords=keywords,
-        word_infos=word_infos,
+        word_infos=tuple(word_infos),
         p1_digest=p1_request.digest,
         p2_digest=p2_request.digest,
         verdict=verdict,

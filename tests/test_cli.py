@@ -24,6 +24,7 @@ from sarcrag.cli import (
 from sarcrag.core import DatasetKind, LanguageTag, RetrievalSource
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import ConfigError, LogParseError
+from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import build_p1
 from sarcrag.retrieval import DEFINE_SYSTEM, WordInfo, WordInfoCache
 from sarcrag.templates import load_templates
@@ -117,10 +118,19 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             build_run_config(replay_args(tmp_path, config=str(config_file)))
 
+    @pytest.mark.parametrize("text", ["", "# nothing set\n"])
+    def test_empty_config_file_means_no_settings(self, tmp_path, text):
+        config_file = tmp_path / "run.yaml"
+        config_file.write_text(text, encoding="utf-8")
+        config = build_run_config(replay_args(tmp_path, config=str(config_file)))
+        assert config == build_run_config(replay_args(tmp_path))
+
     @pytest.mark.parametrize(
         "text",
         [
             "[unclosed\n",
+            "[]\n",
+            "false\n",
             "concurrency: [2]\n",
             "concurrency: x\n",
             "concurrency: true\n",
@@ -566,6 +576,50 @@ class TestWholeSamples:
         assert {sample for _, sample in chat.calls} == {1, 3}
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
+
+    def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
+        before = set(threading.enumerate())
+        alive = []
+
+        def post(self, url, **kwargs):
+            alive.append(len(set(threading.enumerate()) - before))
+            time.sleep(0.002)
+            response = requests.Response()
+            response.status_code = 200
+            response._content = b'{"message": {"content": "Final decision: YES"}}'
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        names = iter(f"Name{n}" for n in range(32))
+        rows = [
+            f"{i}\t1\t" + " and ".join(next(names) for _ in range(MAX_KEYWORDS_PER_SAMPLE))
+            for i in range(1, 5)
+        ]
+        data = tmp_path / "eight_keywords.tsv"
+        data.write_text("Tweet index\tLabel\tTweet text\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            [
+                "run",
+                "--dataset", "semeval",
+                "--data-path", str(data),
+                "--variant", "pmpwl",
+                "--model", "m",
+                "--backend", "live",
+                "--endpoint", "http://chat.invalid/api/chat",
+                "--concurrency", "2",
+                "--transcripts", str(tmp_path / "transcripts"),
+                "--cache", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "runs"),
+            ]
+        )
+        assert code == 0
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
+        records = [json.loads(line) for line in run_log.read_text().splitlines()]
+        assert [len(r["keywords"]) for r in records] == [MAX_KEYWORDS_PER_SAMPLE] * 4
+        # 32 definitions, 4 P1s, and 1 to 4 P2s: every P2 reads the same analysis,
+        # so each P2 that starts after the first is stored is answered by the store.
+        assert 37 <= len(alive) <= 40
+        assert max(alive) == 4
 
 
 class TestReusedRunDirectory:

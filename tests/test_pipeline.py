@@ -1,14 +1,9 @@
 """Pipeline: few-shot blocks, prompt assembly, verdict parsing, variant orchestration."""
 
-import json
 import re
-import threading
-import time
 
 import pytest
-import requests
 
-from sarcrag.cli import main
 from sarcrag.core import (
     Label,
     LanguageTag,
@@ -24,7 +19,6 @@ from sarcrag.errors import (
     VerdictNotFound,
 )
 from sarcrag.gateway import Gateway, Purpose
-from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import (
     PipelineDeps,
     build_p1,
@@ -328,7 +322,9 @@ class DefineBackend:
         return "Final decision: YES" if request.purpose is Purpose.P2 else "analysis"
 
 
-class TestKeywordFanOut:
+class TestDefinitionErrors:
+    """Which errors in a sample's keyword definitions skip the sample, and which stop the run."""
+
     SAMPLE = en_sample("i saw Paris, London and Berlin yesterday")
 
     def test_sample_error_waits_for_every_definition(self, monkeypatch):
@@ -363,58 +359,23 @@ class TestKeywordFanOut:
         assert info.value.reason.startswith("SearchQuotaExceeded: ")
         assert Purpose.P1 not in gateway.purposes
 
-    def test_run_stopping_error_ends_the_loop_without_a_pool(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "errors",
+        [
+            {"Paris": StoreWriteError("disk full")},
+            # A skip error first must not turn the later run-stopping error into a skip.
+            {"Paris": SearchQuotaExceeded("429"), "London": StoreWriteError("disk full")},
+        ],
+        ids=["first_keyword", "after_a_skip_error"],
+    )
+    def test_run_stopping_error_is_raised_at_once(self, monkeypatch, errors):
         called = []
 
         def failing_get_word_info(keyword, *args, **kwargs):
             called.append(keyword)
-            raise StoreWriteError("disk full")
+            raise errors[keyword]
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
         with pytest.raises(StoreWriteError):
             run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
-        assert called == ["Paris"]
-
-    def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
-        before = set(threading.enumerate())
-        alive = []
-
-        def post(self, url, **kwargs):
-            alive.append(len(set(threading.enumerate()) - before))
-            time.sleep(0.002)
-            response = requests.Response()
-            response.status_code = 200
-            response._content = b'{"message": {"content": "Final decision: YES"}}'
-            return response
-
-        monkeypatch.setattr(requests.Session, "post", post)
-        names = iter(f"Name{n}" for n in range(32))
-        rows = [
-            f"{i}\t1\t" + " and ".join(next(names) for _ in range(MAX_KEYWORDS_PER_SAMPLE))
-            for i in range(1, 5)
-        ]
-        data = tmp_path / "eight_keywords.tsv"
-        data.write_text("Tweet index\tLabel\tTweet text\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        code = main(
-            [
-                "run",
-                "--dataset", "semeval",
-                "--data-path", str(data),
-                "--variant", "pmpwl",
-                "--model", "m",
-                "--backend", "live",
-                "--endpoint", "http://chat.invalid/api/chat",
-                "--concurrency", "2",
-                "--transcripts", str(tmp_path / "transcripts"),
-                "--cache", str(tmp_path / "cache"),
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
-        assert code == 0
-        run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
-        records = [json.loads(line) for line in run_log.read_text().splitlines()]
-        assert [len(r["keywords"]) for r in records] == [MAX_KEYWORDS_PER_SAMPLE] * 4
-        # 32 definitions, 4 P1s, and 1 to 4 P2s: every P2 reads the same analysis,
-        # so each P2 that starts after the first is stored is answered by the store.
-        assert 37 <= len(alive) <= 40
-        assert max(alive) == 4
+        assert called == list(errors)

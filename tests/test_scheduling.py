@@ -38,7 +38,8 @@ TEXTS = [
     "so glad Monday is back",
     "nothing to see here",
     "Brighton and Leeds in one afternoon, easy",
-    # More than one definition on the pool, to finish in any order.
+    # Three definitions in one sample, made in keyword order while other
+    # samples' calls run beside them.
     "Oxford, Cambridge and Bristol on one ticket, sure",
     "the weather in Leeds is lovely again",
 ]
