@@ -17,7 +17,7 @@ import yaml
 
 from .core import DatasetKind, Label, PipelineVariant, RetrievalSource, variant_plan
 from .datasets import load_dataset
-from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleSkipped, SarcragError
+from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleError, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
 from .gateway import Gateway, LiveBackend, TranscriptStore
 from .pipeline import PipelineDeps, run_pipeline
@@ -186,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # most 2 * concurrency threads call out, each with one request in flight. Each
     # record is on disk as soon as it and every earlier sample are done.
     #
-    # A sample that raises (SampleSkipped aside) stops the run: no later sample
+    # A sample that raises (a SampleError aside) stops the run: no later sample
     # starts, the running ones finish, and `map` raises the error once the records
     # before it are written. Positions, not the mere fact of a crash, decide: a
     # sample taken off the queue before the failed one may reach this check after it.
@@ -196,11 +196,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if any(earlier < position for earlier in crashed):
             return None
         started = time.monotonic()
-        trace = skip = None
+        trace = skipped_reason = None
         try:
             trace = run_pipeline(sample, config.variant, deps)
-        except SampleSkipped as exc:
-            skip = exc
+        except SampleError as exc:
+            skipped_reason = f"{type(exc).__name__}: {exc}"
         except BaseException:
             crashed.append(position)
             raise
@@ -209,7 +209,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "variant": config.variant.value,
             "gold": sample.gold.value,
             "verdict": trace.verdict.value if trace else None,
-            "skipped_reason": skip.reason if skip else None,
+            "skipped_reason": skipped_reason,
             "keywords": list(trace.keywords) if trace and trace.keywords else [],
             "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
             "p1_digest": trace.p1_digest if trace else None,
@@ -232,7 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = _report_from_records(records)
     except EmptyEvaluation:
         print(f"run finished but every sample was skipped; no report written ({log_path})")
-        return 0
+        return 1
     (run_dir / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
     (run_dir / "report.txt").write_text(report_to_table(report), encoding="utf-8")
     print(

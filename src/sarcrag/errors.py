@@ -20,26 +20,30 @@ class FormatError(SarcragError):
         super().__init__(message)
 
 
-class TransportError(SarcragError):
+class SampleError(SarcragError):
+    """A fault that fails one sample only; the run skips it and goes on."""
+
+
+class TransportError(SampleError):
     """The chat backend could not be reached or returned a bad payload."""
 
 
-class EmptyResponse(SarcragError):
+class EmptyResponse(SampleError):
     """The chat backend answered with empty or whitespace-only text."""
 
 
-class MissingTranscript(SarcragError):
+class MissingTranscript(SampleError):
     """Replay was asked for a request that was never recorded."""
 
     def __init__(self, digest: str) -> None:
         super().__init__(f"no recorded response for request digest {digest}")
 
 
-class MalformedCSV(SarcragError):
+class MalformedCSV(SampleError):
     """Keyword-cleaning output was not parseable as comma-separated values."""
 
 
-class SearchTransportError(SarcragError):
+class SearchTransportError(SampleError):
     """The search engine could not be reached or returned a bad payload."""
 
 
@@ -51,7 +55,7 @@ class StoreWriteError(SarcragError):
     """A cache or transcript write failed."""
 
 
-class CorruptRecord(SarcragError):
+class CorruptRecord(SampleError):
     """A cache or transcript file cannot be read back as the record its name promises."""
 
     def __init__(self, path: object, reason: str) -> None:
@@ -66,17 +70,8 @@ class DefinitionUnavailable(SarcragError):
     """No text evidence was available to build a definition from."""
 
 
-class VerdictNotFound(SarcragError):
+class VerdictNotFound(SampleError):
     """The reflection answer contained no standalone YES or NO."""
-
-
-class SampleSkipped(SarcragError):
-    """A single sample could not be scored; the run should continue."""
-
-    def __init__(self, sample_id: str, reason: str) -> None:
-        super().__init__(f"{sample_id}: {reason}")
-        self.sample_id = sample_id
-        self.reason = reason
 
 
 class EmptyEvaluation(SarcragError):

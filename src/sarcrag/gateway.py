@@ -333,10 +333,10 @@ class Gateway:
         if merged:
             backend = "store"
         latency = time.monotonic() - started
-        if not response_text.strip():
-            raise EmptyResponse(f"empty model output for {request.purpose.value} request")
         if self.exchange_log is not None:
             self._append_log(request, backend, latency)
+        if not response_text.strip():
+            raise EmptyResponse(f"empty model output for {request.purpose.value} request")
         return response_text
 
     def _answer(self, request: ChatRequest) -> tuple[str, str]:

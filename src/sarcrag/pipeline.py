@@ -12,17 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
-from .errors import (
-    CorruptRecord,
-    DefinitionUnavailable,
-    EmptyResponse,
-    MalformedCSV,
-    MissingTranscript,
-    SampleSkipped,
-    SearchTransportError,
-    TransportError,
-    VerdictNotFound,
-)
+from .errors import DefinitionUnavailable, SampleError, VerdictNotFound
 from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
 from .keywords import extract_llm_based, extract_token_tagging
 from .retrieval import PageFetcher, SearchPort, WordInfo, WordInfoCache, get_word_info
@@ -100,63 +90,47 @@ class PipelineTrace:
     verdict: Label
 
 
-_SKIP_ERRORS = (
-    TransportError,
-    EmptyResponse,
-    MissingTranscript,
-    MalformedCSV,
-    SearchTransportError,
-    VerdictNotFound,
-    CorruptRecord,
-)
-
-
 def run_pipeline(
     sample: Sample, variant: PipelineVariant, deps: PipelineDeps
 ) -> PipelineTrace:
     """Execute one sample through the chosen variant: keywords, definitions, P1, P2.
 
-    An error in _SKIP_ERRORS skips the sample only, as SampleSkipped. Of the
-    keyword definitions, DefinitionUnavailable drops only its keyword. After a
-    skip error the sample's other keywords are still defined, so a run defines
-    the same keywords on any schedule; then the first skip error, in keyword
-    order, skips the sample. Any other error (such as StoreWriteError) stops
-    the run at once.
+    Of the keyword definitions, DefinitionUnavailable drops only its keyword. A
+    SampleError lets the sample's other keywords still be defined, so a run
+    defines the same keywords on any schedule; then the first one, in keyword
+    order, is raised. Any other error (such as StoreWriteError) is raised at once.
     """
     plan = variant_plan(variant)
     templates = load_templates(sample.language)
     keywords: tuple[str, ...] | None = None
+    if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
+        keywords = extract_token_tagging(sample)
+    elif plan.extraction is ExtractionMethod.LLM_BASED:
+        keywords = extract_llm_based(sample, deps.gateway)
     word_infos: list[WordInfo] = []
-    definition_error: Exception | None = None
-    try:
-        if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
-            keywords = extract_token_tagging(sample)
-        elif plan.extraction is ExtractionMethod.LLM_BASED:
-            keywords = extract_llm_based(sample, deps.gateway)
-        for keyword in keywords if plan.retrieval is not None and keywords else ():
-            try:
-                word_infos.append(
-                    get_word_info(
-                        keyword,
-                        plan.retrieval,
-                        deps.gateway,
-                        sample.language,
-                        cache=deps.cache,
-                        search=deps.search,
-                        fetcher=deps.fetcher,
-                    )
+    definition_error: SampleError | None = None
+    for keyword in keywords if plan.retrieval is not None and keywords else ():
+        try:
+            word_infos.append(
+                get_word_info(
+                    keyword,
+                    plan.retrieval,
+                    deps.gateway,
+                    sample.language,
+                    cache=deps.cache,
+                    search=deps.search,
+                    fetcher=deps.fetcher,
                 )
-            except DefinitionUnavailable:
-                continue
-            except _SKIP_ERRORS as exc:
-                definition_error = definition_error or exc
-        if definition_error is not None:
-            raise definition_error
-        p1_request = build_p1(sample, word_infos, templates)
-        p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
-        verdict = parse_verdict(deps.gateway.chat(p2_request))
-    except _SKIP_ERRORS as exc:
-        raise SampleSkipped(sample.id, f"{type(exc).__name__}: {exc}") from exc
+            )
+        except DefinitionUnavailable:
+            continue
+        except SampleError as exc:
+            definition_error = definition_error or exc
+    if definition_error is not None:
+        raise definition_error
+    p1_request = build_p1(sample, word_infos, templates)
+    p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
+    verdict = parse_verdict(deps.gateway.chat(p2_request))
     return PipelineTrace(
         keywords=keywords,
         word_infos=tuple(word_infos),

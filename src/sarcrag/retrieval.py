@@ -296,7 +296,12 @@ class _TextExtractor(html.parser.HTMLParser):
 
 def strip_markup(markup: str) -> str:
     extractor = _TextExtractor()
-    extractor.feed(markup)
+    try:
+        extractor.feed(markup)
+    except AssertionError:
+        # html.parser asserts on some malformed markup, such as a bad `<![` section:
+        # keep the text parsed before it.
+        pass
     return " ".join(extractor.parts)
 
 

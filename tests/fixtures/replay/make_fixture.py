@@ -20,7 +20,7 @@ from pathlib import Path
 
 from sarcrag.core import DatasetKind, PipelineVariant, RetrievalSource
 from sarcrag.datasets import load_dataset
-from sarcrag.errors import SampleSkipped
+from sarcrag.errors import SampleError
 from sarcrag.gateway import ChatRequest, Gateway, Purpose, TranscriptStore
 from sarcrag.pipeline import PipelineDeps, run_pipeline
 from sarcrag.retrieval import WordInfo, WordInfoCache
@@ -147,8 +147,8 @@ def main(out: Path = FIXTURE) -> None:
             try:
                 trace = run_pipeline(sample, variant, deps)
                 print(f"{sample.id}: {trace.verdict.value} keywords={list(trace.keywords or ())}")
-            except SampleSkipped as skip:
-                print(f"{sample.id}: skipped ({skip.reason})")
+            except SampleError as exc:
+                print(f"{sample.id}: skipped ({type(exc).__name__}: {exc})")
 
     n_transcripts = len(list(transcripts.rglob("*.json")))
     n_cached = len(list(cache_dir.rglob("*.json")))

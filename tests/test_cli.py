@@ -306,7 +306,7 @@ class TestRunCommand:
         )
         captured = capsys.readouterr()
         run_dir = tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
-        assert code == 0
+        assert code == 1
         assert "every sample was skipped" in captured.out
         assert (run_dir / "run.jsonl").exists()
         assert not (run_dir / "report.json").exists()
@@ -648,7 +648,7 @@ class TestReusedRunDirectory:
             encoding="utf-8",
         )
         code, captured, _ = run_fixture_cli(tmp_path, capsys, "--data-path", str(data))
-        assert code == 0
+        assert code == 1
         assert "every sample was skipped" in captured.out
         assert len(read_run_log(run_dir / "run.jsonl")) == 1
         assert not (run_dir / "report.json").exists()
@@ -770,7 +770,7 @@ class TestLiveTransport:
                 "--out", str(tmp_path / "runs"),
             ]
         )
-        assert code == 0
+        assert code == 1
         assert "every sample was skipped" in capsys.readouterr().out
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
         records = [json.loads(line) for line in run_log.read_text().splitlines()]

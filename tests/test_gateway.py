@@ -414,6 +414,19 @@ class TestGateway:
         with pytest.raises(EmptyResponse):
             gateway.chat(request)
 
+    def test_empty_answer_is_logged_then_raised(self, tmp_path):
+        class Blank:
+            name = "live"
+
+            def complete(self, request):
+                return "   "
+
+        log_path = tmp_path / "exchanges.jsonl"
+        gateway = Gateway(Blank(), TranscriptStore(tmp_path / "store"), exchange_log=log_path)
+        with pytest.raises(EmptyResponse):
+            gateway.chat(make_request())
+        assert logged_backends(log_path) == ["live"]
+
     def test_records_exchange_when_store_attached(self, tmp_path):
         class OneShot:
             name = "live"

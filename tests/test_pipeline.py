@@ -12,7 +12,8 @@ from sarcrag.core import (
     Sample,
 )
 from sarcrag.errors import (
-    SampleSkipped,
+    SampleError,
+    SarcragError,
     SearchQuotaExceeded,
     StoreWriteError,
     TransportError,
@@ -300,15 +301,12 @@ class TestRunPipeline:
         gateway = PurposeGateway(
             {Purpose.P1: ["analysis"], Purpose.P2: ["the reading does not converge."]}
         )
-        with pytest.raises(SampleSkipped) as info:
+        with pytest.raises(VerdictNotFound):
             run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
-        assert info.value.sample_id == "semeval:9"
-        assert "VerdictNotFound" in info.value.reason
 
     def test_transport_failure_skips_sample(self):
-        with pytest.raises(SampleSkipped) as info:
+        with pytest.raises(TransportError):
             run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
-        assert "TransportError" in info.value.reason
 
 
 class DefineBackend:
@@ -353,10 +351,9 @@ class TestDefinitionErrors:
             }
         )
         deps = PipelineDeps(gateway=gateway, search=QuotaSearch())
-        with pytest.raises(SampleSkipped) as info:
+        with pytest.raises(SearchQuotaExceeded):
             run_pipeline(self.SAMPLE, PipelineVariant.PMP_WG, deps)
         assert finished == ["Paris", "London"]
-        assert info.value.reason.startswith("SearchQuotaExceeded: ")
         assert Purpose.P1 not in gateway.purposes
 
     @pytest.mark.parametrize(
@@ -379,3 +376,35 @@ class TestDefinitionErrors:
         with pytest.raises(StoreWriteError):
             run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
         assert called == list(errors)
+
+
+# Whether each error fails one sample only (True) or stops the run (False).
+SKIPS_THE_SAMPLE = {
+    "TransportError": True,
+    "EmptyResponse": True,
+    "MissingTranscript": True,
+    "MalformedCSV": True,
+    "SearchTransportError": True,
+    "SearchQuotaExceeded": True,
+    "VerdictNotFound": True,
+    "CorruptRecord": True,
+    "ConfigError": False,
+    "FormatError": False,
+    "LogParseError": False,
+    "StoreWriteError": False,
+    "DefinitionUnavailable": False,
+    "EmptyEvaluation": False,
+}
+
+
+def error_classes(base=SarcragError):
+    for cls in base.__subclasses__():
+        if cls is not SampleError:
+            yield cls
+        yield from error_classes(cls)
+
+
+@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_each_error_class_is_a_sample_error_or_not_by_the_table(cls):
+    # A new error class must be added to the table: a decision, not an accident.
+    assert SKIPS_THE_SAMPLE[cls.__name__] is issubclass(cls, SampleError)

@@ -306,6 +306,13 @@ class TestSearchAndGather:
         chunks = gather_corpus([make_result("short snippet")], failing)
         assert chunks[0].text == "short snippet"
 
+    def test_gather_keeps_a_page_with_malformed_markup(self):
+        session = PageSession(MALFORMED_PAGE.encode())
+        chunks = gather_corpus(
+            [make_result("short snippet")], lambda url: fetch_page(url, session=session)
+        )
+        assert [c.text for c in chunks] == ["Penny is a waitress in Pasadena"]
+
     def test_gather_without_fetcher_uses_snippets(self):
         chunks = gather_corpus([make_result("short snippet")], None)
         assert chunks[0].text == "short snippet"
@@ -410,6 +417,10 @@ class TestGoogleSearchClient:
         assert client.search("q", max_results=3) == []
 
 
+# html.parser raises AssertionError on this marked section.
+MALFORMED_PAGE = "<p>Penny is a waitress in Pasadena</p><![ if gte mso 9]>x"
+
+
 class TestStripMarkup:
     def test_drops_tags_and_scripts(self):
         html = "<html><head><script>var x=1;</script></head><body><p>Hello <b>world</b></p></body></html>"
@@ -421,6 +432,9 @@ class TestStripMarkup:
 
     def test_whitespace_collapsed(self):
         assert strip_markup("<p>a</p>\n\n  <p>b</p>") == "a b"
+
+    def test_malformed_marked_section_keeps_the_text_before_it(self):
+        assert strip_markup(MALFORMED_PAGE) == "Penny is a waitress in Pasadena"
 
 
 class BlockReader(io.BytesIO):
