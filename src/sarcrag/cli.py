@@ -19,7 +19,7 @@ from .core import DatasetKind, Label, PipelineVariant, RetrievalSource, variant_
 from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleError, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
-from .gateway import Gateway, LiveBackend, TranscriptStore
+from .gateway import Gateway, LiveBackend, TranscriptStore, WorkSlots
 from .pipeline import PipelineDeps, run_pipeline
 from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
 
@@ -181,52 +181,63 @@ def cmd_run(args: argparse.Namespace) -> int:
         (run_dir / stale).unlink(missing_ok=True)
     deps = build_deps(config, run_dir)
 
-    # At most 2 * concurrency samples run at once, each whole on one thread: its
-    # grounding (keywords and their definitions), then P1, P2 and the verdict. So at
-    # most 2 * concurrency threads call out, each with one request in flight. Each
-    # record is on disk as soon as it and every earlier sample are done.
+    # At most 2 * concurrency samples work at once, each whole on one thread: its
+    # grounding (keywords and their definitions), then P1, P2 and the verdict. A
+    # sample works while it holds one of the 2 * concurrency slots, and makes one
+    # request at a time, so at most 2 * concurrency requests are in flight. A sample
+    # that waits on a backoff sleep or on another sample's identical call gives its
+    # slot to the next sample for the wait, so the pool has twice as many threads as
+    # slots. Each record is on disk as soon as it and every earlier sample are done.
     #
     # A sample that raises (a SampleError aside) stops the run: no later sample
     # starts, the running ones finish, and `map` raises the error once the records
     # before it are written. Positions, not the mere fact of a crash, decide: a
     # sample taken off the queue before the failed one may reach this check after it.
+    # An error that leaves the record loop (Ctrl-C) stops every sample not yet started.
     crashed: list[int] = []
+    slots = WorkSlots(2 * config.concurrency)
 
     def run_one(position: int, sample) -> dict | None:
-        if any(earlier < position for earlier in crashed):
-            return None
-        started = time.monotonic()
-        trace = skipped_reason = None
-        try:
-            trace = run_pipeline(sample, config.variant, deps)
-        except SampleError as exc:
-            skipped_reason = f"{type(exc).__name__}: {exc}"
-        except BaseException:
-            crashed.append(position)
-            raise
-        return {
-            "sample_id": sample.id,
-            "variant": config.variant.value,
-            "gold": sample.gold.value,
-            "verdict": trace.verdict.value if trace else None,
-            "skipped_reason": skipped_reason,
-            "keywords": list(trace.keywords) if trace and trace.keywords else [],
-            "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
-            "p1_digest": trace.p1_digest if trace else None,
-            "p2_digest": trace.p2_digest if trace else None,
-            "wall_time": time.monotonic() - started,
-        }
+        with slots.hold(position):
+            if any(earlier < position for earlier in crashed):
+                return None
+            started = time.monotonic()
+            trace = error = None
+            try:
+                trace = run_pipeline(sample, config.variant, deps)
+            except SampleError as exc:
+                error = exc
+            except BaseException:
+                crashed.append(position)
+                raise
+            return {
+                "sample_id": sample.id,
+                "variant": config.variant.value,
+                "gold": sample.gold.value,
+                "verdict": trace.verdict.value if trace else None,
+                "skipped_reason": f"{type(error).__name__}: {error}" if error else None,
+                "skip_class": type(error).__name__ if error else None,
+                "keywords": list(trace.keywords) if trace and trace.keywords else [],
+                "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
+                "p1_digest": trace.p1_digest if trace else None,
+                "p2_digest": trace.p2_digest if trace else None,
+                "wall_time": time.monotonic() - started,
+            }
 
     records: list[dict] = []
     log_path = run_dir / "run.jsonl"
     with (
         log_path.open("w", encoding="utf-8") as fh,
-        ThreadPoolExecutor(2 * config.concurrency) as pool,
+        ThreadPoolExecutor(4 * config.concurrency) as pool,
     ):
-        for record in pool.map(run_one, range(len(samples)), samples):
-            records.append(record)
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            fh.flush()
+        try:
+            for record in pool.map(run_one, range(len(samples)), samples):
+                records.append(record)
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.flush()
+        except BaseException:
+            crashed.append(-1)
+            raise
 
     try:
         report = _report_from_records(records)
@@ -333,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--concurrency",
         type=int,
-        help="N: run up to 2N samples at once, on at most 2N threads with 2N requests in flight"
-        " (default 4)",
+        help="N: up to 2N samples working, at most 2N requests in flight; samples waiting on"
+        " a backoff or a merged call do not count; at most 4N threads (default 4)",
     )
     run.add_argument("--limit", type=int)
     run.add_argument("--out")

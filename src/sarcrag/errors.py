@@ -51,6 +51,11 @@ class SearchQuotaExceeded(SearchTransportError):
     """The search engine rejected the request for quota reasons."""
 
 
+class SearchForbidden(SarcragError):
+    """The search engine refused the key, the API or the day's quota (HTTP 403), so every
+    later search would fail too."""
+
+
 class StoreWriteError(SarcragError):
     """A cache or transcript write failed."""
 

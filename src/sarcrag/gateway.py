@@ -9,9 +9,12 @@ model server.
 
 from __future__ import annotations
 
+import contextlib
+import email.utils
 import enum
 import functools
 import hashlib
+import heapq
 import json
 import os
 import tempfile
@@ -19,6 +22,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -26,10 +30,12 @@ import requests
 
 from .errors import CorruptRecord, EmptyResponse, MissingTranscript, StoreWriteError, TransportError
 
-# LiveBackend's transport: attempts per request, first backoff (doubling), timeout.
+# LiveBackend's transport: attempts per request, first backoff (doubling), timeout,
+# and the longest wait that a Retry-After header may ask for.
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 1.0
 CHAT_TIMEOUT_S = 120.0
+MAX_RETRY_AFTER_S = 60.0
 
 
 class Role(enum.Enum):
@@ -176,7 +182,9 @@ class LiveBackend:
     """HTTP chat-completion client with bounded retries and exponential backoff.
 
     Only timeouts, dropped connections, bodies cut off mid-stream, HTTP 429 and
-    HTTP 5xx are retried; any other fault raises TransportError at once.
+    HTTP 5xx are retried; any other fault raises TransportError at once. After a
+    429 or 503 the backoff is stretched to the wait its Retry-After header asks
+    for, up to MAX_RETRY_AFTER_S. A backoff sleep gives up the caller's work slot.
 
     No decoding parameters are sent; the server's defaults apply.
     """
@@ -205,7 +213,9 @@ class LiveBackend:
         cause = "no attempt made"
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                self._sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+                with WorkSlots.waiting():
+                    self._sleep(delay)
+            delay = BACKOFF_BASE_S * 2**attempt  # the sleep before the next attempt
             try:
                 response = self.session.post(
                     self.endpoint_url, json=payload, timeout=CHAT_TIMEOUT_S
@@ -218,6 +228,8 @@ class LiveBackend:
             status = response.status_code
             if status == 429 or status >= 500:
                 cause = f"HTTP {status}"
+                if status in (429, 503):
+                    delay = max(delay, _retry_after_s(response))
                 continue
             if status >= 400:
                 raise _not_retried(f"HTTP {status}", attempt)
@@ -237,6 +249,26 @@ _RETRYABLE_ERRORS = (
     requests.ConnectionError,
     requests.exceptions.ChunkedEncodingError,
 )
+
+
+def _retry_after_s(response: requests.Response) -> float:
+    """The wait in seconds that the response's Retry-After header asks for, at most
+    MAX_RETRY_AFTER_S; 0 if it has none we can read.
+
+    The header holds a number of seconds or an HTTP date (RFC 9110, section 10.2.3).
+    """
+    value = response.headers.get("Retry-After", "").strip()
+    if value.isascii() and value.isdigit():
+        seconds = float(value)
+    else:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError, IndexError):
+            return 0.0
+        if when.tzinfo is None:  # "-0000": a time in UTC
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(seconds, 0.0), MAX_RETRY_AFTER_S)
 
 
 def _not_retried(cause: str, attempt: int) -> TransportError:
@@ -271,7 +303,8 @@ class SingleFlight:
     The first caller of a key runs the call in its own thread; callers of that
     key that arrive while it runs wait for it and get its result, or raise its
     exception. A key is forgotten once its call returns, so a later caller runs
-    the call afresh. Compare Go's golang.org/x/sync/singleflight.
+    the call afresh. A caller that waits gives up its work slot while it waits.
+    Compare Go's golang.org/x/sync/singleflight.
     """
 
     def __init__(self) -> None:
@@ -284,7 +317,8 @@ class SingleFlight:
             if running is None:
                 future = self._running[key] = Future()
         if running is not None:
-            return running.result()
+            with WorkSlots.waiting():
+                return running.result()
         try:
             result = call()
         except BaseException as exc:
@@ -296,6 +330,67 @@ class SingleFlight:
         finally:
             with self._lock:
                 del self._running[key]
+
+
+# The WorkSlots and position of the slot that the current thread holds, if any.
+_held = threading.local()
+
+
+class WorkSlots:
+    """At most n callers work at once; a free slot goes to the earliest waiting position.
+
+    A caller holds a slot for the body of `hold(position)`. Inside it, a wait on
+    something other than its own work (a backoff sleep, another caller's call)
+    goes in `WorkSlots.waiting()`, which gives the slot up for the wait and then
+    takes it back at the same position, ahead of every later one. So callers start
+    in position order, and one that comes back from a wait resumes before any
+    later caller starts. On a thread that holds no slot, `waiting()` does nothing.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._free = n
+        self._waiting: list[int] = []  # a heap of the positions waiting for a slot
+        self._changed = threading.Condition()
+
+    @contextlib.contextmanager
+    def hold(self, position: int):
+        self._take(position)
+        _held.slot = (self, position)
+        try:
+            yield
+        finally:
+            _held.slot = None
+            self._give_up()
+
+    @staticmethod
+    @contextlib.contextmanager
+    def waiting():
+        held = getattr(_held, "slot", None)
+        if held is None:
+            yield
+            return
+        slots, position = held
+        _held.slot = None
+        slots._give_up()
+        try:
+            yield
+        finally:
+            slots._take(position)
+            _held.slot = held
+
+    def _take(self, position: int) -> None:
+        with self._changed:
+            heapq.heappush(self._waiting, position)
+            self._changed.wait_for(lambda: self._free and self._waiting[0] == position)
+            heapq.heappop(self._waiting)
+            self._free -= 1
+            # The next waiting position may find a slot free too.
+            self._changed.notify_all()
+
+    def _give_up(self) -> None:
+        with self._changed:
+            self._free += 1
+            self._changed.notify_all()
 
 
 class Gateway:

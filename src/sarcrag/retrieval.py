@@ -22,7 +22,13 @@ import requests
 from requests.compat import chardet
 
 from .core import LanguageTag, RetrievalSource
-from .errors import CorruptRecord, DefinitionUnavailable, SearchQuotaExceeded, SearchTransportError
+from .errors import (
+    CorruptRecord,
+    DefinitionUnavailable,
+    SearchForbidden,
+    SearchQuotaExceeded,
+    SearchTransportError,
+)
 from .gateway import (
     ChatMessage,
     ChatRequest,
@@ -238,8 +244,10 @@ class GoogleSearchClient:
         }
         try:
             response = self.session.get(self.endpoint, params=params, timeout=WEB_TIMEOUT_S)
-            if response.status_code in (403, 429):
-                raise SearchQuotaExceeded(f"search quota rejected ({response.status_code})")
+            if response.status_code == 403:
+                raise SearchForbidden("search refused (403): check the key, the API and its daily quota")
+            if response.status_code == 429:
+                raise SearchQuotaExceeded("search quota rejected (429)")
             response.raise_for_status()
             items = _search_items(response.json())
         except (requests.RequestException, ValueError) as exc:

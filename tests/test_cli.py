@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from sarcrag import cli
+from sarcrag import cli, gateway
 from sarcrag.cli import (
     build_deps,
     build_parser,
@@ -26,7 +26,7 @@ from sarcrag.datasets import load_dataset
 from sarcrag.errors import ConfigError, LogParseError
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import build_p1
-from sarcrag.retrieval import DEFINE_SYSTEM, WordInfo, WordInfoCache
+from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, WordInfo, WordInfoCache
 from sarcrag.templates import load_templates
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay"
@@ -328,7 +328,7 @@ class TestRunCommand:
         assert [r["verdict"] for r in records] == ["YES", "NO"]
 
     def test_crash_stops_new_samples(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1 the pool has two workers, so semeval:4 may start while
+        # At --concurrency 1 there are two work slots, so semeval:4 may start while
         # semeval:3 runs; if it does, it runs on until the crash is recorded. No
         # sample starts after that.
         monkeypatch.setattr(requests.Session, "post", answer_yes)
@@ -356,9 +356,9 @@ class TestRunCommand:
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1", "semeval:2"]
 
     def test_crash_stops_queued_samples_at_concurrency_2(self, tmp_path, capsys, monkeypatch):
-        # The pool has four workers. semeval:2 raises once semeval:1, 3 and 4 have
+        # There are four work slots. semeval:2 raises once semeval:1, 3 and 4 have
         # started, and they run on until the crash is recorded, so semeval:5 to 8
-        # are still queued when the run stops.
+        # are still waiting for a slot when the run stops.
         monkeypatch.setattr(requests.Session, "post", answer_yes)
         crash_recorded = watch_for_crash(monkeypatch)
         data = numbered_samples(tmp_path, 8)
@@ -382,7 +382,7 @@ class TestRunCommand:
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
 
     def test_next_sample_starts_when_any_running_one_finishes(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1 the pool has two workers. semeval:1 runs until semeval:3
+        # At --concurrency 1 there are two work slots. semeval:1 runs until semeval:3
         # has started, which it can only do in the slot semeval:2 frees; records
         # still come out in sample order.
         run_pipeline = cli.run_pipeline
@@ -466,7 +466,8 @@ NAMES = ["Alice", "Bruno", "Carla", "Dmitri", "Edgar", "Fiona"]
 
 class NameChat:
     """Chat model for samples that each name one person: records each call as its
-    kind and the number of its sample, in order of arrival, and can hold P1."""
+    kind and the number of its sample, in order of arrival, and can hold P1 or answer
+    it with the HTTP status that `on_p1` returns."""
 
     def __init__(self, monkeypatch, on_p1=lambda sample: None):
         self.calls = []
@@ -474,7 +475,8 @@ class NameChat:
         self.on_p1 = on_p1
         monkeypatch.setattr(requests.Session, "post", self.post)
 
-    def data(self, tmp_path):
+    @staticmethod
+    def data(tmp_path):
         data = tmp_path / "names.tsv"
         data.write_text(
             "Tweet index\tLabel\tTweet text\n"
@@ -499,20 +501,30 @@ class NameChat:
         with self.arrived:
             self.calls.append((kind, sample))
             self.arrived.notify_all()
-        if kind == "P1":
-            self.on_p1(sample)
+        status = self.on_p1(sample) if kind == "P1" else None
         response = requests.Response()
-        response.status_code = 200
+        response.status_code = status or 200
         response._content = json.dumps({"message": {"content": text}}).encode()
         return response
 
 
+def chat_answer(url, **kwargs):
+    """A 200 answer to a chat request: P2 says YES, and any other call names its user message."""
+    system, user = (message["content"] for message in kwargs["json"]["messages"][:2])
+    text = "Final decision: YES" if system.startswith(EN.p2_system) else f"{user} is a person."
+    response = requests.Response()
+    response.status_code = 200
+    response._content = json.dumps({"message": {"content": text}}).encode()
+    return response
+
+
 class TestWholeSamples:
-    """Each sample runs whole, grounding then P1/P2, on one of 2 * concurrency workers."""
+    """Each sample runs whole, grounding then P1/P2, while it holds one of 2 * concurrency
+    work slots; a sample that waits gives its slot to the next one."""
 
     def test_held_sample_does_not_idle_the_other_worker(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1 the pool has two workers. While sample 1's P1 is held,
-        # the other worker runs samples 2 and 3 whole, up to sample 3's P2.
+        # At --concurrency 1 there are two work slots. While sample 1's P1 is held,
+        # the other slot runs samples 2 and 3 whole, up to sample 3's P2.
         held = []
 
         def hold_first(sample):
@@ -576,6 +588,145 @@ class TestWholeSamples:
         assert {sample for _, sample in chat.calls} == {1, 3}
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
+
+    def test_backoff_frees_the_worker(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1 there are two slots. Samples 1 and 2 each get a 500 on
+        # their first P1 and back off; samples 3 and 4 take their slots meanwhile and
+        # reach P2 before either retry arrives.
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.5)
+        failed = set()
+
+        def fail_first_p1(sample):
+            if sample in (1, 2) and sample not in failed:
+                failed.add(sample)
+                return 500
+            return None
+
+        chat = NameChat(monkeypatch, on_p1=fail_first_p1)
+        assert live_run(tmp_path, chat.data(tmp_path), "pmpwl", "--concurrency", "1") == 0
+        def second_p1(sample):
+            return [i for i, call in enumerate(chat.calls) if call == ("P1", sample)][1]
+
+        first_retry = min(second_p1(1), second_p1(2))
+        assert chat.calls.index(("P2", 3)) < first_retry
+        assert chat.calls.index(("P2", 4)) < first_retry
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl")
+        assert [r["verdict"] for r in records] == ["YES"] * 6
+
+    def test_a_backoff_under_a_merged_definition_does_not_deadlock(self, tmp_path, capsys, monkeypatch):
+        # Six samples name Penny. The first DefineWord answers 500, so the sample that
+        # made it backs off with no slot, while the next ones wait for its definition,
+        # also with no slot, so that it can take a slot back.
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.2)
+        defines = []
+
+        def post(self, url, **kwargs):
+            system = kwargs["json"]["messages"][0]["content"]
+            if system == DEFINE_SYSTEM[LanguageTag.ENGLISH]:
+                defines.append(url)
+                if len(defines) == 1:
+                    response = requests.Response()
+                    response.status_code = 500
+                    return response
+            return chat_answer(url, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        data = tmp_path / "penny.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n"
+            + "".join(f"{n}\t1\twe met Penny on day {n}\n" for n in range(1, 7)),
+            encoding="utf-8",
+        )
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(live_run(tmp_path, data, "pmpwl", "--concurrency", "1")),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive(), "the run deadlocked"
+        assert codes == [0]
+        assert len(defines) == 2
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl")
+        assert [r["word_info_sources"] for r in records] == [["llm_only"]] * 6
+
+    def test_ctrl_c_starts_no_sample_that_waits_for_a_slot(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1, writing sample 1's record raises KeyboardInterrupt once
+        # sample 3 has taken sample 1's slot. Samples 2 and 3 hold the two slots until
+        # the interrupt, and samples 4 and 5 are on threads, waiting for a slot. When
+        # the slots come free, neither starts.
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        interrupted = threading.Event()
+        third_started = threading.Event()
+        started = []  # (sample, whether the interrupt was raised yet)
+        run_pipeline = cli.run_pipeline
+
+        def traced(sample, variant, deps):
+            started.append((sample.id, interrupted.is_set()))
+            if sample.id == "semeval:3":
+                third_started.set()
+            if sample.id in ("semeval:2", "semeval:3"):
+                assert interrupted.wait(timeout=10)
+            return run_pipeline(sample, variant, deps)
+
+        dumps = json.dumps
+
+        def interrupt_first_record(obj, **kwargs):
+            if isinstance(obj, dict) and "wall_time" in obj and not interrupted.is_set():
+                assert third_started.wait(timeout=10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", traced)
+        monkeypatch.setattr(json, "dumps", interrupt_first_record)
+        data = numbered_samples(tmp_path, 12)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            live_run(tmp_path, data, "pmp", "--concurrency", "1")
+        assert set(threading.enumerate()) - before == set()
+        assert sorted(started) == [("semeval:1", False), ("semeval:2", False), ("semeval:3", False)]
+
+    def test_at_most_2n_requests_in_flight_on_at_most_4n_threads(self, tmp_path, capsys, monkeypatch):
+        # Every sample's first P1 answers 503 and is retried, so samples keep stepping
+        # out of their slots; no more than 4 requests may ever be in flight.
+        monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.05)
+        before = set(threading.enumerate())
+        lock = threading.Lock()
+        in_flight = [0]
+        most_in_flight = [0]
+        threads = set()
+        failed = set()
+
+        def post(self, url, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                most_in_flight[0] = max(most_in_flight[0], in_flight[0])
+                threads.update(set(threading.enumerate()) - before)
+            try:
+                time.sleep(0.005)
+                system, user = (m["content"] for m in kwargs["json"]["messages"][:2])
+                if system.startswith(EN.p1_system) and user not in failed:
+                    failed.add(user)
+                    response = requests.Response()
+                    response.status_code = 503
+                    return response
+                return chat_answer(url, **kwargs)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        data = tmp_path / "twelve.tsv"
+        data.write_text(
+            "Tweet index\tLabel\tTweet text\n"
+            + "".join(f"{n}\t1\twe met Person{n} today\n" for n in range(1, 13)),
+            encoding="utf-8",
+        )
+        assert live_run(tmp_path, data, "pmpwl", "--concurrency", "2") == 0
+        assert len(failed) == 12
+        assert most_in_flight[0] <= 4
+        assert len(threads) <= 8
 
     def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
         before = set(threading.enumerate())
@@ -866,6 +1017,46 @@ class TestLiveTransport:
         assert run("b") == ["NO"] * 4
         assert asked == ["a"] * n_asked + ["b"] * n_asked
         assert sorted(p.name for p in (tmp_path / "transcripts").iterdir()) == ["a", "b"]
+
+    def test_search_403_stops_the_run(self, tmp_path, capsys, monkeypatch):
+        # A 403 (bad key, disabled API or spent daily quota) would fail every later
+        # search, so the run stops at sample 3, whose keyword draws it, and exits 2
+        # with the records before it written.
+        def post(self, url, **kwargs):
+            system, user = (m["content"] for m in kwargs["json"]["messages"][:2])
+            if system == EN.keyword_identify:
+                text = f"Words I do not know: {user}"
+            elif system == EN.keyword_csv:
+                text = next(name for name in NAMES if name in user)
+            elif system == REFINE_SYSTEM[LanguageTag.ENGLISH]:
+                text = "A person."
+            else:
+                return chat_answer(url, **kwargs)
+            response = requests.Response()
+            response.status_code = 200
+            response._content = json.dumps({"message": {"content": text}}).encode()
+            return response
+
+        def get(self, url, **kwargs):
+            query = kwargs["params"]["q"]
+            response = requests.Response()
+            response.status_code = 403 if query == "Carla" else 200
+            snippet = " ".join([f"{query} is someone we know"] * 5)
+            items = [{"link": "https://a.invalid", "snippet": snippet}]
+            response._content = json.dumps({"items": items}).encode()
+            return response
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(requests.Session, "get", get)
+        monkeypatch.setenv("SEARCH_API_KEY", "key")
+        monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
+        data = NameChat.data(tmp_path)
+        assert live_run(tmp_path, data, "pmpwg", "--concurrency", "1") == 2
+        assert "search refused (403)" in capsys.readouterr().err
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl")
+        assert [(r["sample_id"], r["verdict"]) for r in records] == [
+            ("semeval:1", "YES"), ("semeval:2", "YES"),
+        ]
 
     def test_searches_and_page_fetches_share_one_session(self, tmp_path, monkeypatch):
         used = []

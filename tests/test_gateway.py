@@ -1,5 +1,6 @@
 """Chat transport: request validation, digests, transcripts, the live backend and replay."""
 
+import email.utils
 import errno
 import json
 import os
@@ -19,13 +20,16 @@ from sarcrag.errors import (
     TransportError,
 )
 from sarcrag.gateway import (
+    MAX_RETRY_AFTER_S,
     ChatMessage,
     ChatRequest,
     Gateway,
     LiveBackend,
     Purpose,
     Role,
+    SingleFlight,
     TranscriptStore,
+    WorkSlots,
     request_digest,
 )
 
@@ -222,9 +226,10 @@ class TestReplayBackend:
 
 
 class FakeResponse:
-    def __init__(self, payload=None, status=200, text=None):
+    def __init__(self, payload=None, status=200, text=None, headers=None):
         self.status_code = status
         self.text = json.dumps(payload or {}) if text is None else text
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -363,6 +368,187 @@ class TestRetryClassification:
         with pytest.raises(TransportError, match=message):
             backend.complete(make_request())
         assert len(session.calls) == len(responses)
+
+
+class TestRetryAfter:
+    """After a 429 or 503, the backoff is stretched to the wait that Retry-After asks for."""
+
+    def slept_after(self, *faults):
+        session = FakeSession([*faults, OK])
+        slept = []
+        backend = LiveBackend("http://example", "m", session=session, sleep=slept.append)
+        assert backend.complete(make_request()) == "recovered"
+        return slept
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_seconds(self, status):
+        assert self.slept_after(FakeResponse(status=status, headers={"Retry-After": "3"})) == [3.0]
+
+    def test_http_date(self):
+        when = email.utils.formatdate(time.time() + 30, usegmt=True)
+        [slept] = self.slept_after(FakeResponse(status=503, headers={"Retry-After": when}))
+        assert 28 <= slept <= 30
+
+    def test_a_wait_over_the_cap_is_cut_to_the_cap(self):
+        slept = self.slept_after(FakeResponse(status=429, headers={"Retry-After": "3600"}))
+        assert slept == [MAX_RETRY_AFTER_S]
+
+    def test_garbage_falls_back_to_the_backoff(self):
+        # Each attempt reads its own header: the first is unreadable, the second asks for 5 s.
+        slept = self.slept_after(
+            FakeResponse(status=429, headers={"Retry-After": "soon"}),
+            FakeResponse(status=429, headers={"Retry-After": "5"}),
+        )
+        assert slept == [1.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "status, header", [(503, "0"), (503, email.utils.formatdate(0, usegmt=True)), (500, "3")],
+        ids=["shorter", "past-date", "not-429-or-503"],
+    )
+    def test_never_shortens_the_backoff(self, status, header):
+        assert self.slept_after(FakeResponse(status=status, headers={"Retry-After": header})) == [1.0]
+
+
+def wait_until(condition, timeout=10):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.001)
+
+
+class TestWorkSlots:
+    """A free slot goes to the earliest waiting position; a waiting caller steps out of its slot."""
+
+    def start(self, slots, position, body=lambda: None, order=None):
+        """A thread that holds the slot at position for body, appending position to order when it gets it."""
+
+        def run():
+            with slots.hold(position):
+                if order is not None:
+                    order.append(position)
+                body()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread
+
+    def test_slots_are_handed_out_by_position(self):
+        slots = WorkSlots(1)
+        release = threading.Event()
+        order = []
+        threads = [self.start(slots, 0, lambda: release.wait(10), order)]
+        wait_until(lambda: order == [0])
+        for position in (3, 1, 2):
+            threads.append(self.start(slots, position, order=order))
+            wait_until(lambda: len(slots._waiting) == len(threads) - 1)
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        assert order == [0, 1, 2, 3]
+
+    def test_waiting_without_a_slot_does_nothing(self):
+        ran = []
+        with WorkSlots.waiting():
+            ran.append(True)
+        assert ran == [True]
+        # nor does it give up a slot that another thread holds
+        slots = WorkSlots(1)
+        release = threading.Event()
+        order = []
+        holder = self.start(slots, 0, lambda: release.wait(10), order)
+        wait_until(lambda: order == [0])
+        with WorkSlots.waiting():
+            later = self.start(slots, 1, order=order)
+            wait_until(lambda: len(slots._waiting) == 1)
+        assert order == [0]
+        release.set()
+        holder.join(10)
+        later.join(10)
+        assert order == [0, 1]
+
+    def test_a_returning_waiter_goes_ahead_of_every_later_position(self):
+        slots = WorkSlots(1)
+        stop_waiting = threading.Event()
+        release = threading.Event()
+        order = []
+
+        def wait_then_work():
+            with WorkSlots.waiting():
+                stop_waiting.wait(10)
+            order.append("0 again")
+
+        first = self.start(slots, 0, wait_then_work, order)
+        # Position 1 gets the slot that position 0 gave up for its wait.
+        second = self.start(slots, 1, lambda: release.wait(10), order)
+        wait_until(lambda: order == [0, 1])
+        stop_waiting.set()
+        later = [self.start(slots, position, order=order) for position in (2, 3)]
+        wait_until(lambda: len(slots._waiting) == 3)
+        release.set()
+        for thread in [first, second, *later]:
+            thread.join(10)
+        assert order == [0, 1, "0 again", 2, 3]
+
+    def test_never_more_holders_than_slots_under_stress(self):
+        slots = WorkSlots(3)
+        lock = threading.Lock()
+        working = [0]
+        most = [0]
+
+        def work():
+            for step in range(20):
+                with lock:
+                    working[0] += 1
+                    most[0] = max(most[0], working[0])
+                time.sleep(0.0001)
+                with lock:
+                    working[0] -= 1
+                if step % 5 == 0:
+                    with WorkSlots.waiting():
+                        time.sleep(0.0001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [self.start(slots, position, work) for position in range(16)]
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert most[0] <= 3
+        # Every slot came back: three callers can hold one each at once.
+        all_three = threading.Barrier(3, timeout=10)
+        threads = [self.start(slots, position, all_three.wait) for position in range(3)]
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all_three.n_waiting == 0 and not all_three.broken
+
+    def test_a_merged_caller_gives_up_its_slot_while_it_waits(self):
+        # Position 0 runs a call that only position 2 can finish; position 1 merges
+        # into it. Both wait with no slot, so position 2 can start.
+        slots = WorkSlots(2)
+        flight = SingleFlight()
+        finish = threading.Event()
+        results = []
+
+        def call():
+            assert finish.wait(10)
+            return "done"
+
+        def merge():
+            wait_until(lambda: "key" in flight._running)
+            results.append(flight.run("key", call))
+
+        threads = [
+            self.start(slots, 0, lambda: results.append(flight.run("key", call))),
+            self.start(slots, 1, merge),
+            self.start(slots, 2, finish.set),
+        ]
+        for thread in threads:
+            thread.join(10)
+        assert results == ["done", "done"]
 
 
 class Echo:

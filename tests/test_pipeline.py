@@ -386,6 +386,7 @@ SKIPS_THE_SAMPLE = {
     "MalformedCSV": True,
     "SearchTransportError": True,
     "SearchQuotaExceeded": True,
+    "SearchForbidden": False,
     "VerdictNotFound": True,
     "CorruptRecord": True,
     "ConfigError": False,

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from sarcrag.core import LanguageTag, RetrievalSource
 from sarcrag.errors import (
     DefinitionUnavailable,
+    SampleError,
+    SearchForbidden,
     SearchQuotaExceeded,
     SearchTransportError,
     StoreWriteError,
@@ -384,12 +386,18 @@ class TestGoogleSearchClient:
         assert params["key"] == "k"
         assert params["cx"] == "cx"
 
-    @pytest.mark.parametrize("status", [403, 429])
-    def test_quota_exhaustion_is_distinct(self, status):
+    # A 403 (a bad key, a disabled API or a spent daily quota) fails every later
+    # search too, so it stops the run; a 429 skips the sample.
+    @pytest.mark.parametrize(
+        "status, error, skips", [(403, SearchForbidden, False), (429, SearchQuotaExceeded, True)],
+        ids=["403", "429"],
+    )
+    def test_quota_exhaustion_is_distinct(self, status, error, skips):
         session = self.make_session(FakeHttpResponse(status_code=status))
         client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
-        with pytest.raises(SearchQuotaExceeded):
+        with pytest.raises(error) as info:
             client.search("q", max_results=1)
+        assert isinstance(info.value, SampleError) is skips
 
     def test_server_error_raises_transport(self):
         session = self.make_session(FakeHttpResponse(status_code=500))
