@@ -224,7 +224,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "wall_time": time.monotonic() - started,
             }
 
-    records: list[dict] = []
     log_path = run_dir / "run.jsonl"
     with (
         log_path.open("w", encoding="utf-8") as fh,
@@ -232,7 +231,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     ):
         try:
             for record in pool.map(run_one, range(len(samples)), samples):
-                records.append(record)
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
                 fh.flush()
         except BaseException:
@@ -240,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
 
     try:
-        report = _report_from_records(records)
+        report = report_from_log(log_path)
     except EmptyEvaluation:
         print(f"run finished but every sample was skipped; no report written ({log_path})")
         return 1
@@ -292,17 +290,13 @@ def read_run_log(path: Path | str) -> list[dict]:
     return records
 
 
-def _report_from_records(records: list[dict]):
-    pairs = [
-        (Label(r["gold"]), Label(r["verdict"]) if r["verdict"] is not None else None)
-        for r in records
-    ]
-    return macro_metrics(confusion(pairs))
-
-
 def report_from_log(path: Path | str):
     """Recompute the metrics report from a run log, with no model access."""
-    return _report_from_records(read_run_log(path))
+    pairs = [
+        (Label(r["gold"]), Label(r["verdict"]) if r["verdict"] is not None else None)
+        for r in read_run_log(path)
+    ]
+    return macro_metrics(confusion(pairs))
 
 
 def cmd_report(args: argparse.Namespace) -> int:

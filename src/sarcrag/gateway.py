@@ -277,7 +277,7 @@ def _not_retried(cause: str, attempt: int) -> TransportError:
 
 
 def _extract_text(body: object) -> str:
-    """Pull generated text out of the common chat-completion response shapes.
+    """Pull generated text out of an Ollama-chat (`message`) or OpenAI-chat (`choices`) body.
 
     Raises ValueError for any other shape, and for text that is not a string,
     such as the `"content": null` an OpenAI-shape answer may carry.
@@ -285,10 +285,8 @@ def _extract_text(body: object) -> str:
     try:
         if "message" in body:
             text = body["message"]["content"]
-        elif "choices" in body:
-            text = body["choices"][0]["message"]["content"]
         else:
-            text = body["response"]
+            text = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         shape = sorted(body) if isinstance(body, dict) else type(body).__name__
         raise ValueError(f"unrecognized response shape: {shape}") from exc
@@ -406,7 +404,7 @@ class Gateway:
     def __init__(
         self,
         backend: ChatBackend | None,
-        store: TranscriptStore | None = None,
+        store: TranscriptStore,
         exchange_log: Path | None = None,
     ) -> None:
         self.backend = backend
@@ -436,13 +434,13 @@ class Gateway:
 
     def _answer(self, request: ChatRequest) -> tuple[str, str]:
         """(answer text, "store" or the backend's name)."""
-        response_text = self.store.lookup(request) if self.store is not None else None
+        response_text = self.store.lookup(request)
         if response_text is not None:
             return response_text, "store"
         if self.backend is None:
             raise MissingTranscript(request.digest)
         response_text = self.backend.complete(request)
-        if self.store is not None and response_text.strip():
+        if response_text.strip():
             response_text = self.store.save(request, response_text)
         return response_text, self.backend.name
 

@@ -13,7 +13,6 @@ import html.parser
 import itertools
 import math
 import re
-import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -435,14 +434,11 @@ def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> Wo
     )
 
 
-# Longest percent-quoted keyword used as a file name: 255 bytes, the usual limit,
-# less ".json" and the ".xxxxxxxx.tmp" that put_json_if_absent's temporary file adds.
-MAX_QUOTED_NAME = 255 - len(".json") - len(".xxxxxxxx.tmp")
-
-
 class WordInfoCache:
-    """Directory of per-keyword definition files, keyed by (source, case-folded keyword).
+    """Directory of per-keyword definition files, keyed by (source, exact keyword).
 
+    A file is named by the SHA-256 of its keyword, so every keyword makes a safe
+    name and two casings make two names, even on a case-insensitive filesystem.
     `in_flight` merges concurrent get_word_info misses of one key.
     """
 
@@ -451,11 +447,7 @@ class WordInfoCache:
         self.in_flight = SingleFlight()
 
     def path_for(self, keyword: str, source: RetrievalSource) -> Path:
-        folded = keyword.casefold()
-        name = urllib.parse.quote(folded, safe="")
-        if len(name) > MAX_QUOTED_NAME:
-            # quote() always escapes "=", so no quoted keyword can take this name.
-            name = "sha256=" + hashlib.sha256(folded.encode("utf-8")).hexdigest()
+        name = hashlib.sha256(keyword.encode("utf-8")).hexdigest()
         return self.root / source.value / f"{name}.json"
 
     def lookup(self, keyword: str, source: RetrievalSource) -> WordInfo | None:
@@ -476,26 +468,18 @@ class WordInfoCache:
         return _word_info(path, put_json_if_absent(path, record))
 
     def entries(self, source: RetrievalSource | None = None) -> list[WordInfo]:
-        sources = [source] if source else list(RetrievalSource)
-        found: list[WordInfo] = []
-        for src in sources:
-            directory = self.root / src.value
-            if not directory.is_dir():
-                continue
-            found.extend(_word_info(path, read_json(path)) for path in sorted(directory.glob("*.json")))
-        return found
+        return [_word_info(path, read_json(path)) for path in self._files(source)]
 
     def purge(self, source: RetrievalSource | None = None) -> int:
-        removed = 0
+        files = self._files(source)
+        for path in files:
+            path.unlink()
+        return len(files)
+
+    def _files(self, source: RetrievalSource | None) -> list[Path]:
+        """The definition files of source, or of every source, sorted by path."""
         sources = [source] if source else list(RetrievalSource)
-        for src in sources:
-            directory = self.root / src.value
-            if not directory.is_dir():
-                continue
-            for path in directory.glob("*.json"):
-                path.unlink()
-                removed += 1
-        return removed
+        return [path for src in sources for path in sorted((self.root / src.value).glob("*.json"))]
 
 
 def _word_info(path: Path, record: dict) -> WordInfo:
@@ -549,4 +533,4 @@ def get_word_info(
         cached = cache.lookup(keyword, source)
         return cached if cached is not None else cache.store(define())
 
-    return cache.in_flight.run((source, keyword.casefold()), lookup_or_define)
+    return cache.in_flight.run((source, keyword), lookup_or_define)

@@ -24,6 +24,7 @@ from sarcrag.cli import (
 from sarcrag.core import DatasetKind, LanguageTag, RetrievalSource
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import ConfigError, LogParseError
+from sarcrag.evaluation import report_to_json
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import build_p1
 from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, WordInfo, WordInfoCache
@@ -728,7 +729,7 @@ class TestWholeSamples:
         assert most_in_flight[0] <= 4
         assert len(threads) <= 8
 
-    def test_cli_starts_at_most_two_threads_per_unit_of_concurrency(self, tmp_path, monkeypatch):
+    def test_a_sample_defines_its_keywords_on_its_own_thread(self, tmp_path, monkeypatch):
         before = set(threading.enumerate())
         alive = []
 
@@ -877,7 +878,7 @@ class TestCorruptRecords:
         self.assert_only_skipped(self.replay(store), "semeval:2")
 
     def test_truncated_cache_file(self, store):
-        path = store / "cache" / "llm_only" / "heathrow.json"
+        path = WordInfoCache(store / "cache").path_for("Heathrow", RetrievalSource.LLM_ONLY)
         path.write_text('{"keyword": "Heath', encoding="utf-8")
         self.assert_only_skipped(self.replay(store), "semeval:3")
 
@@ -1097,6 +1098,7 @@ class TestRunLogReading:
         report = report_from_log(run_dir / "run.jsonl")
         assert report.n_scored == 3
         assert report.n_skipped == 1
+        assert (run_dir / "report.json").read_text(encoding="utf-8") == report_to_json(report) + "\n"
 
     def test_blank_lines_ignored(self, tmp_path):
         log = tmp_path / "run.jsonl"

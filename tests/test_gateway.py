@@ -317,11 +317,13 @@ class TestRetryClassification:
             FakeResponse(text="null"),
             FakeResponse({"choices": [{"message": {"role": "assistant", "content": None}}]}),
             FakeResponse({"message": {"content": 42}}),
+            FakeResponse({"model": "m", "response": "an answer", "done": True}),
             requests.exceptions.InvalidURL("bad url"),
         ],
         ids=[
             "400", "401", "404", "422", "truncated-json", "not-json", "unknown-shape",
-            "no-choices", "json-null", "null-content", "numeric-content", "invalid-url",
+            "no-choices", "json-null", "null-content", "numeric-content", "generate-shape",
+            "invalid-url",
         ],
     )
     def test_permanent_fault_fails_at_once(self, response):

@@ -19,7 +19,7 @@ from sarcrag.errors import (
     TransportError,
     VerdictNotFound,
 )
-from sarcrag.gateway import Gateway, Purpose
+from sarcrag.gateway import Gateway, Purpose, TranscriptStore
 from sarcrag.pipeline import (
     PipelineDeps,
     build_p1,
@@ -365,7 +365,7 @@ class TestDefinitionErrors:
         ],
         ids=["first_keyword", "after_a_skip_error"],
     )
-    def test_run_stopping_error_is_raised_at_once(self, monkeypatch, errors):
+    def test_run_stopping_error_is_raised_at_once(self, monkeypatch, tmp_path, errors):
         called = []
 
         def failing_get_word_info(keyword, *args, **kwargs):
@@ -374,7 +374,7 @@ class TestDefinitionErrors:
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
         with pytest.raises(StoreWriteError):
-            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend())))
+            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend(), TranscriptStore(tmp_path))))
         assert called == list(errors)
 
 

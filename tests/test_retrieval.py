@@ -31,7 +31,6 @@ from sarcrag.retrieval import (
     DEFAULT_MAX_RESULTS,
     DEFAULT_OVERLAP,
     DEFAULT_TOP_K,
-    MAX_QUOTED_NAME,
     Chunk,
     GoogleSearchClient,
     SearchResult,
@@ -681,10 +680,15 @@ class TestWordInfoCache:
         cache.store(info)
         assert cache.lookup("kw", RetrievalSource.GOOGLE_SEARCH) == info
 
-    def test_lookup_is_case_insensitive(self, tmp_path):
+    def test_two_casings_are_two_entries(self, tmp_path):
         cache = WordInfoCache(tmp_path)
-        cache.store(self.make_info("Paris"))
-        assert cache.lookup("paris", RetrievalSource.LLM_ONLY) is not None
+        upper = WordInfo(keyword="PENNY", definition="Shouted.", source=RetrievalSource.LLM_ONLY)
+        title = WordInfo(keyword="Penny", definition="A name.", source=RetrievalSource.LLM_ONLY)
+        assert cache.store(upper) == upper
+        assert cache.store(title) == title
+        assert cache.lookup("PENNY", RetrievalSource.LLM_ONLY) == upper
+        assert cache.lookup("Penny", RetrievalSource.LLM_ONLY) == title
+        assert cache.lookup("penny", RetrievalSource.LLM_ONLY) is None
 
     def test_miss_returns_none(self, tmp_path):
         assert WordInfoCache(tmp_path).lookup("kw", RetrievalSource.LLM_ONLY) is None
@@ -701,21 +705,16 @@ class TestWordInfoCache:
         for p in tmp_path.rglob("*.json"):
             assert "/" not in p.stem
 
-    def test_long_non_ascii_keyword_is_named_by_its_digest(self, tmp_path):
-        # 44 characters pass the keyword caps, but quote to a 489-byte file name.
-        keyword = "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40
+    def test_any_keyword_is_named_by_its_digest(self, tmp_path):
+        # The last quotes to a 489-byte name, longer than most filesystems allow.
+        keywords = ["kw", "United Nations", "k" * 300, "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40]
         cache = WordInfoCache(tmp_path)
-        info = self.make_info(keyword)
-        assert cache.store(info) == info
-        assert cache.lookup("WKWK" + keyword[4:], RetrievalSource.LLM_ONLY) == info
-        assert cache.entries() == [info]
-        digest = hashlib.sha256(keyword.encode("utf-8")).hexdigest()
-        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"sha256={digest}.json"]
-
-    def test_quoted_name_at_the_length_limit_is_kept(self, tmp_path):
-        keyword = "k" * MAX_QUOTED_NAME
-        WordInfoCache(tmp_path).store(self.make_info(keyword))
-        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"{keyword}.json"]
+        for keyword in keywords:
+            info = self.make_info(keyword)
+            assert cache.store(info) == info
+            assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
+        digests = [hashlib.sha256(k.encode("utf-8")).hexdigest() for k in keywords]
+        assert sorted(p.name for p in (tmp_path / "llm_only").iterdir()) == sorted(f"{d}.json" for d in digests)
 
     def test_entries_and_purge(self, tmp_path):
         cache = WordInfoCache(tmp_path)
@@ -766,9 +765,10 @@ class TestWordInfoCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        info = WordInfoCache(tmp_path).lookup("kw", RetrievalSource.LLM_ONLY)
+        cache = WordInfoCache(tmp_path)
+        info = cache.lookup("kw", RetrievalSource.LLM_ONLY)
         assert info.definition.startswith("Definition ")
-        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == ["kw.json"]
+        assert list((tmp_path / "llm_only").iterdir()) == [cache.path_for("kw", RetrievalSource.LLM_ONLY)]
 
     def test_store_again_with_different_definition_keeps_the_first(self, tmp_path):
         cache = WordInfoCache(tmp_path)
@@ -776,7 +776,7 @@ class TestWordInfoCache:
         assert cache.store(first) == first
         path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
         before = path.read_bytes()
-        second = WordInfo(keyword="KW", definition="Second.", source=RetrievalSource.LLM_ONLY)
+        second = WordInfo(keyword="kw", definition="Second.", source=RetrievalSource.LLM_ONLY)
         assert cache.store(second) == first
         assert path.read_bytes() == before
         assert cache.lookup("kw", RetrievalSource.LLM_ONLY) == first
@@ -787,7 +787,7 @@ class TestWordInfoCache:
         (path / "occupied").mkdir(parents=True)
         with pytest.raises(StoreWriteError):
             cache.store(self.make_info())
-        assert [p.name for p in path.parent.iterdir()] == ["kw.json"]
+        assert list(path.parent.iterdir()) == [path]
 
     def test_stored_file_is_json(self, tmp_path):
         cache = WordInfoCache(tmp_path)
@@ -873,20 +873,19 @@ class TestGetWordInfo:
                 raise self.outcome
             return self.outcome
 
-    def miss_together(self, gateway, cache):
-        """Eight threads define "penny" or "Penny" at once; what each got or raised."""
-        barrier = threading.Barrier(8)
-        got = [None] * 8
+    def miss_together(self, gateway, cache, keywords=("penny",) * 8):
+        """One thread per keyword defines it, all at once; what each got or raised."""
+        barrier = threading.Barrier(len(keywords))
+        got = [None] * len(keywords)
 
         def define(n):
             barrier.wait(timeout=10)
-            keyword = "Penny" if n % 2 else "penny"
             try:
-                got[n] = get_word_info(keyword, RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH, cache=cache)
+                got[n] = get_word_info(keywords[n], RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH, cache=cache)
             except Exception as exc:
                 got[n] = exc
 
-        threads = [threading.Thread(target=define, args=(n,)) for n in range(8)]
+        threads = [threading.Thread(target=define, args=(n,)) for n in range(len(keywords))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -899,8 +898,17 @@ class TestGetWordInfo:
         cache = WordInfoCache(tmp_path)
         got = self.miss_together(gateway, cache)
         assert [r.purpose for r in gateway.requests] == [Purpose.DEFINE_WORD]
-        # Every caller gets the definition the cache keeps, whichever casing defined it.
         assert got == [cache.lookup("penny", RetrievalSource.LLM_ONLY)] * 8
+
+    def test_concurrent_misses_of_two_casings_make_two_requests(self, tmp_path):
+        gateway = self.SlowGateway("A definition.")
+        cache = WordInfoCache(tmp_path)
+        keywords = ("Penny", "penny") * 4
+        got = self.miss_together(gateway, cache, keywords)
+        assert sorted(r.messages[1].content for r in gateway.requests) == ["Penny", "penny"]
+        # Each caller gets the definition of its own casing.
+        assert [info.keyword for info in got] == list(keywords)
+        assert got == [cache.lookup(k, RetrievalSource.LLM_ONLY) for k in keywords]
 
     def test_leader_error_reaches_every_concurrent_miss(self, tmp_path):
         gateway = self.SlowGateway(TransportError("chat endpoint failed: HTTP 400, not retried"))

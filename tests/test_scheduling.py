@@ -44,8 +44,8 @@ TEXTS = [
     "the weather in Leeds is lovely again",
 ]
 
-# Two casings of one keyword: the definition cache keys by the case-folded
-# keyword, so whichever sample defines it first sets what both P1s say.
+# Two casings of one keyword: each is defined on its own, so neither P1 depends
+# on which sample defines its casing first.
 CASINGS = ["we love PENNY so much", "we love Penny so much"]
 
 SCHEDULES = [("1", False), ("2", False), ("4", False), ("1", True)]
@@ -174,10 +174,5 @@ def test_stored_bytes_do_not_depend_on_the_schedule(tmp_path, fake_services):
     assert_schedule_independent(tmp_path, fake_services, TEXTS)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: definitions are cached by case-folded keyword, so the casing "
-    "defined first is rendered into the other casing's P1",
-)
 def test_two_casings_of_one_keyword(tmp_path, fake_services):
     assert_schedule_independent(tmp_path, fake_services, TEXTS + CASINGS)
