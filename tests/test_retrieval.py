@@ -705,9 +705,30 @@ class TestWordInfoCache:
         for p in tmp_path.rglob("*.json"):
             assert "/" not in p.stem
 
+    def test_long_non_ascii_keyword_is_named_by_its_digest(self, tmp_path):
+        # 44 characters pass the keyword caps, but would quote to a 489-byte file name.
+        keyword = "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40
+        cache = WordInfoCache(tmp_path)
+        info = self.make_info(keyword)
+        assert cache.store(info) == info
+        assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
+        assert cache.lookup("WKWK" + keyword[4:], RetrievalSource.LLM_ONLY) is None
+        assert cache.entries() == [info]
+        digest = hashlib.sha256(keyword.encode("utf-8")).hexdigest()
+        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"{digest}.json"]
+
+    def test_quoted_name_at_the_length_limit_is_kept(self, tmp_path):
+        # 237 bytes was the longest name a percent-quoted keyword could take;
+        # one past it is stored and found like any other keyword.
+        cache = WordInfoCache(tmp_path)
+        for keyword in ["k" * 237, "k" * 238]:
+            info = self.make_info(keyword)
+            assert cache.store(info) == info
+            assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
+        assert sorted(e.keyword for e in cache.entries()) == ["k" * 237, "k" * 238]
+
     def test_any_keyword_is_named_by_its_digest(self, tmp_path):
-        # The last quotes to a 489-byte name, longer than most filesystems allow.
-        keywords = ["kw", "United Nations", "k" * 300, "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40]
+        keywords = ["kw", "United Nations", "a/b c", "k" * 300]
         cache = WordInfoCache(tmp_path)
         for keyword in keywords:
             info = self.make_info(keyword)
