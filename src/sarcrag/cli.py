@@ -7,6 +7,7 @@ import functools
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .core import DatasetKind, Label, PipelineVariant, RetrievalSource, variant_
 from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleError, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
-from .gateway import Gateway, LiveBackend, TranscriptStore, WorkSlots
+from .gateway import Gateway, LiveBackend, TranscriptStore
 from .pipeline import PipelineDeps, run_pipeline
 from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
 
@@ -151,15 +152,16 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
     if config.backend == "replay":
         gateway = Gateway(None, store)
     else:
-        backend = LiveBackend(config.endpoint, config.model)
+        in_flight = threading.BoundedSemaphore(2 * config.concurrency)
+        backend = LiveBackend(config.endpoint, config.model, in_flight=in_flight)
         gateway = Gateway(backend, store=store, exchange_log=run_dir / "exchanges.jsonl")
         if variant_plan(config.variant).retrieval is RetrievalSource.GOOGLE_SEARCH:
             # One session for every search and page fetch, so connections are reused.
             web = requests.Session()
             search = GoogleSearchClient(
-                config.search_api_key, config.search_engine_id, session=web
+                config.search_api_key, config.search_engine_id, session=web, in_flight=in_flight
             )
-            fetcher = functools.partial(fetch_page, session=web)
+            fetcher = functools.partial(fetch_page, session=web, in_flight=in_flight)
     return PipelineDeps(
         gateway=gateway,
         search=search,
@@ -171,6 +173,8 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     samples = load_dataset(config.dataset, config.data_path)
+    if not samples:
+        raise ConfigError(f"data path holds no samples: {config.data_path}")
     if config.limit is not None:
         samples = samples[: config.limit]
     run_dir = config.run_dir
@@ -181,13 +185,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         (run_dir / stale).unlink(missing_ok=True)
     deps = build_deps(config, run_dir)
 
-    # At most 2 * concurrency samples work at once, each whole on one thread: its
-    # grounding (keywords and their definitions), then P1, P2 and the verdict. A
-    # sample works while it holds one of the 2 * concurrency slots, and makes one
-    # request at a time, so at most 2 * concurrency requests are in flight. A sample
-    # that waits on a backoff sleep or on another sample's identical call gives its
-    # slot to the next sample for the wait, so the pool has twice as many threads as
-    # slots. Each record is on disk as soon as it and every earlier sample are done.
+    # Up to 4 * concurrency samples run at once, each whole on one thread: its
+    # grounding (keywords and their definitions), then P1, P2 and the verdict. Each
+    # chat request, search and page fetch holds one of 2 * concurrency permits while
+    # in flight (see `build_deps`), so at most 2 * concurrency requests are in flight;
+    # a sample that sleeps on a backoff or waits on another sample's identical call
+    # holds none. Samples start in input order, and each record is on disk as soon
+    # as it and every earlier sample are done.
     #
     # A sample that raises (a SampleError aside) stops the run: no later sample
     # starts, the running ones finish, and `map` raises the error once the records
@@ -195,34 +199,32 @@ def cmd_run(args: argparse.Namespace) -> int:
     # sample taken off the queue before the failed one may reach this check after it.
     # An error that leaves the record loop (Ctrl-C) stops every sample not yet started.
     crashed: list[int] = []
-    slots = WorkSlots(2 * config.concurrency)
 
     def run_one(position: int, sample) -> dict | None:
-        with slots.hold(position):
-            if any(earlier < position for earlier in crashed):
-                return None
-            started = time.monotonic()
-            trace = error = None
-            try:
-                trace = run_pipeline(sample, config.variant, deps)
-            except SampleError as exc:
-                error = exc
-            except BaseException:
-                crashed.append(position)
-                raise
-            return {
-                "sample_id": sample.id,
-                "variant": config.variant.value,
-                "gold": sample.gold.value,
-                "verdict": trace.verdict.value if trace else None,
-                "skipped_reason": f"{type(error).__name__}: {error}" if error else None,
-                "skip_class": type(error).__name__ if error else None,
-                "keywords": list(trace.keywords) if trace and trace.keywords else [],
-                "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
-                "p1_digest": trace.p1_digest if trace else None,
-                "p2_digest": trace.p2_digest if trace else None,
-                "wall_time": time.monotonic() - started,
-            }
+        if any(earlier < position for earlier in crashed):
+            return None
+        started = time.monotonic()
+        trace = error = None
+        try:
+            trace = run_pipeline(sample, config.variant, deps)
+        except SampleError as exc:
+            error = exc
+        except BaseException:
+            crashed.append(position)
+            raise
+        return {
+            "sample_id": sample.id,
+            "variant": config.variant.value,
+            "gold": sample.gold.value,
+            "verdict": trace.verdict.value if trace else None,
+            "skipped_reason": f"{type(error).__name__}: {error}" if error else None,
+            "skip_class": type(error).__name__ if error else None,
+            "keywords": list(trace.keywords) if trace and trace.keywords else [],
+            "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
+            "p1_digest": trace.p1_digest if trace else None,
+            "p2_digest": trace.p2_digest if trace else None,
+            "wall_time": time.monotonic() - started,
+        }
 
     log_path = run_dir / "run.jsonl"
     with (
@@ -338,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--concurrency",
         type=int,
-        help="N: up to 2N samples working, at most 2N requests in flight; samples waiting on"
-        " a backoff or a merged call do not count; at most 4N threads (default 4)",
+        help="N: at most 2N requests in flight, on 4N threads; a sample that sleeps on a"
+        " backoff or waits on a merged call holds no request (default 4)",
     )
     run.add_argument("--limit", type=int)
     run.add_argument("--out")

@@ -9,12 +9,10 @@ model server.
 
 from __future__ import annotations
 
-import contextlib
 import email.utils
 import enum
 import functools
 import hashlib
-import heapq
 import json
 import os
 import tempfile
@@ -184,7 +182,11 @@ class LiveBackend:
     Only timeouts, dropped connections, bodies cut off mid-stream, HTTP 429 and
     HTTP 5xx are retried; any other fault raises TransportError at once. After a
     429 or 503 the backoff is stretched to the wait its Retry-After header asks
-    for, up to MAX_RETRY_AFTER_S. A backoff sleep gives up the caller's work slot.
+    for, up to MAX_RETRY_AFTER_S.
+
+    Each POST holds one permit of `in_flight`, the bound on requests in flight
+    that a run's chat and web clients share (2 * concurrency in `sarcrag run`);
+    a backoff sleep holds none.
 
     No decoding parameters are sent; the server's defaults apply.
     """
@@ -196,11 +198,13 @@ class LiveBackend:
         endpoint_url: str,
         model: str,
         *,
+        in_flight: threading.Semaphore,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.endpoint_url = endpoint_url
         self.model = model
+        self.in_flight = in_flight
         self.session = session or requests.Session()
         self._sleep = sleep
 
@@ -213,13 +217,13 @@ class LiveBackend:
         cause = "no attempt made"
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
-                with WorkSlots.waiting():
-                    self._sleep(delay)
+                self._sleep(delay)
             delay = BACKOFF_BASE_S * 2**attempt  # the sleep before the next attempt
             try:
-                response = self.session.post(
-                    self.endpoint_url, json=payload, timeout=CHAT_TIMEOUT_S
-                )
+                with self.in_flight:
+                    response = self.session.post(
+                        self.endpoint_url, json=payload, timeout=CHAT_TIMEOUT_S
+                    )
             except _RETRYABLE_ERRORS as exc:
                 cause = f"{type(exc).__name__}: {exc}"
                 continue
@@ -301,7 +305,7 @@ class SingleFlight:
     The first caller of a key runs the call in its own thread; callers of that
     key that arrive while it runs wait for it and get its result, or raise its
     exception. A key is forgotten once its call returns, so a later caller runs
-    the call afresh. A caller that waits gives up its work slot while it waits.
+    the call afresh. A caller that waits holds no request in flight while it waits.
     Compare Go's golang.org/x/sync/singleflight.
     """
 
@@ -315,8 +319,7 @@ class SingleFlight:
             if running is None:
                 future = self._running[key] = Future()
         if running is not None:
-            with WorkSlots.waiting():
-                return running.result()
+            return running.result()
         try:
             result = call()
         except BaseException as exc:
@@ -328,67 +331,6 @@ class SingleFlight:
         finally:
             with self._lock:
                 del self._running[key]
-
-
-# The WorkSlots and position of the slot that the current thread holds, if any.
-_held = threading.local()
-
-
-class WorkSlots:
-    """At most n callers work at once; a free slot goes to the earliest waiting position.
-
-    A caller holds a slot for the body of `hold(position)`. Inside it, a wait on
-    something other than its own work (a backoff sleep, another caller's call)
-    goes in `WorkSlots.waiting()`, which gives the slot up for the wait and then
-    takes it back at the same position, ahead of every later one. So callers start
-    in position order, and one that comes back from a wait resumes before any
-    later caller starts. On a thread that holds no slot, `waiting()` does nothing.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._free = n
-        self._waiting: list[int] = []  # a heap of the positions waiting for a slot
-        self._changed = threading.Condition()
-
-    @contextlib.contextmanager
-    def hold(self, position: int):
-        self._take(position)
-        _held.slot = (self, position)
-        try:
-            yield
-        finally:
-            _held.slot = None
-            self._give_up()
-
-    @staticmethod
-    @contextlib.contextmanager
-    def waiting():
-        held = getattr(_held, "slot", None)
-        if held is None:
-            yield
-            return
-        slots, position = held
-        _held.slot = None
-        slots._give_up()
-        try:
-            yield
-        finally:
-            slots._take(position)
-            _held.slot = held
-
-    def _take(self, position: int) -> None:
-        with self._changed:
-            heapq.heappush(self._waiting, position)
-            self._changed.wait_for(lambda: self._free and self._waiting[0] == position)
-            heapq.heappop(self._waiting)
-            self._free -= 1
-            # The next waiting position may find a slot free too.
-            self._changed.notify_all()
-
-    def _give_up(self) -> None:
-        with self._changed:
-            self._free += 1
-            self._changed.notify_all()
 
 
 class Gateway:

@@ -13,6 +13,7 @@ import html.parser
 import itertools
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -225,14 +226,20 @@ class SearchPort(Protocol):
 
 
 class GoogleSearchClient:
-    """Programmable-search JSON API client returning ranked (url, snippet) pairs."""
+    """Programmable-search JSON API client returning ranked (url, snippet) pairs.
+
+    Each search holds one permit of `in_flight` for its request and JSON read.
+    """
 
     endpoint = "https://www.googleapis.com/customsearch/v1"
 
-    def __init__(self, api_key: str, engine_id: str, *, session: requests.Session) -> None:
+    def __init__(
+        self, api_key: str, engine_id: str, *, session: requests.Session, in_flight: threading.Semaphore
+    ) -> None:
         self.api_key = api_key
         self.engine_id = engine_id
         self.session = session
+        self.in_flight = in_flight
 
     def search(self, query: str, max_results: int) -> list[SearchResult]:
         params = {
@@ -242,13 +249,14 @@ class GoogleSearchClient:
             "num": min(max_results, 10),
         }
         try:
-            response = self.session.get(self.endpoint, params=params, timeout=WEB_TIMEOUT_S)
-            if response.status_code == 403:
-                raise SearchForbidden("search refused (403): check the key, the API and its daily quota")
-            if response.status_code == 429:
-                raise SearchQuotaExceeded("search quota rejected (429)")
-            response.raise_for_status()
-            items = _search_items(response.json())
+            with self.in_flight:
+                response = self.session.get(self.endpoint, params=params, timeout=WEB_TIMEOUT_S)
+                if response.status_code == 403:
+                    raise SearchForbidden("search refused (403): check the key, the API and its daily quota")
+                if response.status_code == 429:
+                    raise SearchQuotaExceeded("search quota rejected (429)")
+                response.raise_for_status()
+                items = _search_items(response.json())
         except (requests.RequestException, ValueError) as exc:
             raise SearchTransportError(f"search failed: {exc}") from exc
         return [
@@ -312,17 +320,19 @@ def strip_markup(markup: str) -> str:
     return " ".join(extractor.parts)
 
 
-def fetch_page(url: str, *, session: requests.Session) -> str:
+def fetch_page(url: str, *, session: requests.Session, in_flight: threading.Semaphore) -> str:
     """Text of the first MAX_FETCHED_CHARS characters of a page's markup.
 
     The body is streamed and decoded block by block; the response is closed as
     soon as enough characters are in, so an oversized page is never held whole.
+    The fetch holds one permit of `in_flight` until the response is closed.
     """
-    with session.get(
+    with in_flight, session.get(
         url, timeout=WEB_TIMEOUT_S, headers={"User-Agent": USER_AGENT}, stream=True
     ) as response:
         response.raise_for_status()
-        return strip_markup(_read_text(response, MAX_FETCHED_CHARS))
+        markup = _read_text(response, MAX_FETCHED_CHARS)
+    return strip_markup(markup)
 
 
 def _read_text(response: requests.Response, limit: int) -> str:

@@ -6,7 +6,7 @@ import json
 import shutil
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from sarcrag.errors import ConfigError, LogParseError
 from sarcrag.evaluation import report_to_json
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import build_p1
-from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, WordInfo, WordInfoCache
+from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, GoogleSearchClient, WordInfo, WordInfoCache
 from sarcrag.templates import load_templates
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay"
@@ -312,6 +312,14 @@ class TestRunCommand:
         assert (run_dir / "run.jsonl").exists()
         assert not (run_dir / "report.json").exists()
 
+    def test_a_data_file_with_no_samples_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "header_only.tsv"
+        data.write_text("Tweet index\tLabel\tTweet text\n", encoding="utf-8")
+        code, captured, run_dir = run_fixture_cli(tmp_path, capsys, "--data-path", str(data))
+        assert code == 2
+        assert captured.err == f"error: data path holds no samples: {data}\n"
+        assert not (run_dir / "run.jsonl").exists()
+
     def test_crash_keeps_the_records_written_before_it(self, tmp_path, capsys, monkeypatch):
         run_pipeline = cli.run_pipeline
 
@@ -329,9 +337,11 @@ class TestRunCommand:
         assert [r["verdict"] for r in records] == ["YES", "NO"]
 
     def test_crash_stops_new_samples(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1 there are two work slots, so semeval:4 may start while
-        # semeval:3 runs; if it does, it runs on until the crash is recorded. No
-        # sample starts after that.
+        # At --concurrency 1 there are four threads, so semeval:5 is queued while
+        # semeval:1 to 4 may start. semeval:3 raises at once, and every other sample
+        # that starts runs on only once the crash is recorded, so no thread comes
+        # free for semeval:5 before that. semeval:4 may start before the crash or be
+        # stopped by it. No sample starts after it.
         monkeypatch.setattr(requests.Session, "post", answer_yes)
         crash_recorded = watch_for_crash(monkeypatch)
         data = numbered_samples(tmp_path, 5)
@@ -342,8 +352,7 @@ class TestRunCommand:
             called.append(sample.id)
             if sample.id == "semeval:3":
                 raise RuntimeError("crashed mid-run")
-            if sample.id == "semeval:4":
-                assert crash_recorded.wait(timeout=10)
+            assert crash_recorded.wait(timeout=10)
             return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
@@ -357,19 +366,19 @@ class TestRunCommand:
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1", "semeval:2"]
 
     def test_crash_stops_queued_samples_at_concurrency_2(self, tmp_path, capsys, monkeypatch):
-        # There are four work slots. semeval:2 raises once semeval:1, 3 and 4 have
-        # started, and they run on until the crash is recorded, so semeval:5 to 8
-        # are still waiting for a slot when the run stops.
+        # There are eight threads. semeval:2 raises once semeval:1 to 8 have all
+        # started, and the others run on until the crash is recorded, so no thread
+        # comes free before it: semeval:9 to 12 are still queued when the run stops.
         monkeypatch.setattr(requests.Session, "post", answer_yes)
         crash_recorded = watch_for_crash(monkeypatch)
-        data = numbered_samples(tmp_path, 8)
+        data = numbered_samples(tmp_path, 12)
         run_pipeline = cli.run_pipeline
-        four_started = threading.Barrier(4)
+        eight_started = threading.Barrier(8)
         called = []
 
         def crash_on_second(sample, variant, deps):
             called.append(sample.id)
-            four_started.wait(timeout=10)
+            eight_started.wait(timeout=10)
             if sample.id == "semeval:2":
                 raise RuntimeError("crashed mid-run")
             assert crash_recorded.wait(timeout=10)
@@ -378,33 +387,31 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
         with pytest.raises(RuntimeError):
             live_run(tmp_path, data, "pmp", "--concurrency", "2")
-        assert sorted(called) == [f"semeval:{n}" for n in range(1, 5)]
+        assert sorted(called) == [f"semeval:{n}" for n in range(1, 9)]
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
 
     def test_next_sample_starts_when_any_running_one_finishes(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1 there are two work slots. semeval:1 runs until semeval:3
-        # has started, which it can only do in the slot semeval:2 frees; records
-        # still come out in sample order.
+        # At --concurrency 1 there are four threads. semeval:1 runs until semeval:5
+        # has started, which it can only do on a thread that another sample frees;
+        # records still come out in sample order.
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
         run_pipeline = cli.run_pipeline
-        third_started = threading.Event()
+        fifth_started = threading.Event()
         waited = []
 
         def hold_first(sample, variant, deps):
             if sample.id == "semeval:1":
-                waited.append(third_started.wait(timeout=10))
-            if sample.id == "semeval:3":
-                third_started.set()
+                waited.append(fifth_started.wait(timeout=10))
+            if sample.id == "semeval:5":
+                fifth_started.set()
             return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", hold_first)
-        code, _, run_dir = run_fixture_cli(tmp_path, capsys, "--concurrency", "1")
-        assert code == 0
+        assert live_run(tmp_path, numbered_samples(tmp_path, 6), "pmp", "--concurrency", "1") == 0
         assert waited == [True]
-        records = read_run_log(run_dir / "run.jsonl")
-        assert [r["sample_id"] for r in records] == [
-            "semeval:1", "semeval:2", "semeval:3", "semeval:4",
-        ]
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl")
+        assert [r["sample_id"] for r in records] == [f"semeval:{n}" for n in range(1, 7)]
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--dataset", "semeval", "--backend", "replay"])
@@ -460,6 +467,20 @@ def watch_for_crash(monkeypatch):
 
     monkeypatch.setattr(Future, "set_exception", set_and_signal)
     return recorded
+
+
+def watch_for_pool_shutdown(monkeypatch):
+    """An event set once `cmd_run` shuts its thread pool down, so after it has
+    recorded an error that left its record loop."""
+    shut_down = threading.Event()
+    shutdown = ThreadPoolExecutor.shutdown
+
+    def signal_and_shut_down(pool, *args, **kwargs):
+        shut_down.set()
+        return shutdown(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", signal_and_shut_down)
+    return shut_down
 
 
 NAMES = ["Alice", "Bruno", "Carla", "Dmitri", "Edgar", "Fiona"]
@@ -519,9 +540,27 @@ def chat_answer(url, **kwargs):
     return response
 
 
+def web_chat_answer(self, url, **kwargs):
+    """A 200 answer to a chat request of a web-grounded run over `NameChat.data`: each
+    sample's one keyword is the name in it, and each refinement says "A person."."""
+    system, user = (m["content"] for m in kwargs["json"]["messages"][:2])
+    if system == EN.keyword_identify:
+        text = f"Words I do not know: {user}"
+    elif system == EN.keyword_csv:
+        text = next(name for name in NAMES if name in user)
+    elif system == REFINE_SYSTEM[LanguageTag.ENGLISH]:
+        text = "A person."
+    else:
+        return chat_answer(url, **kwargs)
+    response = requests.Response()
+    response.status_code = 200
+    response._content = json.dumps({"message": {"content": text}}).encode()
+    return response
+
+
 class TestWholeSamples:
-    """Each sample runs whole, grounding then P1/P2, while it holds one of 2 * concurrency
-    work slots; a sample that waits gives its slot to the next one."""
+    """Each sample runs whole, grounding then P1/P2, on one of 4 * concurrency threads;
+    at most 2 * concurrency requests are in flight, and a sample that waits holds none."""
 
     def test_held_sample_does_not_idle_the_other_worker(self, tmp_path, capsys, monkeypatch):
         # At --concurrency 1 there are two work slots. While sample 1's P1 is held,
@@ -545,24 +584,22 @@ class TestWholeSamples:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_crash_stops_new_samples_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch, error):
-        # At --concurrency 1, sample 2 raises once sample 3 has started, and sample 3
-        # runs on until the crash is recorded. Samples 4 to 6 may start only after
-        # that, so none of them runs; sample 3 finishes.
+        # At --concurrency 1 there are four threads. Sample 2 raises once samples 1
+        # to 4 have started, and they run on until the crash is recorded, so no thread
+        # comes free before it: samples 5 and 6 are still queued, and neither runs.
         chat = NameChat(monkeypatch)
         crash_recorded = watch_for_crash(monkeypatch)
         run_pipeline = cli.run_pipeline
-        third_started = threading.Event()
+        four_started = threading.Barrier(4)
         # (sample, whether the crash was recorded yet), as each starts and finishes
         started, finished = [], []
 
         def crash_on_second(sample, variant, deps):
             started.append((sample.id, crash_recorded.is_set()))
+            four_started.wait(timeout=10)
             if sample.id == "semeval:2":
-                assert third_started.wait(timeout=10)
                 raise error("crashed mid-run")
-            if sample.id == "semeval:3":
-                third_started.set()
-                assert crash_recorded.wait(timeout=10)
+            assert crash_recorded.wait(timeout=10)
             trace = run_pipeline(sample, variant, deps)
             finished.append((sample.id, crash_recorded.is_set()))
             return trace
@@ -584,9 +621,9 @@ class TestWholeSamples:
         assert not runner.is_alive()
         assert [type(exc) for exc in raised] == [error]
         assert set(threading.enumerate()) - before == set()
-        assert sorted(started) == [("semeval:1", False), ("semeval:2", False), ("semeval:3", False)]
-        assert ("semeval:3", True) in finished
-        assert {sample for _, sample in chat.calls} == {1, 3}
+        assert sorted(started) == [(f"semeval:{n}", False) for n in range(1, 5)]
+        assert sorted(finished) == [("semeval:1", True), ("semeval:3", True), ("semeval:4", True)]
+        assert {sample for _, sample in chat.calls} == {1, 3, 4}
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
 
@@ -651,30 +688,31 @@ class TestWholeSamples:
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl")
         assert [r["word_info_sources"] for r in records] == [["llm_only"]] * 6
 
-    def test_ctrl_c_starts_no_sample_that_waits_for_a_slot(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1, writing sample 1's record raises KeyboardInterrupt once
-        # sample 3 has taken sample 1's slot. Samples 2 and 3 hold the two slots until
-        # the interrupt, and samples 4 and 5 are on threads, waiting for a slot. When
-        # the slots come free, neither starts.
+    def test_ctrl_c_starts_no_queued_sample(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1 there are four threads. Writing sample 1's record raises
+        # KeyboardInterrupt once sample 5 has started on the thread that sample 1
+        # freed. Samples 2 to 5 run on only once the interrupt is recorded, so no
+        # thread comes free before it, and samples 6 to 12 are queued: none starts.
         monkeypatch.setattr(requests.Session, "post", answer_yes)
         interrupted = threading.Event()
-        third_started = threading.Event()
+        fifth_started = threading.Event()
+        interrupt_recorded = watch_for_pool_shutdown(monkeypatch)
         started = []  # (sample, whether the interrupt was raised yet)
         run_pipeline = cli.run_pipeline
 
         def traced(sample, variant, deps):
             started.append((sample.id, interrupted.is_set()))
-            if sample.id == "semeval:3":
-                third_started.set()
-            if sample.id in ("semeval:2", "semeval:3"):
-                assert interrupted.wait(timeout=10)
+            if sample.id == "semeval:5":
+                fifth_started.set()
+            if sample.id != "semeval:1":
+                assert interrupt_recorded.wait(timeout=10)
             return run_pipeline(sample, variant, deps)
 
         dumps = json.dumps
 
         def interrupt_first_record(obj, **kwargs):
             if isinstance(obj, dict) and "wall_time" in obj and not interrupted.is_set():
-                assert third_started.wait(timeout=10)
+                assert fifth_started.wait(timeout=10)
                 interrupted.set()
                 raise KeyboardInterrupt
             return dumps(obj, **kwargs)
@@ -686,7 +724,7 @@ class TestWholeSamples:
         with pytest.raises(KeyboardInterrupt):
             live_run(tmp_path, data, "pmp", "--concurrency", "1")
         assert set(threading.enumerate()) - before == set()
-        assert sorted(started) == [("semeval:1", False), ("semeval:2", False), ("semeval:3", False)]
+        assert sorted(started) == [(f"semeval:{n}", False) for n in range(1, 6)]
 
     def test_at_most_2n_requests_in_flight_on_at_most_4n_threads(self, tmp_path, capsys, monkeypatch):
         # Every sample's first P1 answers 503 and is retried, so samples keep stepping
@@ -728,6 +766,71 @@ class TestWholeSamples:
         assert len(failed) == 12
         assert most_in_flight[0] <= 4
         assert len(threads) <= 8
+
+    def test_chat_search_and_page_requests_share_the_bound(self, tmp_path, capsys, monkeypatch):
+        # At --concurrency 1 at most two requests may be in flight, whatever their
+        # kind. Each sample's search gives a thin snippet, so its page is fetched; a
+        # page counts until its body is read to the end, and each read takes a while.
+        lock = threading.Lock()
+        in_flight = [0]
+        most_in_flight = [0]
+        kinds = []
+
+        def enter(kind):
+            with lock:
+                kinds.append(kind)
+                in_flight[0] += 1
+                most_in_flight[0] = max(most_in_flight[0], in_flight[0])
+
+        def leave():
+            with lock:
+                in_flight[0] -= 1
+
+        class HeldBody(io.BytesIO):
+            def read(self, size=-1):
+                time.sleep(0.005)
+                block = super().read(size)
+                if not block:
+                    leave()
+                return block
+
+        def post(self, url, **kwargs):
+            enter("chat")
+            try:
+                time.sleep(0.005)
+                return web_chat_answer(self, url, **kwargs)
+            finally:
+                leave()
+
+        def get(self, url, **kwargs):
+            response = requests.Response()
+            response.status_code = 200
+            if url != GoogleSearchClient.endpoint:
+                enter("page")
+                response.headers["Content-Type"] = "text/html; charset=utf-8"
+                response.encoding = "utf-8"
+                response.raw = HeldBody(f"<p>{url} names someone we know.</p>".encode())
+                return response
+            enter("search")
+            try:
+                time.sleep(0.005)
+                query = kwargs["params"]["q"]
+                items = [{"link": f"https://pages.invalid/{query}", "snippet": query}]
+                response._content = json.dumps({"items": items}).encode()
+                return response
+            finally:
+                leave()
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(requests.Session, "get", get)
+        monkeypatch.setenv("SEARCH_API_KEY", "key")
+        monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
+        assert live_run(tmp_path, NameChat.data(tmp_path), "pmpwg", "--concurrency", "1") == 0
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl")
+        assert [r["verdict"] for r in records] == ["YES"] * len(NAMES)
+        assert kinds.count("search") == kinds.count("page") == len(NAMES)
+        assert in_flight[0] == 0, "a page body was not read to its end"
+        assert most_in_flight[0] == 2
 
     def test_a_sample_defines_its_keywords_on_its_own_thread(self, tmp_path, monkeypatch):
         before = set(threading.enumerate())
@@ -1023,21 +1126,6 @@ class TestLiveTransport:
         # A 403 (bad key, disabled API or spent daily quota) would fail every later
         # search, so the run stops at sample 3, whose keyword draws it, and exits 2
         # with the records before it written.
-        def post(self, url, **kwargs):
-            system, user = (m["content"] for m in kwargs["json"]["messages"][:2])
-            if system == EN.keyword_identify:
-                text = f"Words I do not know: {user}"
-            elif system == EN.keyword_csv:
-                text = next(name for name in NAMES if name in user)
-            elif system == REFINE_SYSTEM[LanguageTag.ENGLISH]:
-                text = "A person."
-            else:
-                return chat_answer(url, **kwargs)
-            response = requests.Response()
-            response.status_code = 200
-            response._content = json.dumps({"message": {"content": text}}).encode()
-            return response
-
         def get(self, url, **kwargs):
             query = kwargs["params"]["q"]
             response = requests.Response()
@@ -1047,7 +1135,7 @@ class TestLiveTransport:
             response._content = json.dumps({"items": items}).encode()
             return response
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr(requests.Session, "post", web_chat_answer)
         monkeypatch.setattr(requests.Session, "get", get)
         monkeypatch.setenv("SEARCH_API_KEY", "key")
         monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")

@@ -29,7 +29,6 @@ from sarcrag.gateway import (
     Role,
     SingleFlight,
     TranscriptStore,
-    WorkSlots,
     request_digest,
 )
 
@@ -255,10 +254,17 @@ class FakeSession:
         return item
 
 
+def live_backend(session, sleep=lambda s: None, model="m"):
+    """A LiveBackend whose POSTs each hold the one permit of its own bound."""
+    return LiveBackend(
+        "http://example", model, in_flight=threading.BoundedSemaphore(1), session=session, sleep=sleep
+    )
+
+
 class TestLiveBackend:
     def test_parses_message_content_shape(self):
         session = FakeSession([FakeResponse({"message": {"content": "hi there"}})])
-        backend = LiveBackend("http://example/api/chat", "m1", session=session, sleep=lambda s: None)
+        backend = live_backend(session, model="m1")
         assert backend.complete(make_request()) == "hi there"
         sent = session.calls[0]
         assert sent["model"] == "m1"
@@ -269,7 +275,7 @@ class TestLiveBackend:
         session = FakeSession(
             [FakeResponse({"choices": [{"message": {"content": "choice text"}}]})]
         )
-        backend = LiveBackend("http://example", "m", session=session)
+        backend = live_backend(session)
         assert backend.complete(make_request()) == "choice text"
 
     def test_retries_then_succeeds(self):
@@ -281,16 +287,17 @@ class TestLiveBackend:
             ]
         )
         slept = []
-        backend = LiveBackend("http://example", "m", session=session, sleep=slept.append)
+        backend = live_backend(session, sleep=slept.append)
         assert backend.complete(make_request()) == "third time lucky"
         assert slept == [1.0, 2.0]
 
     def test_transport_error_after_bounded_retries(self):
         session = FakeSession([requests.ConnectionError("down")] * 3)
-        backend = LiveBackend("http://example", "m", session=session, sleep=lambda s: None)
+        backend = live_backend(session)
         with pytest.raises(TransportError):
             backend.complete(make_request())
         assert not session.responses
+        assert backend.in_flight.acquire(blocking=False), "a failed POST kept its permit"
 
 
 OK = FakeResponse({"message": {"content": "recovered"}})
@@ -300,7 +307,7 @@ class TestRetryClassification:
     def backend_with(self, *responses):
         session = FakeSession(responses)
         slept = []
-        backend = LiveBackend("http://example", "m", session=session, sleep=slept.append)
+        backend = live_backend(session, sleep=slept.append)
         return backend, session, slept
 
     @pytest.mark.parametrize(
@@ -378,7 +385,7 @@ class TestRetryAfter:
     def slept_after(self, *faults):
         session = FakeSession([*faults, OK])
         slept = []
-        backend = LiveBackend("http://example", "m", session=session, sleep=slept.append)
+        backend = live_backend(session, sleep=slept.append)
         assert backend.complete(make_request()) == "recovered"
         return slept
 
@@ -409,148 +416,6 @@ class TestRetryAfter:
     )
     def test_never_shortens_the_backoff(self, status, header):
         assert self.slept_after(FakeResponse(status=status, headers={"Retry-After": header})) == [1.0]
-
-
-def wait_until(condition, timeout=10):
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition not met in time"
-        time.sleep(0.001)
-
-
-class TestWorkSlots:
-    """A free slot goes to the earliest waiting position; a waiting caller steps out of its slot."""
-
-    def start(self, slots, position, body=lambda: None, order=None):
-        """A thread that holds the slot at position for body, appending position to order when it gets it."""
-
-        def run():
-            with slots.hold(position):
-                if order is not None:
-                    order.append(position)
-                body()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        return thread
-
-    def test_slots_are_handed_out_by_position(self):
-        slots = WorkSlots(1)
-        release = threading.Event()
-        order = []
-        threads = [self.start(slots, 0, lambda: release.wait(10), order)]
-        wait_until(lambda: order == [0])
-        for position in (3, 1, 2):
-            threads.append(self.start(slots, position, order=order))
-            wait_until(lambda: len(slots._waiting) == len(threads) - 1)
-        release.set()
-        for thread in threads:
-            thread.join(10)
-        assert order == [0, 1, 2, 3]
-
-    def test_waiting_without_a_slot_does_nothing(self):
-        ran = []
-        with WorkSlots.waiting():
-            ran.append(True)
-        assert ran == [True]
-        # nor does it give up a slot that another thread holds
-        slots = WorkSlots(1)
-        release = threading.Event()
-        order = []
-        holder = self.start(slots, 0, lambda: release.wait(10), order)
-        wait_until(lambda: order == [0])
-        with WorkSlots.waiting():
-            later = self.start(slots, 1, order=order)
-            wait_until(lambda: len(slots._waiting) == 1)
-        assert order == [0]
-        release.set()
-        holder.join(10)
-        later.join(10)
-        assert order == [0, 1]
-
-    def test_a_returning_waiter_goes_ahead_of_every_later_position(self):
-        slots = WorkSlots(1)
-        stop_waiting = threading.Event()
-        release = threading.Event()
-        order = []
-
-        def wait_then_work():
-            with WorkSlots.waiting():
-                stop_waiting.wait(10)
-            order.append("0 again")
-
-        first = self.start(slots, 0, wait_then_work, order)
-        # Position 1 gets the slot that position 0 gave up for its wait.
-        second = self.start(slots, 1, lambda: release.wait(10), order)
-        wait_until(lambda: order == [0, 1])
-        stop_waiting.set()
-        later = [self.start(slots, position, order=order) for position in (2, 3)]
-        wait_until(lambda: len(slots._waiting) == 3)
-        release.set()
-        for thread in [first, second, *later]:
-            thread.join(10)
-        assert order == [0, 1, "0 again", 2, 3]
-
-    def test_never_more_holders_than_slots_under_stress(self):
-        slots = WorkSlots(3)
-        lock = threading.Lock()
-        working = [0]
-        most = [0]
-
-        def work():
-            for step in range(20):
-                with lock:
-                    working[0] += 1
-                    most[0] = max(most[0], working[0])
-                time.sleep(0.0001)
-                with lock:
-                    working[0] -= 1
-                if step % 5 == 0:
-                    with WorkSlots.waiting():
-                        time.sleep(0.0001)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [self.start(slots, position, work) for position in range(16)]
-            for thread in threads:
-                thread.join(30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert most[0] <= 3
-        # Every slot came back: three callers can hold one each at once.
-        all_three = threading.Barrier(3, timeout=10)
-        threads = [self.start(slots, position, all_three.wait) for position in range(3)]
-        for thread in threads:
-            thread.join(10)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all_three.n_waiting == 0 and not all_three.broken
-
-    def test_a_merged_caller_gives_up_its_slot_while_it_waits(self):
-        # Position 0 runs a call that only position 2 can finish; position 1 merges
-        # into it. Both wait with no slot, so position 2 can start.
-        slots = WorkSlots(2)
-        flight = SingleFlight()
-        finish = threading.Event()
-        results = []
-
-        def call():
-            assert finish.wait(10)
-            return "done"
-
-        def merge():
-            wait_until(lambda: "key" in flight._running)
-            results.append(flight.run("key", call))
-
-        threads = [
-            self.start(slots, 0, lambda: results.append(flight.run("key", call))),
-            self.start(slots, 1, merge),
-            self.start(slots, 2, finish.set),
-        ]
-        for thread in threads:
-            thread.join(10)
-        assert results == ["done", "done"]
 
 
 class Echo:

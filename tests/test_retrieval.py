@@ -310,7 +310,7 @@ class TestSearchAndGather:
     def test_gather_keeps_a_page_with_malformed_markup(self):
         session = PageSession(MALFORMED_PAGE.encode())
         chunks = gather_corpus(
-            [make_result("short snippet")], lambda url: fetch_page(url, session=session)
+            [make_result("short snippet")], lambda url: fetch(session, url)
         )
         assert [c.text for c in chunks] == ["Penny is a waitress in Pasadena"]
 
@@ -367,6 +367,11 @@ class TestGoogleSearchClient:
 
         return Session()
 
+    def make_client(self, session):
+        return GoogleSearchClient(
+            api_key="k", engine_id="cx", session=session, in_flight=threading.BoundedSemaphore(1)
+        )
+
     def test_parses_items(self):
         payload = {
             "items": [
@@ -375,7 +380,7 @@ class TestGoogleSearchClient:
             ]
         }
         session = self.make_session(FakeHttpResponse(payload=payload))
-        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
+        client = self.make_client(session)
         results = client.search("query", max_results=2)
         assert [r.url for r in results] == ["https://a.com", "https://b.com"]
         assert [r.snippet for r in results] == ["s1", "s2"]
@@ -393,14 +398,14 @@ class TestGoogleSearchClient:
     )
     def test_quota_exhaustion_is_distinct(self, status, error, skips):
         session = self.make_session(FakeHttpResponse(status_code=status))
-        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
+        client = self.make_client(session)
         with pytest.raises(error) as info:
             client.search("q", max_results=1)
         assert isinstance(info.value, SampleError) is skips
 
     def test_server_error_raises_transport(self):
         session = self.make_session(FakeHttpResponse(status_code=500))
-        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
+        client = self.make_client(session)
         with pytest.raises(SearchTransportError) as info:
             client.search("q", max_results=1)
         assert not isinstance(info.value, SearchQuotaExceeded)
@@ -413,14 +418,29 @@ class TestGoogleSearchClient:
         response = FakeHttpResponse()
         response.json = lambda: body
         session = self.make_session(response)
-        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
+        client = self.make_client(session)
         with pytest.raises(SearchTransportError) as info:
             client.search("q", max_results=3)
         assert not isinstance(info.value, SearchQuotaExceeded)
 
+    def test_a_skipped_search_holds_a_permit_and_gives_it_back(self):
+        in_flight = threading.BoundedSemaphore(1)
+        taken = []
+
+        class Session:
+            def get(self, url, params=None, timeout=None):
+                taken.append(not in_flight.acquire(blocking=False))
+                return FakeHttpResponse(status_code=429)
+
+        client = GoogleSearchClient(api_key="k", engine_id="cx", session=Session(), in_flight=in_flight)
+        with pytest.raises(SearchQuotaExceeded):
+            client.search("q", max_results=1)
+        assert taken == [True]
+        assert in_flight.acquire(blocking=False), "the search kept its permit"
+
     def test_missing_items_is_empty(self):
         session = self.make_session(FakeHttpResponse(payload={}))
-        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session)
+        client = self.make_client(session)
         assert client.search("q", max_results=3) == []
 
 
@@ -483,6 +503,11 @@ def text_of(body, content_type="text/html; charset=utf-8"):
     return strip_markup(streamed_response(body, content_type).text[:MAX_FETCHED_CHARS])
 
 
+def fetch(session, url="https://a.com"):
+    """fetch_page over session, under a bound of its own."""
+    return fetch_page(url, session=session, in_flight=threading.BoundedSemaphore(1))
+
+
 class TestFetchPage:
     def test_truncates_and_sends_user_agent(self):
         seen = {}
@@ -494,7 +519,7 @@ class TestFetchPage:
                 seen["stream"] = stream
                 return streamed_response(("<p>" + "x" * 30000 + "</p>").encode())
 
-        text = fetch_page("https://a.com", session=Session())
+        text = fetch(Session())
         assert len(text) <= 20000
         assert "User-Agent" in seen["headers"]
         assert seen["timeout"] == 10
@@ -503,7 +528,7 @@ class TestFetchPage:
     def test_oversized_body_read_only_to_cap(self):
         body = b"<p>" + b"x" * (4 * 1024 * 1024) + b"</p>"
         session = PageSession(body)
-        text = fetch_page("https://a.com", session=session)
+        text = fetch(session)
         reader = session.response.raw
         assert text == "x" * (MAX_FETCHED_CHARS - 3)
         assert reader.blocks == -(-MAX_FETCHED_CHARS // FETCH_BLOCK_BYTES)
@@ -511,7 +536,7 @@ class TestFetchPage:
 
     def test_short_body_read_to_end(self):
         session = PageSession(b"<p>short page</p>")
-        assert fetch_page("https://a.com", session=session) == "short page"
+        assert fetch(session) == "short page"
         assert session.response.raw.tell() == len(b"<p>short page</p>")
 
     @pytest.mark.parametrize(
@@ -535,7 +560,7 @@ class TestFetchPage:
     )
     def test_equals_decoding_whole_body(self, body, content_type):
         session = PageSession(body, content_type)
-        assert fetch_page("https://a.com", session=session) == text_of(body, content_type)
+        assert fetch(session) == text_of(body, content_type)
 
     @pytest.mark.parametrize(
         "content_type",
@@ -549,13 +574,28 @@ class TestFetchPage:
     )
     def test_unknown_or_undeclared_charset_falls_back_to_utf8(self, content_type):
         body = ("<p>" + "kata é " * 5000 + "</p>").encode()
-        text = fetch_page("https://a.com", session=PageSession(body, content_type))
+        text = fetch(PageSession(body, content_type))
         assert text == strip_markup(body.decode()[:MAX_FETCHED_CHARS])
+
+    def test_holds_a_permit_while_the_body_is_read(self):
+        in_flight = threading.BoundedSemaphore(1)
+        session = PageSession(b"<p>short page</p>")
+        taken = []
+        read = session.response.raw.read
+
+        def read_and_check(size=-1):
+            taken.append(not in_flight.acquire(blocking=False))
+            return read(size)
+
+        session.response.raw.read = read_and_check
+        assert fetch_page("https://a.com", session=session, in_flight=in_flight) == "short page"
+        assert taken and all(taken)
+        assert in_flight.acquire(blocking=False), "the fetch kept its permit"
 
     def test_http_error_raises_request_exception_and_closes(self):
         session = PageSession(b"error", status_code=500)
         with pytest.raises(requests.HTTPError):
-            fetch_page("https://a.com", session=session)
+            fetch(session)
         assert session.response.raw.closed
 
 
