@@ -16,7 +16,14 @@ from pathlib import Path
 import requests
 import yaml
 
-from .core import DatasetKind, Label, PipelineVariant, RetrievalSource, variant_plan
+from .core import (
+    DATASET_LANGUAGE,
+    DatasetKind,
+    Label,
+    PipelineVariant,
+    RetrievalSource,
+    variant_plan,
+)
 from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleError, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
@@ -51,6 +58,11 @@ class RunConfig:
     def store_dir(self) -> Path:
         # Live runs answer from the store first, so each model keeps its own.
         return self.transcripts / self.model
+
+    @property
+    def cache_dir(self) -> Path:
+        # A definition is one model's answer in one language's prompts.
+        return self.cache / self.model / DATASET_LANGUAGE[self.dataset].value
 
 
 # Each RunConfig field: its environment variable, default, and the conversion of
@@ -165,7 +177,7 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
     return PipelineDeps(
         gateway=gateway,
         search=search,
-        cache=WordInfoCache(config.cache),
+        cache=WordInfoCache(config.cache_dir),
         fetcher=fetcher,
     )
 
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--limit", type=int)
     run.add_argument("--out")
     run.add_argument("--transcripts", help="transcript store root, one directory per model")
-    run.add_argument("--cache", help="definition cache directory")
+    run.add_argument("--cache", help="definition cache root, one directory per model and language")
     run.add_argument("--config", help="YAML file with the same keys as the flags")
     run.set_defaults(func=cmd_run)
 
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser("cache", help="inspect or clear the definition cache")
     cache.add_argument("action", choices=["list", "purge"])
     cache.add_argument("--source", choices=[s.value for s in RetrievalSource])
-    cache.add_argument("--cache", default="cache")
+    cache.add_argument("--cache", default="cache", help="<cache root>/<model>/<language>")
     cache.set_defaults(func=cmd_cache)
 
     return parser

@@ -6,10 +6,14 @@ import csv
 import json
 import re
 import unicodedata
+from collections.abc import Iterator
 from pathlib import Path
 
 from .core import DATASET_LANGUAGE, DatasetKind, Label, Sample
 from .errors import FormatError
+
+# (row id, normalized text, gold label) for each row whose text is not blank.
+Rows = Iterator[tuple[object, str, Label]]
 
 
 def normalize_text(text: str) -> str:
@@ -18,10 +22,31 @@ def normalize_text(text: str) -> str:
     return re.sub(r"\s+", " ", text).strip()
 
 
-def load_semeval(path: Path | str) -> list[Sample]:
+def load_dataset(kind: DatasetKind, path: Path | str) -> list[Sample]:
+    """The file's samples in order, each with the id `<kind>:<row id>`.
+
+    FormatError on a malformed row, or, once the whole file has parsed, on a repeated id.
+    """
+    read_rows = {
+        DatasetKind.SEMEVAL_2018_T3: _semeval_rows,
+        DatasetKind.MUSTARD: _mustard_rows,
+        DatasetKind.TWITTER_INDONESIA: _twitter_id_rows,
+    }[kind]
+    language = DATASET_LANGUAGE[kind]
+    samples = [
+        Sample(id=f"{kind.value}:{row_id}", text=text, gold=gold, language=language)
+        for row_id, text, gold in read_rows(path)
+    ]
+    seen: set[str] = set()
+    for sample in samples:
+        if sample.id in seen:
+            raise FormatError(f"duplicate sample id {sample.id}")
+        seen.add(sample.id)
+    return samples
+
+
+def _semeval_rows(path: Path | str) -> Rows:
     """Tab-separated rows of (index, label, tweet) under a header line."""
-    kind = DatasetKind.SEMEVAL_2018_T3
-    samples: list[Sample] = []
     # Universal newlines: rows end at \n, \r\n or \r only, not at the other
     # characters str.splitlines() breaks on (U+2028, \x85, \x0c, ...), which
     # a tweet may hold.
@@ -35,23 +60,12 @@ def load_semeval(path: Path | str) -> list[Sample]:
             raise FormatError(f"expected 3 tab-separated columns, got {len(columns)}", line=line_no)
         index, label, tweet = columns
         text = normalize_text(tweet)
-        if not text:
-            continue
-        samples.append(
-            Sample(
-                id=f"{kind.value}:{index.strip()}",
-                text=text,
-                gold=_binary_label(label, line_no),
-                language=DATASET_LANGUAGE[kind],
-            )
-        )
-    _check_unique_ids(samples)
-    return samples
+        if text:
+            yield index.strip(), text, _binary_label(label, line_no)
 
 
-def load_mustard(path: Path | str) -> list[Sample]:
+def _mustard_rows(path: Path | str) -> Rows:
     """JSON object keyed by entry id; context lines and the braced target utterance."""
-    kind = DatasetKind.MUSTARD
     with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
@@ -59,7 +73,6 @@ def load_mustard(path: Path | str) -> list[Sample]:
             raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError("expected a JSON object keyed by entry id")
-    samples: list[Sample] = []
     for key, entry in payload.items():
         if not isinstance(entry, dict) or "utterance" not in entry:
             raise FormatError(f"entry {key!r}: missing utterance")
@@ -76,29 +89,20 @@ def load_mustard(path: Path | str) -> list[Sample]:
             context = []
         elif not isinstance(context, list) or not all(isinstance(line, str) for line in context):
             raise FormatError(f"entry {key!r}: context must be a list of strings")
-        samples.append(
-            Sample(
-                id=f"{kind.value}:{key}",
-                text=normalize_text(flatten_dialogue(context, utterance)),
-                gold=Label.SARCASTIC if sarcasm else Label.NOT_SARCASTIC,
-                language=DATASET_LANGUAGE[kind],
-            )
-        )
-    _check_unique_ids(samples)
-    return samples
+        text = normalize_text(flatten_dialogue(context, utterance))
+        yield key, text, Label.SARCASTIC if sarcasm else Label.NOT_SARCASTIC
 
 
 def flatten_dialogue(context: list[str], utterance: str) -> str:
     """Join context lines with spaces and append the target utterance in curly brackets."""
-    target = "{" + utterance + "}"
-    if not context:
-        return target
-    return " ".join(context) + " " + target
+    return " ".join([*context, "{" + utterance + "}"])
 
 
-def load_twitter_id(path: Path | str) -> list[Sample]:
-    """Delimited rows with tweet and label columns; comma or tab separated."""
-    kind = DatasetKind.TWITTER_INDONESIA
+def _twitter_id_rows(path: Path | str) -> Rows:
+    """Delimited rows with tweet and label columns; comma or tab separated.
+
+    A row's id is its 0-based ordinal among the data rows, blank rows included.
+    """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         first = fh.readline()
         if not first:
@@ -109,36 +113,19 @@ def load_twitter_id(path: Path | str) -> list[Sample]:
         if "tweet" not in names or "label" not in names:
             raise FormatError("header must name tweet and label columns", line=1)
         tweet_col, label_col = names.index("tweet"), names.index("label")
-        samples: list[Sample] = []
         reader = csv.reader(fh, delimiter=delimiter)
+        # A quoted tweet may span lines: a row starts on the line after the one
+        # where the row before it ended. reader.line_num excludes the header.
+        start = 2
         for row_index, row in enumerate(reader):
-            line_no = row_index + 2
+            line_no, start = start, reader.line_num + 2
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) <= max(tweet_col, label_col):
                 raise FormatError(f"expected {len(names)} columns, got {len(row)}", line=line_no)
             text = normalize_text(row[tweet_col])
-            if not text:
-                continue
-            samples.append(
-                Sample(
-                    id=f"{kind.value}:{row_index}",
-                    text=text,
-                    gold=_binary_label(row[label_col], line_no),
-                    language=DATASET_LANGUAGE[kind],
-                )
-            )
-    _check_unique_ids(samples)
-    return samples
-
-
-def load_dataset(kind: DatasetKind, path: Path | str) -> list[Sample]:
-    loader = {
-        DatasetKind.SEMEVAL_2018_T3: load_semeval,
-        DatasetKind.MUSTARD: load_mustard,
-        DatasetKind.TWITTER_INDONESIA: load_twitter_id,
-    }[kind]
-    return loader(path)
+            if text:
+                yield row_index, text, _binary_label(row[label_col], line_no)
 
 
 def _binary_label(raw: str, line_no: int) -> Label:
@@ -148,11 +135,3 @@ def _binary_label(raw: str, line_no: int) -> Label:
     if value == "0":
         return Label.NOT_SARCASTIC
     raise FormatError(f"label must be 0 or 1, got {value!r}", line=line_no)
-
-
-def _check_unique_ids(samples: list[Sample]) -> None:
-    seen: set[str] = set()
-    for sample in samples:
-        if sample.id in seen:
-            raise FormatError(f"duplicate sample id {sample.id}")
-        seen.add(sample.id)

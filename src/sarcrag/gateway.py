@@ -306,20 +306,21 @@ class SingleFlight:
     key that arrive while it runs wait for it and get its result, or raise its
     exception. A key is forgotten once its call returns, so a later caller runs
     the call afresh. A caller that waits holds no request in flight while it waits.
-    Compare Go's golang.org/x/sync/singleflight.
+    Compare Go's golang.org/x/sync/singleflight, whose Do also reports `shared`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._running: dict[object, Future] = {}
 
-    def run(self, key: object, call: Callable[[], object]) -> object:
+    def run(self, key: object, call: Callable[[], object]) -> tuple[object, bool]:
+        """(the call's result, whether this caller got another caller's result)."""
         with self._lock:
             running = self._running.get(key)
             if running is None:
                 future = self._running[key] = Future()
         if running is not None:
-            return running.result()
+            return running.result(), True
         try:
             result = call()
         except BaseException as exc:
@@ -327,7 +328,7 @@ class SingleFlight:
             raise
         else:
             future.set_result(result)
-            return result
+            return result, False
         finally:
             with self._lock:
                 del self._running[key]
@@ -357,15 +358,10 @@ class Gateway:
 
     def chat(self, request: ChatRequest) -> str:
         started = time.monotonic()
-        merged = True
-
-        def answer() -> tuple[str, str]:
-            nonlocal merged
-            merged = False
-            return self._answer(request)
-
-        response_text, backend = self._in_flight.run(request.digest, answer)
-        if merged:
+        (response_text, backend), shared = self._in_flight.run(
+            request.digest, lambda: self._answer(request)
+        )
+        if shared:
             backend = "store"
         latency = time.monotonic() - started
         if self.exchange_log is not None:

@@ -543,4 +543,4 @@ def get_word_info(
         cached = cache.lookup(keyword, source)
         return cached if cached is not None else cache.store(define())
 
-    return cache.in_flight.run((source, keyword), lookup_or_define)
+    return cache.in_flight.run((source, keyword), lookup_or_define)[0]

@@ -7,8 +7,9 @@ repository root:
     python tests/fixtures/replay/make_fixture.py [OUT_DIR]
 
 OUT_DIR defaults to this directory, the committed fixture; its `transcripts/`
-and `cache/` are replaced. Transcripts are recorded for the model
-`fixture-model`, so they go in `transcripts/fixture-model/`.
+and `cache/` are replaced. Everything is recorded for the model
+`fixture-model`, so transcripts go in `transcripts/fixture-model/` and
+definitions in `cache/fixture-model/<language>/`, as `sarcrag run` keys them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import shutil
 import sys
 from pathlib import Path
 
-from sarcrag.core import DatasetKind, PipelineVariant, RetrievalSource
+from sarcrag.core import (
+    DATASET_LANGUAGE,
+    DatasetKind,
+    LanguageTag,
+    PipelineVariant,
+    RetrievalSource,
+)
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import SampleError
 from sarcrag.gateway import ChatRequest, Gateway, Purpose, TranscriptStore
@@ -126,9 +133,11 @@ def main(out: Path = FIXTURE) -> None:
         shutil.rmtree(directory, ignore_errors=True)
         directory.mkdir(parents=True)
 
-    cache = WordInfoCache(cache_dir)
-    for rank, (keyword, definition) in enumerate(WEB_DEFINITIONS.items()):
-        cache.store(
+    def cache_for(language: LanguageTag) -> WordInfoCache:
+        return WordInfoCache(cache_dir / MODEL / language.value)
+
+    for keyword, definition in WEB_DEFINITIONS.items():
+        cache_for(LanguageTag.INDONESIAN).store(
             WordInfo(
                 keyword=keyword,
                 definition=definition,
@@ -142,7 +151,7 @@ def main(out: Path = FIXTURE) -> None:
         samples = load_dataset(kind, FIXTURE / "data" / filename)
         text_to_sid = {s.text: s.id for s in samples}
         gateway = Gateway(ScriptedBackend(text_to_sid), store=store)
-        deps = PipelineDeps(gateway=gateway, cache=cache)
+        deps = PipelineDeps(gateway=gateway, cache=cache_for(DATASET_LANGUAGE[kind]))
         for sample in samples:
             try:
                 trace = run_pipeline(sample, variant, deps)

@@ -29,7 +29,7 @@ from sarcrag.core import (
     RetrievalSource,
     Sample,
 )
-from sarcrag.datasets import load_mustard
+from sarcrag.datasets import load_dataset
 from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
 from sarcrag.gateway import Gateway, Purpose, TranscriptStore
@@ -484,8 +484,6 @@ class TestReplayDeterminism:
             assert rebuilt == committed, tree
 
     def test_fixture_holds_four_samples_per_dataset(self):
-        from sarcrag.datasets import load_dataset
-
         kinds = {
             "semeval": DatasetKind.SEMEVAL_2018_T3,
             "mustard": DatasetKind.MUSTARD,
@@ -548,7 +546,8 @@ MUSTARD_GOLDEN_TEXTS = {
 
 class TestDialogueFlattening:
     def test_fixture_texts_match_goldens(self):
-        samples = {s.id: s.text for s in load_mustard(FIXTURE / "data" / "mustard_mini.json")}
+        path = FIXTURE / "data" / "mustard_mini.json"
+        samples = {s.id: s.text for s in load_dataset(DatasetKind.MUSTARD, path)}
         assert samples == MUSTARD_GOLDEN_TEXTS
 
     def test_empty_context_uses_braces_only(self):

@@ -981,7 +981,8 @@ class TestCorruptRecords:
         self.assert_only_skipped(self.replay(store), "semeval:2")
 
     def test_truncated_cache_file(self, store):
-        path = WordInfoCache(store / "cache").path_for("Heathrow", RetrievalSource.LLM_ONLY)
+        cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
+        path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
         path.write_text('{"keyword": "Heath', encoding="utf-8")
         self.assert_only_skipped(self.replay(store), "semeval:3")
 
@@ -1272,6 +1273,79 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
+
+
+class ModelChat:
+    """Chat model that answers as the model each request names: a definition names
+    the model and the language of its system prompt, and every other call says YES."""
+
+    LANGUAGES = {DEFINE_SYSTEM[language]: language.value for language in LanguageTag}
+
+    def __init__(self, monkeypatch):
+        self.defines = []
+        monkeypatch.setattr(requests.Session, "post", self.post)
+
+    def post(self, url, **kwargs):
+        model = kwargs["json"]["model"]
+        system, user = (message["content"] for message in kwargs["json"]["messages"][:2])
+        text = "Final decision: YES"
+        if system in self.LANGUAGES:
+            self.defines.append((model, self.LANGUAGES[system], user))
+            text = f"{user} as {model} defines it in {self.LANGUAGES[system]}."
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps({"message": {"content": text}}).encode()
+        return response
+
+
+class TestDefinitionCacheKeys:
+    """One --cache root keeps each model's definitions in each language apart."""
+
+    def run(self, tmp_path, dataset, data, model):
+        code = main(
+            [
+                "run",
+                "--dataset", dataset,
+                "--data-path", str(data),
+                "--variant", "pmpwl",
+                "--model", model,
+                "--backend", "live",
+                "--endpoint", "http://chat.invalid/api/chat",
+                "--concurrency", "1",
+                "--transcripts", str(tmp_path / "transcripts"),
+                "--cache", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "runs"),
+            ]
+        )
+        assert code == 0
+
+    def definition(self, tmp_path, model, language):
+        cache = WordInfoCache(tmp_path / "cache" / model / language)
+        return cache.lookup("Alice", RetrievalSource.LLM_ONLY).definition
+
+    def data(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_each_model_defines_and_keeps_its_own(self, tmp_path, monkeypatch):
+        chat = ModelChat(monkeypatch)
+        data = self.data(tmp_path, "data.tsv", "Tweet index\tLabel\tTweet text\n1\t1\twe met Alice\n")
+        self.run(tmp_path, "semeval", data, "model-a")
+        self.run(tmp_path, "semeval", data, "model-b")
+        assert chat.defines == [("model-a", "en", "Alice"), ("model-b", "en", "Alice")]
+        assert self.definition(tmp_path, "model-a", "en") == "Alice as model-a defines it in en."
+        assert self.definition(tmp_path, "model-b", "en") == "Alice as model-b defines it in en."
+
+    def test_each_language_defines_and_keeps_its_own(self, tmp_path, monkeypatch):
+        chat = ModelChat(monkeypatch)
+        semeval = self.data(tmp_path, "data.tsv", "Tweet index\tLabel\tTweet text\n1\t1\twe met Alice\n")
+        twitter = self.data(tmp_path, "data.csv", "tweet,label\nkami bertemu Alice,1\n")
+        self.run(tmp_path, "semeval", semeval, "m")
+        self.run(tmp_path, "twitter-id", twitter, "m")
+        assert chat.defines == [("m", "en", "Alice"), ("m", "id", "Alice")]
+        assert self.definition(tmp_path, "m", "en") == "Alice as m defines it in en."
+        assert self.definition(tmp_path, "m", "id") == "Alice as m defines it in id."
 
 
 class TestCacheCommand:

@@ -1,19 +1,17 @@
 """Dataset loaders: formats, normalization, flattening, and failure modes."""
 
+import functools
 import json
 
 import pytest
 
 from sarcrag.core import DatasetKind, Label, LanguageTag
-from sarcrag.datasets import (
-    flatten_dialogue,
-    load_dataset,
-    load_mustard,
-    load_semeval,
-    load_twitter_id,
-    normalize_text,
-)
+from sarcrag.datasets import flatten_dialogue, load_dataset, normalize_text
 from sarcrag.errors import FormatError
+
+load_semeval = functools.partial(load_dataset, DatasetKind.SEMEVAL_2018_T3)
+load_mustard = functools.partial(load_dataset, DatasetKind.MUSTARD)
+load_twitter_id = functools.partial(load_dataset, DatasetKind.TWITTER_INDONESIA)
 
 
 class TestNormalizeText:
@@ -261,6 +259,22 @@ class TestLoadTwitterId:
         with pytest.raises(FormatError) as info:
             load_twitter_id(path)
         assert "line 2" in str(info.value)
+
+    def test_bad_label_after_a_multi_line_tweet_reports_its_own_line(self, tmp_path):
+        path = write_twitter(tmp_path, 'tweet,label\n"first line\nsecond line\nthird",1\nok,x\n')
+        with pytest.raises(FormatError) as info:
+            load_twitter_id(path)
+        assert "line 5" in str(info.value)
+
+    def test_short_row_after_a_multi_line_tweet_reports_its_own_line(self, tmp_path):
+        path = write_twitter(tmp_path, 'tweet,label\n"first line\nsecond line\nthird",1\nhalo\n')
+        with pytest.raises(FormatError) as info:
+            load_twitter_id(path)
+        assert "line 5" in str(info.value)
+
+    def test_multi_line_tweet_keeps_row_ordinal_ids(self, tmp_path):
+        path = write_twitter(tmp_path, 'tweet,label\n"first\nsecond",1\nhalo,0\n')
+        assert [s.id for s in load_twitter_id(path)] == ["twitter-id:0", "twitter-id:1"]
 
     def test_blank_and_empty_text_rows_skipped_but_numbering_advances(self, tmp_path):
         path = write_twitter(tmp_path, "tweet,label\nhalo,1\n,0\nlagi,0\n")

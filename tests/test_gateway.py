@@ -610,3 +610,42 @@ class TestConcurrentMisses:
         assert backend.calls == [request.digest]
         assert not store.root.exists() or list(store.root.iterdir()) == []
         assert not log_path.exists()
+
+
+class TestSingleFlight:
+    def test_a_lone_caller_runs_the_call_and_shares_nothing(self):
+        flight = SingleFlight()
+        assert flight.run("k", lambda: 1) == (1, False)
+        # The key is forgotten once its call returns, so the next caller runs afresh.
+        assert flight.run("k", lambda: 2) == (2, False)
+
+    def test_callers_that_wait_get_the_running_call_result_as_shared(self):
+        flight = SingleFlight()
+        entered, release = threading.Event(), threading.Event()
+        calls, outcomes = [], []
+
+        def lead():
+            calls.append("lead")
+            entered.set()
+            release.wait(timeout=30)
+            return "answer"
+
+        def follow():
+            calls.append("follow")
+            return "other answer"
+
+        leader = threading.Thread(target=lambda: outcomes.append(flight.run("k", lead)))
+        leader.start()
+        assert entered.wait(timeout=30)
+        followers = [
+            threading.Thread(target=lambda: outcomes.append(flight.run("k", follow)))
+            for _ in range(3)
+        ]
+        for thread in followers:
+            thread.start()
+        time.sleep(0.5)  # long enough for every follower to find the call running
+        release.set()
+        for thread in [leader, *followers]:
+            thread.join(timeout=30)
+        assert calls == ["lead"]
+        assert sorted(outcomes) == [("answer", False)] + [("answer", True)] * 3
