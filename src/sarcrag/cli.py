@@ -1,4 +1,4 @@
-"""Command-line experiment runner: run a dataset through a pipeline variant, report metrics, manage the definition cache."""
+"""Command-line experiment runner: run a dataset through a pipeline variant and report metrics."""
 
 from __future__ import annotations
 
@@ -322,19 +322,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cache(args: argparse.Namespace) -> int:
-    cache = WordInfoCache(Path(args.cache))
-    source = RetrievalSource(args.source) if args.source else None
-    if args.action == "list":
-        for info in cache.entries(source):
-            first_line = info.definition.splitlines()[0]
-            print(f"{info.keyword}\t{info.source.value}\t{first_line}")
-        return 0
-    removed = cache.purge(source)
-    print(f"removed {removed} cached definitions")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sarcrag",
@@ -366,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("run_log")
     report.add_argument("--json", action="store_true")
     report.set_defaults(func=cmd_report)
-
-    cache = sub.add_parser("cache", help="inspect or clear the definition cache")
-    cache.add_argument("action", choices=["list", "purge"])
-    cache.add_argument("--source", choices=[s.value for s in RetrievalSource])
-    cache.add_argument("--cache", default="cache", help="<cache root>/<model>/<language>")
-    cache.set_defaults(func=cmd_cache)
 
     return parser
 

@@ -133,8 +133,6 @@ def bm25_tokenize(text: str) -> list[str]:
 def split_sentences(text: str) -> list[str]:
     """Split on {. ! ?} runs followed by whitespace or end of text."""
     text = text.strip()
-    if not text:
-        return []
     out: list[str] = []
     start = 0
     for match in re.finditer(r"[.!?]+(?=\s|$)", text):
@@ -143,11 +141,11 @@ def split_sentences(text: str) -> list[str]:
     rest = text[start:].strip()
     if rest:
         out.append(rest)
-    return [s for s in out if s]
+    return out
 
 
-def trim_to_sentences(text: str, limit: int = MAX_DEFINITION_SENTENCES) -> str:
-    return " ".join(split_sentences(text)[:limit])
+def trim_to_sentences(text: str) -> str:
+    return " ".join(split_sentences(text)[:MAX_DEFINITION_SENTENCES])
 
 
 def chunk_document(
@@ -476,20 +474,6 @@ class WordInfoCache:
         }
         path = self.path_for(info.keyword, info.source)
         return _word_info(path, put_json_if_absent(path, record))
-
-    def entries(self, source: RetrievalSource | None = None) -> list[WordInfo]:
-        return [_word_info(path, read_json(path)) for path in self._files(source)]
-
-    def purge(self, source: RetrievalSource | None = None) -> int:
-        files = self._files(source)
-        for path in files:
-            path.unlink()
-        return len(files)
-
-    def _files(self, source: RetrievalSource | None) -> list[Path]:
-        """The definition files of source, or of every source, sorted by path."""
-        sources = [source] if source else list(RetrievalSource)
-        return [path for src in sources for path in sorted((self.root / src.value).glob("*.json"))]
 
 
 def _word_info(path: Path, record: dict) -> WordInfo:

@@ -27,7 +27,7 @@ from sarcrag.errors import ConfigError, LogParseError
 from sarcrag.evaluation import report_to_json
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import build_p1
-from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, GoogleSearchClient, WordInfo, WordInfoCache
+from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, GoogleSearchClient, WordInfoCache
 from sarcrag.templates import load_templates
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay"
@@ -980,11 +980,30 @@ class TestCorruptRecords:
         path.write_text(json.dumps(record), encoding="utf-8")
         self.assert_only_skipped(self.replay(store), "semeval:2")
 
+    def test_transcript_with_null_response_text(self, store):
+        path = self.p1_transcript(store, "semeval:1")
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["response_text"] = None
+        path.write_text(json.dumps(record), encoding="utf-8")
+        records = self.replay(store)
+        self.assert_only_skipped(records, "semeval:1")
+        assert records[0]["skipped_reason"].endswith("no response_text string")
+
     def test_truncated_cache_file(self, store):
         cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
         path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
         path.write_text('{"keyword": "Heath', encoding="utf-8")
         self.assert_only_skipped(self.replay(store), "semeval:3")
+
+    def test_cache_file_without_a_valid_definition(self, store):
+        cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
+        path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        record["definition"] = ""
+        path.write_text(json.dumps(record), encoding="utf-8")
+        records = self.replay(store)
+        self.assert_only_skipped(records, "semeval:3")
+        assert records[2]["skipped_reason"].endswith("ValueError: definition must be non-empty")
 
     def test_truncated_transcript_in_a_live_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(requests.Session, "post", answer_yes)
@@ -1346,43 +1365,3 @@ class TestDefinitionCacheKeys:
         assert chat.defines == [("m", "en", "Alice"), ("m", "id", "Alice")]
         assert self.definition(tmp_path, "m", "en") == "Alice as m defines it in en."
         assert self.definition(tmp_path, "m", "id") == "Alice as m defines it in id."
-
-
-class TestCacheCommand:
-    def seed(self, tmp_path):
-        cache = WordInfoCache(tmp_path / "cache")
-        cache.store(WordInfo(keyword="alpha", definition="First.", source=RetrievalSource.LLM_ONLY))
-        cache.store(
-            WordInfo(
-                keyword="beta",
-                definition="Second.",
-                source=RetrievalSource.GOOGLE_SEARCH,
-                evidence=(("https://a.com", 0),),
-            )
-        )
-        return tmp_path / "cache"
-
-    def test_list_all(self, tmp_path, capsys):
-        cache_dir = self.seed(tmp_path)
-        code = main(["cache", "list", "--cache", str(cache_dir)])
-        captured = capsys.readouterr()
-        assert code == 0
-        lines = captured.out.splitlines()
-        assert "alpha\tllm_only\tFirst." in lines
-        assert "beta\tgoogle_search\tSecond." in lines
-
-    def test_list_filtered_by_source(self, tmp_path, capsys):
-        cache_dir = self.seed(tmp_path)
-        main(["cache", "list", "--cache", str(cache_dir), "--source", "llm_only"])
-        captured = capsys.readouterr()
-        assert "alpha" in captured.out
-        assert "beta" not in captured.out
-
-    def test_purge_reports_count(self, tmp_path, capsys):
-        cache_dir = self.seed(tmp_path)
-        code = main(["cache", "purge", "--cache", str(cache_dir)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "removed 2" in captured.out
-        main(["cache", "list", "--cache", str(cache_dir)])
-        assert capsys.readouterr().out == ""

@@ -277,9 +277,9 @@ class TestLoadTwitterId:
         assert [s.id for s in load_twitter_id(path)] == ["twitter-id:0", "twitter-id:1"]
 
     def test_blank_and_empty_text_rows_skipped_but_numbering_advances(self, tmp_path):
-        path = write_twitter(tmp_path, "tweet,label\nhalo,1\n,0\nlagi,0\n")
+        path = write_twitter(tmp_path, "tweet,label\nhalo,1\n,0\n\n ,  \nlagi,0\n")
         samples = load_twitter_id(path)
-        assert [s.id for s in samples] == ["twitter-id:0", "twitter-id:2"]
+        assert [s.id for s in samples] == ["twitter-id:0", "twitter-id:4"]
 
 
 class TestLoadDataset:

@@ -394,9 +394,11 @@ class TestRetryAfter:
         assert self.slept_after(FakeResponse(status=status, headers={"Retry-After": "3"})) == [3.0]
 
     def test_http_date(self):
-        when = email.utils.formatdate(time.time() + 30, usegmt=True)
-        [slept] = self.slept_after(FakeResponse(status=503, headers={"Retry-After": when}))
-        assert 28 <= slept <= 30
+        # "GMT", and the "-0000" that formatdate gives by default, which parses to a naive time.
+        for usegmt in (True, False):
+            when = email.utils.formatdate(time.time() + 30, usegmt=usegmt)
+            [slept] = self.slept_after(FakeResponse(status=503, headers={"Retry-After": when}))
+            assert 28 <= slept <= 30
 
     def test_a_wait_over_the_cap_is_cut_to_the_cap(self):
         slept = self.slept_after(FakeResponse(status=429, headers={"Retry-After": "3600"}))

@@ -93,13 +93,13 @@ class TestSentences:
 
     def test_trim_noop_within_limit(self):
         text = "One. Two."
-        assert trim_to_sentences(text, 2) == text
+        assert trim_to_sentences(text) == text
 
     def test_trim_drops_extra_sentences(self):
-        assert trim_to_sentences("One. Two. Three.", 2) == "One. Two."
+        assert trim_to_sentences("One. Two. Three.") == "One. Two."
 
     def test_trim_unpunctuated_text_untouched(self):
-        assert trim_to_sentences("no terminator here", 2) == "no terminator here"
+        assert trim_to_sentences("no terminator here") == "no terminator here"
 
 
 # Punctuation, "_", characters whose case folding expands or changes them
@@ -753,7 +753,6 @@ class TestWordInfoCache:
         assert cache.store(info) == info
         assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
         assert cache.lookup("WKWK" + keyword[4:], RetrievalSource.LLM_ONLY) is None
-        assert cache.entries() == [info]
         digest = hashlib.sha256(keyword.encode("utf-8")).hexdigest()
         assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"{digest}.json"]
 
@@ -765,7 +764,8 @@ class TestWordInfoCache:
             info = self.make_info(keyword)
             assert cache.store(info) == info
             assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
-        assert sorted(e.keyword for e in cache.entries()) == ["k" * 237, "k" * 238]
+        digests = [hashlib.sha256(k.encode("utf-8")).hexdigest() for k in ["k" * 237, "k" * 238]]
+        assert sorted(p.name for p in (tmp_path / "llm_only").iterdir()) == sorted(f"{d}.json" for d in digests)
 
     def test_any_keyword_is_named_by_its_digest(self, tmp_path):
         keywords = ["kw", "United Nations", "a/b c", "k" * 300]
@@ -776,15 +776,6 @@ class TestWordInfoCache:
             assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
         digests = [hashlib.sha256(k.encode("utf-8")).hexdigest() for k in keywords]
         assert sorted(p.name for p in (tmp_path / "llm_only").iterdir()) == sorted(f"{d}.json" for d in digests)
-
-    def test_entries_and_purge(self, tmp_path):
-        cache = WordInfoCache(tmp_path)
-        cache.store(self.make_info("one"))
-        cache.store(self.make_info("two"))
-        entries = cache.entries(RetrievalSource.LLM_ONLY)
-        assert sorted(e.keyword for e in entries) == ["one", "two"]
-        assert cache.purge(RetrievalSource.LLM_ONLY) == 2
-        assert cache.entries(RetrievalSource.LLM_ONLY) == []
 
     def test_store_does_not_collide_with_another_writers_temp_file(self, tmp_path):
         WordInfoCache(tmp_path / "reference").store(self.make_info())
