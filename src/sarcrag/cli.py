@@ -16,14 +16,7 @@ from pathlib import Path
 import requests
 import yaml
 
-from .core import (
-    DATASET_LANGUAGE,
-    DatasetKind,
-    Label,
-    PipelineVariant,
-    RetrievalSource,
-    variant_plan,
-)
+from .core import DATASET_LANGUAGE, DatasetKind, Label, PipelineVariant, RetrievalSource
 from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleError, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
@@ -149,7 +142,7 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"replay needs an existing transcript store: {config.store_dir}")
     if config.backend == "live" and not config.endpoint:
         raise ConfigError("live backend needs an endpoint (flag, LLM_ENDPOINT, or config file)")
-    needs_search = variant_plan(config.variant).retrieval is RetrievalSource.GOOGLE_SEARCH
+    needs_search = config.variant.retrieval is RetrievalSource.GOOGLE_SEARCH
     if needs_search and config.backend == "live":
         if not (config.search_api_key and config.search_engine_id):
             raise ConfigError(
@@ -167,7 +160,7 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
         in_flight = threading.BoundedSemaphore(2 * config.concurrency)
         backend = LiveBackend(config.endpoint, config.model, in_flight=in_flight)
         gateway = Gateway(backend, store=store, exchange_log=run_dir / "exchanges.jsonl")
-        if variant_plan(config.variant).retrieval is RetrievalSource.GOOGLE_SEARCH:
+        if config.variant.retrieval is RetrievalSource.GOOGLE_SEARCH:
             # One session for every search and page fetch, so connections are reused.
             web = requests.Session()
             search = GoogleSearchClient(

@@ -10,15 +10,6 @@ class Label(enum.Enum):
     SARCASTIC = "YES"
     NOT_SARCASTIC = "NO"
 
-    @classmethod
-    def from_verdict(cls, text: str) -> "Label":
-        folded = text.strip().casefold()
-        if folded == "yes":
-            return cls.SARCASTIC
-        if folded == "no":
-            return cls.NOT_SARCASTIC
-        raise ValueError(f"not a verdict: {text!r}")
-
 
 class DatasetKind(enum.Enum):
     SEMEVAL_2018_T3 = "semeval"
@@ -53,11 +44,6 @@ class Sample:
             raise ValueError(f"sample {self.id}: text must be non-empty")
 
 
-class ExtractionMethod(enum.Enum):
-    TOKEN_TAGGING = "token_tagging"
-    LLM_BASED = "llm_based"
-
-
 class RetrievalSource(enum.Enum):
     LLM_ONLY = "llm_only"
     GOOGLE_SEARCH = "google_search"
@@ -70,31 +56,23 @@ class PipelineVariant(enum.Enum):
     PMP_WL_FS = "pmpwl-fs"
     PMP_WG_FS = "pmpwg-fs"
 
+    @property
+    def retrieval(self) -> RetrievalSource | None:
+        """Where keyword definitions come from; None for a variant without them."""
+        return _VARIANT_FACTS[self][0]
 
-@dataclass(frozen=True)
-class VariantPlan:
-    extraction: ExtractionMethod | None
-    retrieval: RetrievalSource | None
-    few_shot: bool
+    @property
+    def few_shot(self) -> bool:
+        """Whether P2 carries the worked examples."""
+        return _VARIANT_FACTS[self][1]
 
 
-_PLANS: dict[PipelineVariant, VariantPlan] = {
-    PipelineVariant.PMP: VariantPlan(None, None, False),
-    PipelineVariant.PMP_WL: VariantPlan(
-        ExtractionMethod.TOKEN_TAGGING, RetrievalSource.LLM_ONLY, False
-    ),
-    PipelineVariant.PMP_WG: VariantPlan(
-        ExtractionMethod.LLM_BASED, RetrievalSource.GOOGLE_SEARCH, False
-    ),
-    PipelineVariant.PMP_WL_FS: VariantPlan(
-        ExtractionMethod.TOKEN_TAGGING, RetrievalSource.LLM_ONLY, True
-    ),
-    PipelineVariant.PMP_WG_FS: VariantPlan(
-        ExtractionMethod.LLM_BASED, RetrievalSource.GOOGLE_SEARCH, True
-    ),
+# Each variant's definition source and few-shot flag. The source also fixes how
+# keywords are extracted: token tagging for LLM_ONLY, the model for GOOGLE_SEARCH.
+_VARIANT_FACTS: dict[PipelineVariant, tuple[RetrievalSource | None, bool]] = {
+    PipelineVariant.PMP: (None, False),
+    PipelineVariant.PMP_WL: (RetrievalSource.LLM_ONLY, False),
+    PipelineVariant.PMP_WG: (RetrievalSource.GOOGLE_SEARCH, False),
+    PipelineVariant.PMP_WL_FS: (RetrievalSource.LLM_ONLY, True),
+    PipelineVariant.PMP_WG_FS: (RetrievalSource.GOOGLE_SEARCH, True),
 }
-
-
-def variant_plan(variant: PipelineVariant) -> VariantPlan:
-    """Map a pipeline variant to its extraction method, retrieval source and few-shot flag."""
-    return _PLANS[variant]

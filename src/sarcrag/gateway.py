@@ -111,11 +111,12 @@ def read_json(path: Path) -> dict:
 def put_json_if_absent(path: Path, record: dict) -> dict:
     """Store record as indented JSON at path unless one is there; return the record kept.
 
-    The record is written whole under a unique temporary name beside path and
-    hard-linked into place, so readers never see a partial file and the first
-    writer wins, across threads and processes alike. The directory's filesystem
-    must support hard links; any failure raises StoreWriteError. A record found
-    there that is not JSON, or lacks one of record's keys, raises CorruptRecord.
+    The record is written whole and synced to disk under a unique temporary name
+    beside path, then hard-linked into place, so no reader, even after a power
+    loss, sees a partial file, and the first writer wins, across threads and
+    processes alike. The directory's filesystem must support hard links; any
+    failure raises StoreWriteError. A record found there that is not JSON, or
+    lacks one of record's keys, raises CorruptRecord.
     """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -123,6 +124,8 @@ def put_json_if_absent(path: Path, record: dict) -> dict:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, ensure_ascii=False, indent=1))
+                fh.flush()
+                os.fsync(fh.fileno())
             os.link(tmp, path)
         except FileExistsError:
             kept = read_json(path)

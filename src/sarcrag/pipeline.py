@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import ExtractionMethod, Label, PipelineVariant, Sample, variant_plan
+from .core import Label, PipelineVariant, RetrievalSource, Sample
 from .errors import DefinitionUnavailable, SampleError, VerdictNotFound
 from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
 from .keywords import extract_llm_based, extract_token_tagging
@@ -68,7 +68,7 @@ def parse_verdict(a2: str) -> Label:
     matches = _VERDICT.findall(a2)
     if not matches:
         raise VerdictNotFound("no standalone YES or NO in reflection")
-    return Label.from_verdict(matches[-1])
+    return Label(matches[-1].upper())
 
 
 @dataclass
@@ -100,21 +100,20 @@ def run_pipeline(
     defines the same keywords on any schedule; then the first one, in keyword
     order, is raised. Any other error (such as StoreWriteError) is raised at once.
     """
-    plan = variant_plan(variant)
     templates = load_templates(sample.language)
     keywords: tuple[str, ...] | None = None
-    if plan.extraction is ExtractionMethod.TOKEN_TAGGING:
+    if variant.retrieval is RetrievalSource.LLM_ONLY:
         keywords = extract_token_tagging(sample)
-    elif plan.extraction is ExtractionMethod.LLM_BASED:
+    elif variant.retrieval is RetrievalSource.GOOGLE_SEARCH:
         keywords = extract_llm_based(sample, deps.gateway)
     word_infos: list[WordInfo] = []
     definition_error: SampleError | None = None
-    for keyword in keywords if plan.retrieval is not None and keywords else ():
+    for keyword in keywords or ():
         try:
             word_infos.append(
                 get_word_info(
                     keyword,
-                    plan.retrieval,
+                    variant.retrieval,
                     deps.gateway,
                     sample.language,
                     cache=deps.cache,
@@ -129,7 +128,7 @@ def run_pipeline(
     if definition_error is not None:
         raise definition_error
     p1_request = build_p1(sample, word_infos, templates)
-    p2_request = build_p2(deps.gateway.chat(p1_request), plan.few_shot, templates)
+    p2_request = build_p2(deps.gateway.chat(p1_request), variant.few_shot, templates)
     verdict = parse_verdict(deps.gateway.chat(p2_request))
     return PipelineTrace(
         keywords=keywords,

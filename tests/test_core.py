@@ -1,31 +1,16 @@
-"""Domain types: labels, variants, and the variant plan table."""
+"""Domain types: samples, languages, and each variant's definition source and few-shot flag."""
 
 import pytest
 
 from sarcrag.core import (
     DATASET_LANGUAGE,
     DatasetKind,
-    ExtractionMethod,
     Label,
     LanguageTag,
     PipelineVariant,
     RetrievalSource,
     Sample,
-    variant_plan,
 )
-
-
-class TestLabel:
-    @pytest.mark.parametrize("raw", ["YES", "yes", "Yes", " yEs "])
-    def test_parse_is_case_insensitive(self, raw):
-        assert Label.from_verdict(raw) is Label.SARCASTIC
-
-    def test_parse_no(self):
-        assert Label.from_verdict("no") is Label.NOT_SARCASTIC
-
-    def test_parse_rejects_other_tokens(self):
-        with pytest.raises(ValueError):
-            Label.from_verdict("maybe")
 
 
 class TestLanguageMapping:
@@ -37,39 +22,18 @@ class TestLanguageMapping:
         assert DATASET_LANGUAGE[DatasetKind.TWITTER_INDONESIA] is LanguageTag.INDONESIAN
 
 
-class TestVariantPlan:
-    def test_pmp_has_no_extras(self):
-        plan = variant_plan(PipelineVariant.PMP)
-        assert plan.extraction is None
-        assert plan.retrieval is None
-        assert plan.few_shot is False
+class TestPipelineVariant:
+    EXPECTED = {
+        PipelineVariant.PMP: (None, False),
+        PipelineVariant.PMP_WL: (RetrievalSource.LLM_ONLY, False),
+        PipelineVariant.PMP_WG: (RetrievalSource.GOOGLE_SEARCH, False),
+        PipelineVariant.PMP_WL_FS: (RetrievalSource.LLM_ONLY, True),
+        PipelineVariant.PMP_WG_FS: (RetrievalSource.GOOGLE_SEARCH, True),
+    }
 
-    def test_pmpwg_fs_row(self):
-        plan = variant_plan(PipelineVariant.PMP_WG_FS)
-        assert plan.extraction is ExtractionMethod.LLM_BASED
-        assert plan.retrieval is RetrievalSource.GOOGLE_SEARCH
-        assert plan.few_shot is True
-
-    def test_pmpwl_pairing(self):
-        plan = variant_plan(PipelineVariant.PMP_WL)
-        assert plan.extraction is ExtractionMethod.TOKEN_TAGGING
-        assert plan.retrieval is RetrievalSource.LLM_ONLY
-        assert plan.few_shot is False
-
-    def test_total_and_deterministic(self):
-        for variant in PipelineVariant:
-            assert variant_plan(variant) == variant_plan(variant)
-
-    def test_pairing_is_unique_per_retrieval_source(self):
-        pairings = {}
-        for variant in PipelineVariant:
-            plan = variant_plan(variant)
-            if plan.retrieval is None:
-                assert plan.extraction is None
-                continue
-            pairings.setdefault(plan.retrieval, set()).add(plan.extraction)
-        assert pairings[RetrievalSource.LLM_ONLY] == {ExtractionMethod.TOKEN_TAGGING}
-        assert pairings[RetrievalSource.GOOGLE_SEARCH] == {ExtractionMethod.LLM_BASED}
+    @pytest.mark.parametrize("variant", PipelineVariant, ids=lambda variant: variant.value)
+    def test_definition_source_and_few_shot(self, variant):
+        assert (variant.retrieval, variant.few_shot) == self.EXPECTED[variant]
 
 
 class TestSample:

@@ -139,6 +139,26 @@ class TestTranscriptStore:
             store.save(request, "answer")
         assert path.read_text(encoding="utf-8") == content
 
+    def test_record_is_synced_before_it_is_linked_into_place(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, link = os.fsync, os.link
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def recording_link(src, dst):
+            calls.append(("link", os.stat(src).st_size))
+            link(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "link", recording_link)
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        store.save(request, "answer")
+        size = store.path_for(request.digest).stat().st_size
+        assert calls == [("fsync", size), ("link", size)]
+
     def test_concurrent_writers_of_one_digest(self, tmp_path):
         # One store object per thread, as separate processes would have.
         request = make_request()

@@ -148,6 +148,7 @@ class TestParseVerdict:
             ("no at first, but ultimately yes", Label.SARCASTIC),
             ("Yes.", Label.SARCASTIC),
             ("Keputusan akhir: NO", Label.NOT_SARCASTIC),
+            ("so: yEs", Label.SARCASTIC),
         ],
     )
     def test_last_standalone_token_wins(self, text, expected):
