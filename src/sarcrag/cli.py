@@ -9,6 +9,7 @@ import os
 import sys
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,6 +143,9 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"replay needs an existing transcript store: {config.store_dir}")
     if config.backend == "live" and not config.endpoint:
         raise ConfigError("live backend needs an endpoint (flag, LLM_ENDPOINT, or config file)")
+    url = urllib.parse.urlsplit(config.endpoint or "")
+    if config.backend == "live" and (url.scheme not in ("http", "https") or not url.netloc):
+        raise ConfigError(f"endpoint must be an http:// or https:// URL, got {config.endpoint!r}")
     needs_search = config.variant.retrieval is RetrievalSource.GOOGLE_SEARCH
     if needs_search and config.backend == "live":
         if not (config.search_api_key and config.search_engine_id):
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--variant", choices=[v.value for v in PipelineVariant])
     run.add_argument("--model")
     run.add_argument("--backend", choices=["live", "replay"])
-    run.add_argument("--endpoint")
+    run.add_argument("--endpoint", help="live chat URL, http:// or https://, or the run exits 2")
     run.add_argument(
         "--concurrency",
         type=int,

@@ -174,8 +174,6 @@ class TranscriptStore:
 
 
 class ChatBackend(Protocol):
-    name: str
-
     def complete(self, request: ChatRequest) -> str: ...
 
 
@@ -193,8 +191,6 @@ class LiveBackend:
 
     No decoding parameters are sent; the server's defaults apply.
     """
-
-    name = "live"
 
     def __init__(
         self,
@@ -374,7 +370,7 @@ class Gateway:
         return response_text
 
     def _answer(self, request: ChatRequest) -> tuple[str, str]:
-        """(answer text, "store" or the backend's name)."""
+        """(answer text, "store" or "live")."""
         response_text = self.store.lookup(request)
         if response_text is not None:
             return response_text, "store"
@@ -383,7 +379,7 @@ class Gateway:
         response_text = self.backend.complete(request)
         if response_text.strip():
             response_text = self.store.save(request, response_text)
-        return response_text, self.backend.name
+        return response_text, "live"
 
     def _append_log(self, request: ChatRequest, backend: str, latency: float) -> None:
         line = json.dumps(

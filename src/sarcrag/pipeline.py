@@ -49,8 +49,6 @@ def build_p1(
 
 def build_p2(a1: str, few_shot: bool, templates: PromptTemplateSet) -> ChatRequest:
     """P2 request: reflection instructions, plus the worked examples when few_shot."""
-    if not a1:
-        raise ValueError("preliminary analysis must be non-empty")
     system = templates.p2_system
     if few_shot:
         system = system + "\n" + templates.fewshot_header_and_examples

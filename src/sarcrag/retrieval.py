@@ -157,8 +157,6 @@ def chunk_document(
     tokens in order, which equals tokenizing the window: tokens never span
     whitespace, and case folding maps each character on its own.
     """
-    if not text.strip():
-        raise ValueError("text must be non-empty")
     if overlap < 0 or chunk_size <= overlap:
         raise ValueError("require chunk_size > overlap >= 0")
     words = text.split()
@@ -192,8 +190,6 @@ def bm25_scores(keyword: str, chunks: Sequence[Chunk]) -> list[float]:
     Term and document frequencies are counted for the query's terms only.
     See Robertson & Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009.
     """
-    if not chunks:
-        raise ValueError("chunks must be non-empty")
     query = bm25_tokenize(keyword)
     freqs = [{term: chunk.tokens.count(term) for term in query} for chunk in chunks]
     df = {term: sum(1 for freq in freqs if freq[term]) for term in query}
@@ -220,7 +216,7 @@ def rank_chunks(keyword: str, chunks: Sequence[Chunk]) -> list[Chunk]:
 
 
 class SearchPort(Protocol):
-    def search(self, query: str, max_results: int) -> list[SearchResult]: ...
+    def search(self, query: str) -> list[SearchResult]: ...
 
 
 class GoogleSearchClient:
@@ -239,12 +235,12 @@ class GoogleSearchClient:
         self.session = session
         self.in_flight = in_flight
 
-    def search(self, query: str, max_results: int) -> list[SearchResult]:
+    def search(self, query: str) -> list[SearchResult]:
         params = {
             "key": self.api_key,
             "cx": self.engine_id,
             "q": query,
-            "num": min(max_results, 10),
+            "num": DEFAULT_MAX_RESULTS,
         }
         try:
             with self.in_flight:
@@ -259,7 +255,7 @@ class GoogleSearchClient:
             raise SearchTransportError(f"search failed: {exc}") from exc
         return [
             SearchResult(url=item.get("link", ""), snippet=item.get("snippet", ""))
-            for item in items[:max_results]
+            for item in items[:DEFAULT_MAX_RESULTS]
         ]
 
 
@@ -281,9 +277,7 @@ def _search_items(body: object) -> list[dict]:
 
 
 def search_web(keyword: str, client: SearchPort) -> list[SearchResult]:
-    if not keyword.strip():
-        raise ValueError("keyword must be non-empty")
-    return client.search(keyword, DEFAULT_MAX_RESULTS)[:DEFAULT_MAX_RESULTS]
+    return client.search(keyword)
 
 
 class _TextExtractor(html.parser.HTMLParser):
@@ -396,9 +390,6 @@ def refine_definition(
     language: LanguageTag,
 ) -> WordInfo:
     """Summarize ranked chunks into a definition of at most two sentences."""
-    top_chunks = [c for c in top_chunks if c.text.strip()]
-    if not top_chunks:
-        raise DefinitionUnavailable(f"no text evidence for {keyword!r}")
     word_label, passages_label = _REFINE_USER_LABELS[language]
     user = f"{word_label}: {keyword}\n{passages_label}:\n" + "\n".join(
         f"- {chunk.text}" for chunk in top_chunks
@@ -429,8 +420,6 @@ def refine_definition(
 
 def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> WordInfo:
     """One model call defining the keyword from parametric knowledge alone."""
-    if not keyword.strip():
-        raise ValueError("keyword must be non-empty")
     answer = gateway.chat(
         _definition_request(DEFINE_SYSTEM[language], keyword, Purpose.DEFINE_WORD)
     )

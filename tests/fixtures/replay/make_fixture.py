@@ -95,8 +95,6 @@ _SID = re.compile(r"analysis\[([^\]]+)\]")
 class ScriptedBackend:
     """Answers every request by table lookup; unknown requests are fixture bugs."""
 
-    name = "scripted"
-
     def __init__(self, text_to_sid: dict[str, str]) -> None:
         self.text_to_sid = text_to_sid
 

@@ -253,8 +253,6 @@ class TestPromptGoldens:
 class AlgebraBackend:
     """Answers are a pure function of the request purpose."""
 
-    name = "scripted"
-
     RESPONSES = {
         Purpose.KEYWORD_IDENTIFY: "I do not know Paris.",
         Purpose.KEYWORD_CLEAN: "Paris",
@@ -283,7 +281,7 @@ class RecordingGateway:
 
 
 class AlgebraSearch:
-    def search(self, query, max_results):
+    def search(self, query):
         snippet = " ".join(f"fact{i} about {query}" for i in range(10))
         return [SearchResult(url="https://ref.example/a", snippet=snippet)]
 

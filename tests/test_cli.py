@@ -197,6 +197,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             build_run_config(replay_args(tmp_path, backend="live"))
 
+    # requests would fail every chat with InvalidSchema or MissingSchema, skipping
+    # every sample; the config check stops the run before it starts.
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:11434/api/chat", "//localhost:11434/api/chat", "ftp://host/api/chat"]
+    )
+    def test_live_endpoint_must_be_an_http_url(self, tmp_path, endpoint):
+        with pytest.raises(ConfigError) as info:
+            build_run_config(replay_args(tmp_path, backend="live", endpoint=endpoint))
+        assert repr(endpoint) in str(info.value)
+
     def test_live_web_variant_requires_credentials(self, tmp_path):
         args = replay_args(
             tmp_path, backend="live", endpoint="http://x:1", variant="pmpwg"

@@ -441,8 +441,6 @@ class TestRetryAfter:
 
 
 class Echo:
-    name = "live"
-
     def complete(self, request):
         return f"answer to {request.messages[-1].content}"
 
@@ -491,8 +489,6 @@ class TestGateway:
 
     def test_empty_answer_is_logged_then_raised(self, tmp_path):
         class Blank:
-            name = "live"
-
             def complete(self, request):
                 return "   "
 
@@ -504,8 +500,6 @@ class TestGateway:
 
     def test_records_exchange_when_store_attached(self, tmp_path):
         class OneShot:
-            name = "live"
-
             def complete(self, request):
                 return "fresh answer"
 
@@ -519,8 +513,6 @@ class TestGateway:
 
     def test_store_hit_makes_no_backend_call(self, tmp_path):
         class Unreachable:
-            name = "live"
-
             def complete(self, request):
                 raise AssertionError("backend called for a stored request")
 
@@ -535,8 +527,6 @@ class TestGateway:
         class Racing:
             """Stands in for a backend whose request another writer recorded first."""
 
-            name = "live"
-
             def complete(self, request):
                 TranscriptStore(tmp_path).save(request, "first writer")
                 return "second writer"
@@ -548,8 +538,6 @@ class TestGateway:
 
     def test_exchange_log_appends_one_line_per_call(self, tmp_path):
         class OneShot:
-            name = "live"
-
             def complete(self, request):
                 return "logged"
 
@@ -571,8 +559,6 @@ class TestConcurrentMisses:
     """Concurrent requests with one digest share one backend call."""
 
     class Slow:
-        name = "live"
-
         def __init__(self, answer):
             self.answer = answer
             self.calls = []

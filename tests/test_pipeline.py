@@ -186,7 +186,7 @@ LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
 
 
 class FakeSearch:
-    def search(self, query, max_results):
+    def search(self, query):
         return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
 
 
@@ -313,8 +313,6 @@ class TestRunPipeline:
 class DefineBackend:
     """Chat backend for a real Gateway that defines each keyword."""
 
-    name = "live"
-
     def complete(self, request):
         if request.purpose is Purpose.DEFINE_WORD:
             return f"A city called {request.messages[1].content}."
@@ -336,7 +334,7 @@ class TestDefinitionErrors:
                 finished.append(keyword)
 
         class QuotaSearch:
-            def search(self, query, max_results):
+            def search(self, query):
                 if query == "Paris":
                     raise SearchQuotaExceeded("search quota rejected (429)")
                 return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]

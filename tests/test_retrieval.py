@@ -46,7 +46,6 @@ from sarcrag.retrieval import (
     get_word_info,
     rank_chunks,
     refine_definition,
-    search_web,
     split_sentences,
     strip_markup,
     trim_to_sentences,
@@ -155,10 +154,6 @@ class TestChunking:
         with pytest.raises(ValueError):
             chunk_document("a b c", 4, -1)
 
-    def test_rejects_empty_document(self):
-        with pytest.raises(ValueError):
-            chunk_document("   ", 4, 0)
-
     def test_windows_without_indexable_tokens_dropped(self):
         # middle window is pure punctuation and would carry no tokens
         text = "alpha beta ?! ?! gamma delta"
@@ -229,21 +224,15 @@ class TestBm25:
         ranked = rank_chunks("target", chunks)
         assert [c.index for c in ranked] == list(range(DEFAULT_TOP_K))
 
-    def test_rank_validates_inputs(self):
-        with pytest.raises(ValueError):
-            rank_chunks("q", [])
-        with pytest.raises(ValueError):
-            bm25_scores("q", [])
-
 
 class FakeSearch:
     def __init__(self, results):
         self.results = results
         self.queries = []
 
-    def search(self, query, max_results):
-        self.queries.append((query, max_results))
-        return self.results[:max_results]
+    def search(self, query):
+        self.queries.append(query)
+        return self.results
 
 
 class ScriptedGateway:
@@ -264,25 +253,6 @@ def make_result(snippet, url="https://a.com"):
 
 
 class TestSearchAndGather:
-    def test_search_web_validates_inputs(self):
-        with pytest.raises(ValueError):
-            search_web("", FakeSearch([]))
-
-    def test_search_web_truncates_to_max_results(self):
-        results = [make_result(f"s{i}") for i in range(DEFAULT_MAX_RESULTS + 2)]
-        search = FakeSearch(results)
-        got = search_web("kw", search)
-        assert got == results[:DEFAULT_MAX_RESULTS]
-        assert search.queries == [("kw", DEFAULT_MAX_RESULTS)]
-
-    def test_search_web_truncates_an_overlong_answer(self):
-        class Overlong(FakeSearch):
-            def search(self, query, max_results):
-                return self.results
-
-        results = [make_result(f"s{i}") for i in range(DEFAULT_MAX_RESULTS + 2)]
-        assert search_web("kw", Overlong(results)) == results[:DEFAULT_MAX_RESULTS]
-
     def test_gather_uses_long_snippets_without_fetching(self):
         fetched = []
 
@@ -381,14 +351,23 @@ class TestGoogleSearchClient:
         }
         session = self.make_session(FakeHttpResponse(payload=payload))
         client = self.make_client(session)
-        results = client.search("query", max_results=2)
+        results = client.search("query")
         assert [r.url for r in results] == ["https://a.com", "https://b.com"]
         assert [r.snippet for r in results] == ["s1", "s2"]
         url, params, _ = session.calls[0]
         assert params["q"] == "query"
-        assert params["num"] == 2
         assert params["key"] == "k"
         assert params["cx"] == "cx"
+
+    def test_asks_for_and_keeps_the_default_result_count(self):
+        items = [
+            {"link": f"https://{i}.com", "snippet": f"s{i}"} for i in range(DEFAULT_MAX_RESULTS + 2)
+        ]
+        session = self.make_session(FakeHttpResponse(payload={"items": items}))
+        results = self.make_client(session).search("query")
+        assert [r.url for r in results] == [item["link"] for item in items[:DEFAULT_MAX_RESULTS]]
+        _, params, _ = session.calls[0]
+        assert params["num"] == DEFAULT_MAX_RESULTS
 
     # A 403 (a bad key, a disabled API or a spent daily quota) fails every later
     # search too, so it stops the run; a 429 skips the sample.
@@ -400,14 +379,14 @@ class TestGoogleSearchClient:
         session = self.make_session(FakeHttpResponse(status_code=status))
         client = self.make_client(session)
         with pytest.raises(error) as info:
-            client.search("q", max_results=1)
+            client.search("q")
         assert isinstance(info.value, SampleError) is skips
 
     def test_server_error_raises_transport(self):
         session = self.make_session(FakeHttpResponse(status_code=500))
         client = self.make_client(session)
         with pytest.raises(SearchTransportError) as info:
-            client.search("q", max_results=1)
+            client.search("q")
         assert not isinstance(info.value, SearchQuotaExceeded)
 
     @pytest.mark.parametrize(
@@ -420,7 +399,7 @@ class TestGoogleSearchClient:
         session = self.make_session(response)
         client = self.make_client(session)
         with pytest.raises(SearchTransportError) as info:
-            client.search("q", max_results=3)
+            client.search("q")
         assert not isinstance(info.value, SearchQuotaExceeded)
 
     def test_a_skipped_search_holds_a_permit_and_gives_it_back(self):
@@ -434,14 +413,14 @@ class TestGoogleSearchClient:
 
         client = GoogleSearchClient(api_key="k", engine_id="cx", session=Session(), in_flight=in_flight)
         with pytest.raises(SearchQuotaExceeded):
-            client.search("q", max_results=1)
+            client.search("q")
         assert taken == [True]
         assert in_flight.acquire(blocking=False), "the search kept its permit"
 
     def test_missing_items_is_empty(self):
         session = self.make_session(FakeHttpResponse(payload={}))
         client = self.make_client(session)
-        assert client.search("q", max_results=3) == []
+        assert client.search("q") == []
 
 
 # html.parser raises AssertionError on this marked section.
@@ -636,10 +615,6 @@ class TestRefineDefinition:
         refine_definition("kw", [make_chunk("bukti")], gateway, LanguageTag.INDONESIAN)
         assert gateway.requests[1].messages[3].content == "Jawab dalam maksimal dua kalimat."
 
-    def test_no_chunks_unavailable(self):
-        with pytest.raises(DefinitionUnavailable):
-            refine_definition("kw", [], ScriptedGateway([]), LanguageTag.ENGLISH)
-
     def test_evidence_lists_all_used_chunks(self):
         gateway = ScriptedGateway(["Short."])
         chunks = [
@@ -659,10 +634,6 @@ class TestDefineLlmOnly:
         assert info.evidence is None
         assert gateway.requests[0].purpose is Purpose.DEFINE_WORD
         assert gateway.requests[0].messages[1].content == "United Nations"
-
-    def test_rejects_blank_keyword(self):
-        with pytest.raises(ValueError):
-            define_llm_only("  ", ScriptedGateway([]), LanguageTag.ENGLISH)
 
 
 class TestWordInfo:
@@ -891,7 +862,7 @@ class TestGetWordInfo:
         )
         assert got.definition == "Means imitation goods."
         assert got.evidence and got.evidence[0][0] == "https://a.com"
-        assert search.queries[0][0] == "kw"
+        assert search.queries[0] == "kw"
         assert cache.lookup("kw", RetrievalSource.GOOGLE_SEARCH) == got
 
     def test_empty_search_results_unavailable(self, tmp_path):
