@@ -46,6 +46,7 @@ from sarcrag.retrieval import (
     get_word_info,
     rank_chunks,
     refine_definition,
+    search_web,
     split_sentences,
     strip_markup,
     trim_to_sentences,
@@ -252,7 +253,29 @@ def make_result(snippet, url="https://a.com"):
     return SearchResult(url=url, snippet=snippet)
 
 
+def search_items(count):
+    return [{"link": f"https://{i}.com", "snippet": f"s{i}"} for i in range(count)]
+
+
 class TestSearchAndGather:
+    def test_search_web_truncates_to_max_results(self):
+        items = search_items(DEFAULT_MAX_RESULTS)
+        session = make_search_session(FakeHttpResponse(payload={"items": items}))
+        got = search_web("kw", make_search_client(session))
+        assert got == [make_result(item["snippet"], url=item["link"]) for item in items]
+        assert [(params["q"], params["num"]) for _, params, _ in session.calls] == [
+            ("kw", DEFAULT_MAX_RESULTS)
+        ]
+
+    def test_search_web_truncates_an_overlong_answer(self):
+        # the API may answer with more items than the `num` it was asked for
+        items = search_items(DEFAULT_MAX_RESULTS + 2)
+        session = make_search_session(FakeHttpResponse(payload={"items": items}))
+        got = search_web("kw", make_search_client(session))
+        assert got == [
+            make_result(item["snippet"], url=item["link"]) for item in items[:DEFAULT_MAX_RESULTS]
+        ]
+
     def test_gather_uses_long_snippets_without_fetching(self):
         fetched = []
 
@@ -325,23 +348,25 @@ class FakeHttpResponse:
         return self._payload
 
 
+def make_search_session(response):
+    class Session:
+        def __init__(self):
+            self.calls = []
+
+        def get(self, url, params=None, timeout=None):
+            self.calls.append((url, params, timeout))
+            return response
+
+    return Session()
+
+
+def make_search_client(session):
+    return GoogleSearchClient(
+        api_key="k", engine_id="cx", session=session, in_flight=threading.BoundedSemaphore(1)
+    )
+
+
 class TestGoogleSearchClient:
-    def make_session(self, response):
-        class Session:
-            def __init__(self):
-                self.calls = []
-
-            def get(self, url, params=None, timeout=None):
-                self.calls.append((url, params, timeout))
-                return response
-
-        return Session()
-
-    def make_client(self, session):
-        return GoogleSearchClient(
-            api_key="k", engine_id="cx", session=session, in_flight=threading.BoundedSemaphore(1)
-        )
-
     def test_parses_items(self):
         payload = {
             "items": [
@@ -349,8 +374,8 @@ class TestGoogleSearchClient:
                 {"title": "T2", "link": "https://b.com", "snippet": "s2"},
             ]
         }
-        session = self.make_session(FakeHttpResponse(payload=payload))
-        client = self.make_client(session)
+        session = make_search_session(FakeHttpResponse(payload=payload))
+        client = make_search_client(session)
         results = client.search("query")
         assert [r.url for r in results] == ["https://a.com", "https://b.com"]
         assert [r.snippet for r in results] == ["s1", "s2"]
@@ -359,16 +384,6 @@ class TestGoogleSearchClient:
         assert params["key"] == "k"
         assert params["cx"] == "cx"
 
-    def test_asks_for_and_keeps_the_default_result_count(self):
-        items = [
-            {"link": f"https://{i}.com", "snippet": f"s{i}"} for i in range(DEFAULT_MAX_RESULTS + 2)
-        ]
-        session = self.make_session(FakeHttpResponse(payload={"items": items}))
-        results = self.make_client(session).search("query")
-        assert [r.url for r in results] == [item["link"] for item in items[:DEFAULT_MAX_RESULTS]]
-        _, params, _ = session.calls[0]
-        assert params["num"] == DEFAULT_MAX_RESULTS
-
     # A 403 (a bad key, a disabled API or a spent daily quota) fails every later
     # search too, so it stops the run; a 429 skips the sample.
     @pytest.mark.parametrize(
@@ -376,15 +391,15 @@ class TestGoogleSearchClient:
         ids=["403", "429"],
     )
     def test_quota_exhaustion_is_distinct(self, status, error, skips):
-        session = self.make_session(FakeHttpResponse(status_code=status))
-        client = self.make_client(session)
+        session = make_search_session(FakeHttpResponse(status_code=status))
+        client = make_search_client(session)
         with pytest.raises(error) as info:
             client.search("q")
         assert isinstance(info.value, SampleError) is skips
 
     def test_server_error_raises_transport(self):
-        session = self.make_session(FakeHttpResponse(status_code=500))
-        client = self.make_client(session)
+        session = make_search_session(FakeHttpResponse(status_code=500))
+        client = make_search_client(session)
         with pytest.raises(SearchTransportError) as info:
             client.search("q")
         assert not isinstance(info.value, SearchQuotaExceeded)
@@ -396,8 +411,8 @@ class TestGoogleSearchClient:
     def test_malformed_body_raises_transport(self, body):
         response = FakeHttpResponse()
         response.json = lambda: body
-        session = self.make_session(response)
-        client = self.make_client(session)
+        session = make_search_session(response)
+        client = make_search_client(session)
         with pytest.raises(SearchTransportError) as info:
             client.search("q")
         assert not isinstance(info.value, SearchQuotaExceeded)
@@ -418,8 +433,8 @@ class TestGoogleSearchClient:
         assert in_flight.acquire(blocking=False), "the search kept its permit"
 
     def test_missing_items_is_empty(self):
-        session = self.make_session(FakeHttpResponse(payload={}))
-        client = self.make_client(session)
+        session = make_search_session(FakeHttpResponse(payload={}))
+        client = make_search_client(session)
         assert client.search("q") == []
 
 
