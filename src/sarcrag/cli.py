@@ -86,7 +86,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
@@ -228,7 +228,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "verdict": trace.verdict.value if trace else None,
             "skipped_reason": f"{type(error).__name__}: {error}" if error else None,
             "skip_class": type(error).__name__ if error else None,
-            "keywords": list(trace.keywords) if trace and trace.keywords else [],
+            "keywords": list(trace.keywords) if trace else [],
             "word_info_sources": [info.source.value for info in trace.word_infos] if trace else [],
             "p1_digest": trace.p1_digest if trace else None,
             "p2_digest": trace.p2_digest if trace else None,
@@ -269,7 +269,7 @@ _VERDICTS = tuple(label.value for label in Label)
 def read_run_log(path: Path | str) -> list[dict]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LogParseError(f"cannot read run log: {exc}") from exc
     records: list[dict] = []
     seen: set[str] = set()

@@ -25,7 +25,8 @@ def normalize_text(text: str) -> str:
 def load_dataset(kind: DatasetKind, path: Path | str) -> list[Sample]:
     """The file's samples in order, each with the id `<kind>:<row id>`.
 
-    FormatError on a malformed row, or, once the whole file has parsed, on a repeated id.
+    FormatError naming the file if it cannot be read or is not UTF-8; FormatError on a
+    malformed row, or, once the whole file has parsed, on a repeated id.
     """
     read_rows = {
         DatasetKind.SEMEVAL_2018_T3: _semeval_rows,
@@ -33,10 +34,13 @@ def load_dataset(kind: DatasetKind, path: Path | str) -> list[Sample]:
         DatasetKind.TWITTER_INDONESIA: _twitter_id_rows,
     }[kind]
     language = DATASET_LANGUAGE[kind]
-    samples = [
-        Sample(id=f"{kind.value}:{row_id}", text=text, gold=gold, language=language)
-        for row_id, text, gold in read_rows(path)
-    ]
+    try:
+        samples = [
+            Sample(id=f"{kind.value}:{row_id}", text=text, gold=gold, language=language)
+            for row_id, text, gold in read_rows(path)
+        ]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     seen: set[str] = set()
     for sample in samples:
         if sample.id in seen:

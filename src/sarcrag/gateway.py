@@ -1,10 +1,10 @@
 """Chat-completion transport: live HTTP backend and deterministic record/replay store.
 
-Every call is a ChatRequest (one system message, then user/assistant turns) and
-comes back as the answer text. Exchanges are keyed by a digest of the ordered
-(role, content) pairs. The store answers first and keeps the first answer
-recorded for a digest, so a recorded run can be replayed bit-for-bit without a
-model server.
+Every call is a ChatRequest that chat_request builds (the system message, the
+user message, then any further turns) and comes back as the answer text.
+Exchanges are keyed by a digest of the ordered (role, content) pairs. The store
+answers first and keeps the first answer recorded for a digest, so a recorded
+run can be replayed bit-for-bit without a model server.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class ChatMessage:
     content: str
 
     def __post_init__(self) -> None:
-        # Only assistant placeholders may be empty.
-        if self.role is not Role.ASSISTANT and not self.content:
+        if not self.content:
             raise ValueError(f"{self.role.value} message must have content")
 
 
@@ -67,18 +66,17 @@ class ChatRequest:
     messages: tuple[ChatMessage, ...]
     purpose: Purpose
 
-    def __post_init__(self) -> None:
-        if not self.messages or self.messages[0].role is not Role.SYSTEM:
-            raise ValueError("first message must be the system message")
-        n_system = sum(1 for m in self.messages if m.role is Role.SYSTEM)
-        if n_system != 1:
-            raise ValueError(f"expected exactly one system message, got {n_system}")
-        if not any(m.role is Role.USER for m in self.messages):
-            raise ValueError("at least one user message required")
-
     @functools.cached_property
     def digest(self) -> str:
         return request_digest(self.messages)
+
+
+def chat_request(purpose: Purpose, system: str, user: str, *turns: ChatMessage) -> ChatRequest:
+    """The request: the system message, then the user message, then any further turns."""
+    return ChatRequest(
+        messages=(ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user), *turns),
+        purpose=purpose,
+    )
 
 
 def request_digest(messages: tuple[ChatMessage, ...]) -> str:

@@ -11,7 +11,7 @@ import re
 
 from .core import Sample
 from .errors import MalformedCSV
-from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
+from .gateway import Gateway, Purpose, chat_request
 from .templates import load_templates
 
 MAX_KEYWORD_TOKENS = 5
@@ -99,23 +99,9 @@ def extract_llm_based(sample: Sample, gateway: Gateway) -> tuple[str, ...]:
     """Ask the model which words it does not understand, then reformat the answer as CSV."""
     templates = load_templates(sample.language)
     identified = gateway.chat(
-        ChatRequest(
-            messages=(
-                ChatMessage(Role.SYSTEM, templates.keyword_identify),
-                ChatMessage(Role.USER, sample.text),
-            ),
-            purpose=Purpose.KEYWORD_IDENTIFY,
-        )
+        chat_request(Purpose.KEYWORD_IDENTIFY, templates.keyword_identify, sample.text)
     )
-    cleaned = gateway.chat(
-        ChatRequest(
-            messages=(
-                ChatMessage(Role.SYSTEM, templates.keyword_csv),
-                ChatMessage(Role.USER, identified),
-            ),
-            purpose=Purpose.KEYWORD_CLEAN,
-        )
-    )
+    cleaned = gateway.chat(chat_request(Purpose.KEYWORD_CLEAN, templates.keyword_csv, identified))
     return _cap_keywords(parse_csv_keywords(cleaned))
 
 

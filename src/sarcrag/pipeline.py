@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import Label, PipelineVariant, RetrievalSource, Sample
 from .errors import DefinitionUnavailable, SampleError, VerdictNotFound
-from .gateway import ChatMessage, ChatRequest, Gateway, Purpose, Role
+from .gateway import ChatRequest, Gateway, Purpose, chat_request
 from .keywords import extract_llm_based, extract_token_tagging
 from .retrieval import PageFetcher, SearchPort, WordInfo, WordInfoCache, get_word_info
 from .templates import PromptTemplateSet, load_templates
@@ -41,10 +41,7 @@ def build_p1(
     if word_infos:
         system = system + "\n" + templates.wordinfo_system_suffix
         user = user + "\n" + render_word_info_block(word_infos, templates)
-    return ChatRequest(
-        messages=(ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)),
-        purpose=Purpose.P1,
-    )
+    return chat_request(Purpose.P1, system, user)
 
 
 def build_p2(a1: str, few_shot: bool, templates: PromptTemplateSet) -> ChatRequest:
@@ -52,10 +49,7 @@ def build_p2(a1: str, few_shot: bool, templates: PromptTemplateSet) -> ChatReque
     system = templates.p2_system
     if few_shot:
         system = system + "\n" + templates.fewshot_header_and_examples
-    return ChatRequest(
-        messages=(ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, a1)),
-        purpose=Purpose.P2,
-    )
+    return chat_request(Purpose.P2, system, a1)
 
 
 _VERDICT = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
@@ -81,7 +75,7 @@ class PipelineDeps:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    keywords: tuple[str, ...] | None
+    keywords: tuple[str, ...]
     word_infos: tuple[WordInfo, ...]
     p1_digest: str
     p2_digest: str
@@ -99,14 +93,14 @@ def run_pipeline(
     order, is raised. Any other error (such as StoreWriteError) is raised at once.
     """
     templates = load_templates(sample.language)
-    keywords: tuple[str, ...] | None = None
+    keywords: tuple[str, ...] = ()
     if variant.retrieval is RetrievalSource.LLM_ONLY:
         keywords = extract_token_tagging(sample)
     elif variant.retrieval is RetrievalSource.GOOGLE_SEARCH:
         keywords = extract_llm_based(sample, deps.gateway)
     word_infos: list[WordInfo] = []
     definition_error: SampleError | None = None
-    for keyword in keywords or ():
+    for keyword in keywords:
         try:
             word_infos.append(
                 get_word_info(

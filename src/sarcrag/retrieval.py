@@ -31,11 +31,11 @@ from .errors import (
 )
 from .gateway import (
     ChatMessage,
-    ChatRequest,
     Gateway,
     Purpose,
     Role,
     SingleFlight,
+    chat_request,
     put_json_if_absent,
     read_json,
 )
@@ -374,15 +374,6 @@ def gather_corpus(
     return chunks
 
 
-def _definition_request(
-    system: str, user: str, purpose: Purpose, history: tuple[ChatMessage, ...] = ()
-) -> ChatRequest:
-    return ChatRequest(
-        messages=(ChatMessage(Role.SYSTEM, system), ChatMessage(Role.USER, user)) + history,
-        purpose=purpose,
-    )
-
-
 def refine_definition(
     keyword: str,
     top_chunks: Sequence[Chunk],
@@ -395,18 +386,16 @@ def refine_definition(
         f"- {chunk.text}" for chunk in top_chunks
     )
     definition = gateway.chat(
-        _definition_request(REFINE_SYSTEM[language], user, Purpose.REFINE_CHUNKS)
+        chat_request(Purpose.REFINE_CHUNKS, REFINE_SYSTEM[language], user)
     ).strip()
     if len(split_sentences(definition)) > MAX_DEFINITION_SENTENCES:
         reasked = gateway.chat(
-            _definition_request(
+            chat_request(
+                Purpose.REFINE_CHUNKS,
                 REFINE_SYSTEM[language],
                 user,
-                Purpose.REFINE_CHUNKS,
-                history=(
-                    ChatMessage(Role.ASSISTANT, definition),
-                    ChatMessage(Role.USER, _REASK_USER[language]),
-                ),
+                ChatMessage(Role.ASSISTANT, definition),
+                ChatMessage(Role.USER, _REASK_USER[language]),
             )
         )
         definition = trim_to_sentences(reasked.strip())
@@ -420,9 +409,7 @@ def refine_definition(
 
 def define_llm_only(keyword: str, gateway: Gateway, language: LanguageTag) -> WordInfo:
     """One model call defining the keyword from parametric knowledge alone."""
-    answer = gateway.chat(
-        _definition_request(DEFINE_SYSTEM[language], keyword, Purpose.DEFINE_WORD)
-    )
+    answer = gateway.chat(chat_request(Purpose.DEFINE_WORD, DEFINE_SYSTEM[language], keyword))
     return WordInfo(
         keyword=keyword,
         definition=trim_to_sentences(answer.strip()),
@@ -451,7 +438,7 @@ class WordInfoCache:
         path = self.path_for(keyword, source)
         if not path.exists():
             return None
-        return _word_info(path, read_json(path))
+        return _word_info(path, read_json(path), keyword, source)
 
     def store(self, info: WordInfo) -> WordInfo:
         """Cache info unless its key is cached; return the definition kept."""
@@ -462,14 +449,15 @@ class WordInfoCache:
             "evidence": [list(pair) for pair in info.evidence] if info.evidence is not None else None,
         }
         path = self.path_for(info.keyword, info.source)
-        return _word_info(path, put_json_if_absent(path, record))
+        return _word_info(path, put_json_if_absent(path, record), info.keyword, info.source)
 
 
-def _word_info(path: Path, record: dict) -> WordInfo:
-    """The definition cached at path; CorruptRecord if record does not hold a valid one."""
+def _word_info(path: Path, record: dict, keyword: str, source: RetrievalSource) -> WordInfo:
+    """The definition of keyword from source cached at path; CorruptRecord if record
+    does not hold a valid one, or holds another keyword's or source's."""
     try:
         evidence = record.get("evidence")
-        return WordInfo(
+        info = WordInfo(
             keyword=record["keyword"],
             definition=record["definition"],
             source=RetrievalSource(record["source"]),
@@ -477,6 +465,9 @@ def _word_info(path: Path, record: dict) -> WordInfo:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptRecord(path, f"{type(exc).__name__}: {exc}") from exc
+    if info.keyword != keyword or info.source is not source:
+        raise CorruptRecord(path, f"holds the {info.source.value} definition of {info.keyword!r}")
+    return info
 
 
 def get_word_info(

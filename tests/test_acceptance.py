@@ -32,7 +32,7 @@ from sarcrag.core import (
 from sarcrag.datasets import load_dataset
 from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
-from sarcrag.gateway import Gateway, Purpose, TranscriptStore
+from sarcrag.gateway import Gateway, Purpose, Role, TranscriptStore
 from sarcrag.keywords import parse_csv_keywords
 from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, run_pipeline
 from sarcrag.retrieval import (
@@ -323,6 +323,11 @@ class TestVariantCallAlgebra:
             deps = PipelineDeps(gateway=gateway, search=AlgebraSearch(), cache=None)
             trace = run_pipeline(self.algebra_sample(), variant, deps)
             assert trace.verdict is Label.SARCASTIC
+            for request in gateway.requests:
+                # Every purpose's request: the system message, then the user message.
+                roles = [m.role for m in request.messages]
+                assert roles[:2] == [Role.SYSTEM, Role.USER], (variant, request.purpose)
+                assert Role.SYSTEM not in roles[1:], (variant, request.purpose)
             captured[variant] = gateway
         return captured
 

@@ -1277,6 +1277,33 @@ def test_report_names_the_line_of_a_malformed_record(tmp_path, capsys, second_li
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "option,content",
+    [
+        ("--data-path", None),
+        ("--data-path", "index\tlabel\ttweet\n1\t1\tcaf\xe9\n".encode("latin-1")),
+        ("--config", "model: caf\xe9\n".encode("latin-1")),
+        ("report", json.dumps(VALID_RECORD).replace('"a"', '"caf\xe9"').encode("latin-1")),
+    ],
+    ids=["data-directory", "data-latin1", "config-latin1", "log-latin1"],
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, option, content):
+    # A directory, or a file that is not UTF-8, stops the command with one error line.
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if option == "report":
+        code, captured = main(["report", str(path)]), capsys.readouterr()
+    else:
+        code, captured, _ = run_fixture_cli(tmp_path, capsys, option, str(path))
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 class TestReportCommand:
     def test_table_output(self, tmp_path, capsys):
         _, _, run_dir = run_fixture_cli(tmp_path, capsys)

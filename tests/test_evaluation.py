@@ -11,7 +11,6 @@ from sarcrag.core import Label
 from sarcrag.errors import EmptyEvaluation
 from sarcrag.evaluation import (
     ConfusionMatrix,
-    MetricsReport,
     confusion,
     macro_metrics,
     report_to_json,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sarcrag.core import Label, LanguageTag, Sample
 from sarcrag.errors import MalformedCSV
-from sarcrag.gateway import Gateway, Purpose
+from sarcrag.gateway import Purpose
 from sarcrag.keywords import (
     extract_llm_based,
     extract_token_tagging,

@@ -195,7 +195,7 @@ class TestRunPipeline:
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: YES"]})
         trace = run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
-        assert trace.keywords is None
+        assert trace.keywords == ()
         assert trace.word_infos == ()
         assert (trace.p1_digest, trace.p2_digest) == tuple(r.digest for r in gateway.requests)
         assert trace.verdict is Label.SARCASTIC

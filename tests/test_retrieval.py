@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from sarcrag.core import LanguageTag, RetrievalSource
 from sarcrag.errors import (
+    CorruptRecord,
     DefinitionUnavailable,
     SampleError,
     SearchForbidden,
@@ -762,6 +764,35 @@ class TestWordInfoCache:
             assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
         digests = [hashlib.sha256(k.encode("utf-8")).hexdigest() for k in keywords]
         assert sorted(p.name for p in (tmp_path / "llm_only").iterdir()) == sorted(f"{d}.json" for d in digests)
+
+    def test_file_of_another_keyword_is_corrupt(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        cache.store(self.make_info("Alice"))
+        shutil.copy(
+            cache.path_for("Alice", RetrievalSource.LLM_ONLY),
+            cache.path_for("Bob", RetrievalSource.LLM_ONLY),
+        )
+        with pytest.raises(CorruptRecord):
+            cache.lookup("Bob", RetrievalSource.LLM_ONLY)
+        with pytest.raises(CorruptRecord):
+            cache.store(self.make_info("Bob"))
+
+    def test_file_of_another_source_is_corrupt(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        cache.store(self.make_info("Alice"))
+        web_path = cache.path_for("Alice", RetrievalSource.GOOGLE_SEARCH)
+        web_path.parent.mkdir()
+        shutil.copy(cache.path_for("Alice", RetrievalSource.LLM_ONLY), web_path)
+        with pytest.raises(CorruptRecord):
+            cache.lookup("Alice", RetrievalSource.GOOGLE_SEARCH)
+        web_info = WordInfo(
+            keyword="Alice",
+            definition="From the web.",
+            source=RetrievalSource.GOOGLE_SEARCH,
+            evidence=(("https://a.com", 0),),
+        )
+        with pytest.raises(CorruptRecord):
+            cache.store(web_info)
 
     def test_store_does_not_collide_with_another_writers_temp_file(self, tmp_path):
         WordInfoCache(tmp_path / "reference").store(self.make_info())
