@@ -21,7 +21,7 @@ from .core import DATASET_LANGUAGE, DatasetKind, Label, PipelineVariant, Retriev
 from .datasets import load_dataset
 from .errors import ConfigError, EmptyEvaluation, LogParseError, SampleError, SarcragError
 from .evaluation import confusion, macro_metrics, report_to_json, report_to_table
-from .gateway import Gateway, LiveBackend, TranscriptStore
+from .gateway import Gateway, LiveBackend, TranscriptStore, writing
 from .pipeline import PipelineDeps, run_pipeline
 from .retrieval import GoogleSearchClient, WordInfoCache, fetch_page
 
@@ -137,8 +137,6 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("concurrency must be >= 1")
     if config.limit is not None and config.limit <= 0:
         raise ConfigError("limit must be a positive sample count")
-    if not config.data_path.exists():
-        raise ConfigError(f"data path does not exist: {config.data_path}")
     if config.backend == "replay" and not config.store_dir.is_dir():
         raise ConfigError(f"replay needs an existing transcript store: {config.store_dir}")
     if config.backend == "live" and not config.endpoint:
@@ -186,12 +184,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"data path holds no samples: {config.data_path}")
     if config.limit is not None:
         samples = samples[: config.limit]
-    run_dir = config.run_dir
-    run_dir.mkdir(parents=True, exist_ok=True)
-    # The run directory holds this run's outputs only: a report or exchange lines
-    # that an earlier run left there would pass for this run's.
-    for stale in ("report.json", "report.txt", "exchanges.jsonl"):
-        (run_dir / stale).unlink(missing_ok=True)
+    with writing(config.run_dir) as run_dir:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        # The run directory holds this run's outputs only: a report or exchange lines
+        # that an earlier run left there would pass for this run's.
+        for stale in ("report.json", "report.txt", "exchanges.jsonl"):
+            (run_dir / stale).unlink(missing_ok=True)
     deps = build_deps(config, run_dir)
 
     # Up to 4 * concurrency samples run at once, each whole on one thread: its
@@ -235,15 +233,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             "wall_time": time.monotonic() - started,
         }
 
-    log_path = run_dir / "run.jsonl"
-    with (
-        log_path.open("w", encoding="utf-8") as fh,
-        ThreadPoolExecutor(4 * config.concurrency) as pool,
-    ):
+    with writing(run_dir / "run.jsonl") as log_path:
+        fh = log_path.open("w", encoding="utf-8")
+    with fh, ThreadPoolExecutor(4 * config.concurrency) as pool:
         try:
             for record in pool.map(run_one, range(len(samples)), samples):
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                fh.flush()
+                with writing(log_path):
+                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    fh.flush()
         except BaseException:
             crashed.append(-1)
             raise
@@ -253,8 +250,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     except EmptyEvaluation:
         print(f"run finished but every sample was skipped; no report written ({log_path})")
         return 1
-    (run_dir / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
-    (run_dir / "report.txt").write_text(report_to_table(report), encoding="utf-8")
+    with writing(run_dir / "report.json") as path:
+        path.write_text(report_to_json(report) + "\n", encoding="utf-8")
+    with writing(run_dir / "report.txt") as path:
+        path.write_text(report_to_table(report), encoding="utf-8")
     print(
         f"{config.dataset.value}/{config.model}/{config.variant.value}: "
         f"scored {report.n_scored}, skipped {report.n_skipped}, "

@@ -37,12 +37,6 @@ class Sample:
     gold: Label
     language: LanguageTag
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("sample id must be non-empty")
-        if not self.text:
-            raise ValueError(f"sample {self.id}: text must be non-empty")
-
 
 class RetrievalSource(enum.Enum):
     LLM_ONLY = "llm_only"

@@ -109,8 +109,6 @@ def _twitter_id_rows(path: Path | str) -> Rows:
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
         first = fh.readline()
-        if not first:
-            raise FormatError("empty file", line=1)
         delimiter = "\t" if "\t" in first else ","
         header = next(csv.reader([first], delimiter=delimiter))
         names = [column.strip().lower() for column in header]

@@ -57,7 +57,7 @@ class SearchForbidden(SarcragError):
 
 
 class StoreWriteError(SarcragError):
-    """A cache or transcript write failed."""
+    """A write failed: of a store or cache file, or of the run's own files. It stops the run."""
 
 
 class CorruptRecord(SampleError):

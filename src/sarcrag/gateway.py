@@ -9,6 +9,7 @@ run can be replayed bit-for-bit without a model server.
 
 from __future__ import annotations
 
+import contextlib
 import email.utils
 import enum
 import functools
@@ -22,7 +23,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import requests
 
@@ -95,15 +96,26 @@ def message_dicts(messages: tuple[ChatMessage, ...]) -> list[dict]:
     return [{"role": m.role.value, "content": m.content} for m in messages]
 
 
-def read_json(path: Path) -> dict:
-    """The JSON object stored at path; CorruptRecord naming path if the file holds none."""
+def read_json(path: Path) -> dict | None:
+    """The JSON object at path, or None if no file is there; else CorruptRecord naming path."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except (OSError, ValueError) as exc:
         raise CorruptRecord(path, f"{type(exc).__name__}: {exc}") from exc
     if not isinstance(record, dict):
         raise CorruptRecord(path, "not a JSON object")
     return record
+
+
+@contextlib.contextmanager
+def writing(path: Path) -> Iterator[Path]:
+    """Yield path, and raise an OSError of the block as StoreWriteError naming path."""
+    try:
+        yield path
+    except OSError as exc:
+        raise StoreWriteError(f"write failed for {path}: {exc}") from exc
 
 
 def put_json_if_absent(path: Path, record: dict) -> dict:
@@ -113,10 +125,10 @@ def put_json_if_absent(path: Path, record: dict) -> dict:
     beside path, then hard-linked into place, so no reader, even after a power
     loss, sees a partial file, and the first writer wins, across threads and
     processes alike. The directory's filesystem must support hard links; any
-    failure raises StoreWriteError. A record found there that is not JSON, or
-    lacks one of record's keys, raises CorruptRecord.
+    failure raises StoreWriteError. A file found there that read_json cannot read
+    as a JSON object raises CorruptRecord; the caller checks the record it holds.
     """
-    try:
+    with writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
         try:
@@ -127,14 +139,11 @@ def put_json_if_absent(path: Path, record: dict) -> dict:
             os.link(tmp, path)
         except FileExistsError:
             kept = read_json(path)
-            missing = record.keys() - kept.keys()
-            if missing:
-                raise CorruptRecord(path, f"lacks {sorted(missing)}")
+            if kept is None:  # a dangling symbolic link, or removed since
+                raise CorruptRecord(path, "no file to read")
             return kept
         finally:
             os.unlink(tmp)
-    except OSError as exc:
-        raise StoreWriteError(f"store write failed for {path}: {exc}") from exc
     return record
 
 
@@ -149,16 +158,8 @@ class TranscriptStore:
 
     def lookup(self, request: ChatRequest) -> str | None:
         """The recorded answer to request, or None; CorruptRecord if its file is unusable."""
-        path = self.path_for(request.digest)
-        if not path.exists():
-            return None
-        record = read_json(path)
-        # Messages other than the request's would not hash to the file's name.
-        if record.get("messages") != message_dicts(request.messages):
-            raise CorruptRecord(path, "its messages do not hash to its name")
-        if not isinstance(record.get("response_text"), str):
-            raise CorruptRecord(path, "no response_text string")
-        return record["response_text"]
+        record = read_json(self.path_for(request.digest))
+        return None if record is None else self._response_text(request, record)
 
     def save(self, request: ChatRequest, response_text: str) -> str:
         """Record the exchange unless its digest is stored; return the response kept."""
@@ -168,7 +169,18 @@ class TranscriptStore:
             "messages": message_dicts(request.messages),
             "response_text": response_text,
         }
-        return put_json_if_absent(self.path_for(request.digest), record)["response_text"]
+        path = self.path_for(request.digest)
+        return self._response_text(request, put_json_if_absent(path, record))
+
+    def _response_text(self, request: ChatRequest, record: dict) -> str:
+        """The answer to request in the record of its file; CorruptRecord if it holds none."""
+        path = self.path_for(request.digest)
+        # Messages other than the request's would not hash to the file's name.
+        if record.get("messages") != message_dicts(request.messages):
+            raise CorruptRecord(path, "its messages do not hash to its name")
+        if not isinstance(record.get("response_text"), str):
+            raise CorruptRecord(path, "no response_text string")
+        return record["response_text"]
 
 
 class ChatBackend(Protocol):
@@ -388,7 +400,6 @@ class Gateway:
                 "latency": latency,
             }
         )
-        with self._log_lock:
-            self.exchange_log.parent.mkdir(parents=True, exist_ok=True)
-            with self.exchange_log.open("a", encoding="utf-8") as fh:
+        with self._log_lock, writing(self.exchange_log) as path:
+            with path.open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")

@@ -366,8 +366,6 @@ def gather_corpus(
                 fetched = ""
             if fetched.strip():
                 text = fetched
-        if not text.strip():
-            continue
         chunks.extend(
             chunk_document(text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP, source_url=result.url)
         )
@@ -436,9 +434,8 @@ class WordInfoCache:
 
     def lookup(self, keyword: str, source: RetrievalSource) -> WordInfo | None:
         path = self.path_for(keyword, source)
-        if not path.exists():
-            return None
-        return _word_info(path, read_json(path), keyword, source)
+        record = read_json(path)
+        return None if record is None else _word_info(path, record, keyword, source)
 
     def store(self, info: WordInfo) -> WordInfo:
         """Cache info unless its key is cached; return the definition kept."""

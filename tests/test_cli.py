@@ -1,6 +1,7 @@
 """Command line: config resolution, the run/report/cache subcommands, exit codes."""
 
 import argparse
+import errno
 import io
 import json
 import shutil
@@ -184,10 +185,6 @@ class TestConfigValidation:
     def test_nonpositive_concurrency(self, tmp_path):
         with pytest.raises(ConfigError):
             build_run_config(replay_args(tmp_path, concurrency=0))
-
-    def test_missing_data_path(self, tmp_path):
-        with pytest.raises(ConfigError):
-            build_run_config(replay_args(tmp_path, data_path=str(tmp_path / "nope.tsv")))
 
     def test_replay_requires_transcript_dir(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -999,6 +996,27 @@ class TestCorruptRecords:
         self.assert_only_skipped(records, "semeval:1")
         assert records[0]["skipped_reason"].endswith("no response_text string")
 
+    def test_unreadable_transcript_in_a_replay(self, store):
+        path = self.p1_transcript(store, "semeval:1")
+        path.unlink()
+        path.mkdir()
+        records = self.replay(store)
+        self.assert_only_skipped(records, "semeval:1")
+        assert records[0]["skip_class"] == "CorruptRecord"
+        assert f"{path}: IsADirectoryError" in records[0]["skipped_reason"]
+        assert path.is_dir()
+
+    def test_unreadable_cache_file(self, store):
+        cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
+        path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
+        path.unlink()
+        path.mkdir()
+        records = self.replay(store)
+        self.assert_only_skipped(records, "semeval:3")
+        assert records[2]["skip_class"] == "CorruptRecord"
+        assert f"{path}: IsADirectoryError" in records[2]["skipped_reason"]
+        assert path.is_dir()
+
     def test_truncated_cache_file(self, store):
         cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
         path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
@@ -1031,6 +1049,73 @@ class TestCorruptRecords:
         assert records[0]["skipped_reason"].startswith("CorruptRecord: corrupt record ")
         assert [r["verdict"] for r in records[1:]] == ["YES", "YES", "YES"]
         assert path.read_text(encoding="utf-8") == '{"digest": "trunc'
+
+
+class TestRunFileWriteFailures:
+    """A failed write of one of the run's own files stops the run with exit 2 and one
+    error line naming the file; the records written before it stay."""
+
+    @pytest.mark.parametrize(
+        "name,room,kept",
+        [
+            ("pmp", 0, None),
+            ("exchanges.jsonl", 2, None),
+            ("run.jsonl", 2, 2),
+            ("report.json", 0, 4),
+            ("report.txt", 0, 4),
+        ],
+        ids=["run-directory", "exchanges", "run-log", "report-json", "report-txt"],
+    )
+    def test_a_full_disk_stops_the_run(self, tmp_path, capsys, monkeypatch, name, room, kept):
+        """Every write to a file or directory called name after the first `room` fails."""
+        writes = []
+
+        def take_room():
+            writes.append(name)
+            if len(writes) > room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FullFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                take_room()
+                return self.fh.write(text)
+
+            def __getattr__(self, attr):
+                return getattr(self.fh, attr)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        path_open, path_mkdir = Path.open, Path.mkdir
+
+        def open_(path, *args, **kwargs):
+            fh = path_open(path, *args, **kwargs)
+            return FullFile(fh) if path.name == name else fh
+
+        def mkdir(path, *args, **kwargs):
+            if path.name == name:
+                take_room()
+            return path_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        monkeypatch.setattr(Path, "open", open_)
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        run_dir = tmp_path / "runs" / "semeval" / "m" / "pmp"
+        code = live_run(tmp_path, FIXTURE / "data" / "semeval_mini.tsv", "pmp", "--concurrency", "1")
+        captured = capsys.readouterr()
+        assert code == 2
+        failed = run_dir if name == "pmp" else run_dir / name
+        assert captured.err.startswith(f"error: write failed for {failed}: ")
+        assert "No space left on device" in captured.err
+        assert captured.err.count("\n") == 1
+        if kept is not None:
+            assert len(read_run_log(run_dir / "run.jsonl")) == kept
 
 
 class TestLiveTransport:
@@ -1280,19 +1365,21 @@ def test_report_names_the_line_of_a_malformed_record(tmp_path, capsys, second_li
 @pytest.mark.parametrize(
     "option,content",
     [
-        ("--data-path", None),
+        ("--data-path", "directory"),
+        ("--data-path", "missing"),
         ("--data-path", "index\tlabel\ttweet\n1\t1\tcaf\xe9\n".encode("latin-1")),
         ("--config", "model: caf\xe9\n".encode("latin-1")),
         ("report", json.dumps(VALID_RECORD).replace('"a"', '"caf\xe9"').encode("latin-1")),
     ],
-    ids=["data-directory", "data-latin1", "config-latin1", "log-latin1"],
+    ids=["data-directory", "data-missing", "data-latin1", "config-latin1", "log-latin1"],
 )
 def test_unreadable_input_file_exits_2(tmp_path, capsys, option, content):
-    # A directory, or a file that is not UTF-8, stops the command with one error line.
+    # A directory, a missing file, or a file that is not UTF-8, stops the command with
+    # one error line.
     path = tmp_path / "input"
-    if content is None:
+    if content == "directory":
         path.mkdir()
-    else:
+    elif content != "missing":
         path.write_bytes(content)
     if option == "report":
         code, captured = main(["report", str(path)]), capsys.readouterr()
@@ -1301,6 +1388,8 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, option, content):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    if option == "--data-path":
+        assert str(path) in captured.err
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,15 +1,13 @@
-"""Domain types: samples, languages, and each variant's definition source and few-shot flag."""
+"""Domain types: languages, and each variant's definition source and few-shot flag."""
 
 import pytest
 
 from sarcrag.core import (
     DATASET_LANGUAGE,
     DatasetKind,
-    Label,
     LanguageTag,
     PipelineVariant,
     RetrievalSource,
-    Sample,
 )
 
 
@@ -34,23 +32,3 @@ class TestPipelineVariant:
     @pytest.mark.parametrize("variant", PipelineVariant, ids=lambda variant: variant.value)
     def test_definition_source_and_few_shot(self, variant):
         assert (variant.retrieval, variant.few_shot) == self.EXPECTED[variant]
-
-
-class TestSample:
-    def _sample(self, **overrides):
-        base = dict(
-            id="semeval:1",
-            text="sweet video",
-            gold=Label.SARCASTIC,
-            language=LanguageTag.ENGLISH,
-        )
-        base.update(overrides)
-        return Sample(**base)
-
-    def test_rejects_empty_text(self):
-        with pytest.raises(ValueError):
-            self._sample(text="")
-
-    def test_rejects_empty_id(self):
-        with pytest.raises(ValueError):
-            self._sample(id="")

@@ -29,6 +29,7 @@ from sarcrag.gateway import (
     SingleFlight,
     TranscriptStore,
     chat_request,
+    message_dicts,
     request_digest,
 )
 
@@ -113,6 +114,42 @@ class TestTranscriptStore:
         with pytest.raises(CorruptRecord, match=re.escape(str(path))):
             store.save(request, "answer")
         assert path.read_text(encoding="utf-8") == content
+
+    def test_save_over_a_record_with_a_null_response_text_raises(self, tmp_path):
+        # Another writer linked it first; save checks the record it keeps as lookup does.
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        record = {"messages": message_dicts(request.messages), "response_text": None}
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(CorruptRecord, match="no response_text string"):
+            store.save(request, "answer")
+
+    def test_a_directory_at_the_path_is_a_corrupt_record(self, tmp_path):
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        path.mkdir()
+        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
+            store.lookup(request)
+        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
+            store.save(request, "answer")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_dangling_link_at_the_path_is_absent_but_not_overwritten(self, tmp_path):
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        path.symlink_to(tmp_path / "gone.json")
+        assert store.lookup(request) is None
+        with pytest.raises(CorruptRecord, match="no file to read"):
+            store.save(request, "answer")
+        assert path.is_symlink() and [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_lookup_under_a_file_returns_none(self, tmp_path):
+        root = tmp_path / "store"
+        root.write_text("", encoding="utf-8")
+        assert TranscriptStore(root).lookup(make_request()) is None
 
     def test_record_is_synced_before_it_is_linked_into_place(self, tmp_path, monkeypatch):
         calls = []

@@ -1,9 +1,11 @@
 """Retrieval: tokenizing, chunking, BM25 ranking, definition building, caching."""
 
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import sys
 import threading
@@ -850,11 +852,25 @@ class TestWordInfoCache:
         assert path.read_bytes() == before
         assert cache.lookup("kw", RetrievalSource.LLM_ONLY) == first
 
-    def test_failed_store_raises_and_removes_its_temp_file(self, tmp_path):
+    def test_failed_store_raises_and_removes_its_temp_file(self, tmp_path, monkeypatch):
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        cache = WordInfoCache(tmp_path)
+        path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
+        with pytest.raises(StoreWriteError, match="No space left on device"):
+            cache.store(self.make_info())
+        assert list(path.parent.iterdir()) == []
+
+    def test_a_directory_at_the_path_is_a_corrupt_record(self, tmp_path):
+        # Unreadable, not unwritable: it skips the sample that reads it and stays.
         cache = WordInfoCache(tmp_path)
         path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
         (path / "occupied").mkdir(parents=True)
-        with pytest.raises(StoreWriteError):
+        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
+            cache.lookup("kw", RetrievalSource.LLM_ONLY)
+        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
             cache.store(self.make_info())
         assert list(path.parent.iterdir()) == [path]
 
