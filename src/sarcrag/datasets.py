@@ -93,6 +93,10 @@ def _mustard_rows(path: Path | str) -> Rows:
             context = []
         elif not isinstance(context, list) or not all(isinstance(line, str) for line in context):
             raise FormatError(f"entry {key!r}: context must be a list of strings")
+        # JSON can escape a lone half of a surrogate pair, such as "\ud83d"; UTF-8 cannot
+        # encode one, so no request digest or run log line could be written for the entry.
+        if any(re.search("[\ud800-\udfff]", field) for field in (key, utterance, *context)):
+            raise FormatError(f"entry {key!r} in {path}: lone surrogate escape, not UTF-8 text")
         text = normalize_text(flatten_dialogue(context, utterance))
         yield key, text, Label.SARCASTIC if sarcasm else Label.NOT_SARCASTIC
 
@@ -107,27 +111,33 @@ def _twitter_id_rows(path: Path | str) -> Rows:
 
     A row's id is its 0-based ordinal among the data rows, blank rows included.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        first = fh.readline()
-        delimiter = "\t" if "\t" in first else ","
-        header = next(csv.reader([first], delimiter=delimiter))
-        names = [column.strip().lower() for column in header]
-        if "tweet" not in names or "label" not in names:
-            raise FormatError("header must name tweet and label columns", line=1)
-        tweet_col, label_col = names.index("tweet"), names.index("label")
-        reader = csv.reader(fh, delimiter=delimiter)
-        # A quoted tweet may span lines: a row starts on the line after the one
-        # where the row before it ended. reader.line_num excludes the header.
-        start = 2
-        for row_index, row in enumerate(reader):
-            line_no, start = start, reader.line_num + 2
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(tweet_col, label_col):
-                raise FormatError(f"expected {len(names)} columns, got {len(row)}", line=line_no)
-            text = normalize_text(row[tweet_col])
-            if text:
-                yield row_index, text, _binary_label(row[label_col], line_no)
+    # A quoted tweet may span lines: a row starts on the line after the one
+    # where the row before it ended.
+    start = 1
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            first = fh.readline()
+            delimiter = "\t" if "\t" in first else ","
+            header = next(csv.reader([first], delimiter=delimiter))
+            names = [column.strip().lower() for column in header]
+            if "tweet" not in names or "label" not in names:
+                raise FormatError("header must name tweet and label columns", line=1)
+            tweet_col, label_col = names.index("tweet"), names.index("label")
+            reader = csv.reader(fh, delimiter=delimiter)
+            start = 2
+            for row_index, row in enumerate(reader):
+                # reader.line_num excludes the header.
+                line_no, start = start, reader.line_num + 2
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) <= max(tweet_col, label_col):
+                    raise FormatError(f"expected {len(names)} columns, got {len(row)}", line=line_no)
+                text = normalize_text(row[tweet_col])
+                if text:
+                    yield row_index, text, _binary_label(row[label_col], line_no)
+    except csv.Error as exc:
+        # Such as a field over the csv module's size limit, which one unclosed quote makes.
+        raise FormatError(f"the csv module rejects the row in {path}: {exc}", line=start) from exc
 
 
 def _binary_label(raw: str, line_no: int) -> Label:

@@ -106,27 +106,16 @@ def extract_llm_based(sample: Sample, gateway: Gateway) -> tuple[str, ...]:
 
 
 def parse_csv_keywords(raw: str) -> list[str]:
-    """Split comma-separated keywords; the NO UNKNOWN sentinel means an empty list."""
+    """Split comma-separated keywords, each stripped; the NO UNKNOWN sentinel means an
+    empty list. Blank and repeated items are left for _cap_keywords to drop."""
     stripped = raw.strip()
     if stripped.casefold() == NO_UNKNOWN_SENTINEL.casefold():
         return []
     if "," in stripped:
-        items = [item.strip() for item in stripped.split(",")]
-    elif _word_like_count(stripped) > 1:
+        return [item.strip() for item in stripped.split(",")]
+    if _word_like_count(stripped) > 1:
         raise MalformedCSV(f"expected comma-separated values, got: {stripped[:80]!r}")
-    else:
-        items = [stripped]
-    seen: set[str] = set()
-    out: list[str] = []
-    for item in items:
-        if not item:
-            continue
-        folded = item.casefold()
-        if folded in seen:
-            continue
-        seen.add(folded)
-        out.append(item)
-    return out
+    return [stripped]
 
 
 def _word_like_count(text: str) -> int:

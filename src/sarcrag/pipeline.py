@@ -68,8 +68,8 @@ class PipelineDeps:
     """Everything run_pipeline may need; which parts are used depends on the variant."""
 
     gateway: Gateway
+    cache: WordInfoCache
     search: SearchPort | None = None
-    cache: WordInfoCache | None = None
     fetcher: PageFetcher | None = None
 
 

@@ -473,7 +473,7 @@ def get_word_info(
     gateway: Gateway,
     language: LanguageTag,
     *,
-    cache: WordInfoCache | None = None,
+    cache: WordInfoCache,
     search: SearchPort | None = None,
     fetcher: PageFetcher | None = None,
 ) -> WordInfo:
@@ -483,25 +483,20 @@ def get_word_info(
     definition: the others get the definition the cache keeps, or its error.
     """
 
-    def define() -> WordInfo:
+    def lookup_or_define() -> WordInfo:
+        cached = cache.lookup(keyword, source)
+        if cached is not None:
+            return cached
         if source is RetrievalSource.LLM_ONLY:
-            return define_llm_only(keyword, gateway, language)
+            return cache.store(define_llm_only(keyword, gateway, language))
         if search is None:
             raise DefinitionUnavailable(
                 f"no cached definition for {keyword!r} and no search client configured"
             )
-        results = search_web(keyword, search)
-        corpus = gather_corpus(results, fetcher)
+        corpus = gather_corpus(search_web(keyword, search), fetcher)
         if not corpus:
             raise DefinitionUnavailable(f"search produced no usable text for {keyword!r}")
         top = rank_chunks(keyword, corpus)
-        return refine_definition(keyword, top, gateway, language)
-
-    if cache is None:
-        return define()
-
-    def lookup_or_define() -> WordInfo:
-        cached = cache.lookup(keyword, source)
-        return cached if cached is not None else cache.store(define())
+        return cache.store(refine_definition(keyword, top, gateway, language))
 
     return cache.in_flight.run((source, keyword), lookup_or_define)[0]

@@ -33,12 +33,13 @@ from sarcrag.datasets import load_dataset
 from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
 from sarcrag.gateway import Gateway, Purpose, Role, TranscriptStore
-from sarcrag.keywords import parse_csv_keywords
+from sarcrag.keywords import _cap_keywords, parse_csv_keywords
 from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, run_pipeline
 from sarcrag.retrieval import (
     DEFAULT_TOP_K,
     Chunk,
     SearchResult,
+    WordInfoCache,
     bm25_idf,
     bm25_scores,
     bm25_tokenize,
@@ -316,11 +317,13 @@ class TestVariantCallAlgebra:
             language=LanguageTag.ENGLISH,
         )
 
-    def run_all_variants(self, gateway_factory):
+    def run_all_variants(self, gateway_factory, cache_root):
         captured = {}
         for variant in PipelineVariant:
             gateway = RecordingGateway(gateway_factory())
-            deps = PipelineDeps(gateway=gateway, search=AlgebraSearch(), cache=None)
+            # A cache per variant, so each one defines its keywords itself.
+            cache = WordInfoCache(cache_root / variant.value)
+            deps = PipelineDeps(gateway=gateway, cache=cache, search=AlgebraSearch())
             trace = run_pipeline(self.algebra_sample(), variant, deps)
             assert trace.verdict is Label.SARCASTIC
             for request in gateway.requests:
@@ -334,7 +337,7 @@ class TestVariantCallAlgebra:
     def test_call_sequences_and_replay_without_network(self, tmp_path):
         store = TranscriptStore(tmp_path / "transcripts")
         backend = AlgebraBackend()
-        recorded = self.run_all_variants(lambda: Gateway(backend, store=store))
+        recorded = self.run_all_variants(lambda: Gateway(backend, store=store), tmp_path / "record")
         for variant, gateway in recorded.items():
             assert gateway.purposes == EXPECTED_SEQUENCES[variant], variant
 
@@ -344,7 +347,7 @@ class TestVariantCallAlgebra:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(socket.socket, "connect", refuse)
             mp.setattr(requests.sessions.Session, "request", refuse)
-            replayed = self.run_all_variants(lambda: Gateway(None, store))
+            replayed = self.run_all_variants(lambda: Gateway(None, store), tmp_path / "replay")
         for variant, gateway in replayed.items():
             assert gateway.purposes == EXPECTED_SEQUENCES[variant], variant
             assert gateway.purposes == recorded[variant].purposes
@@ -560,6 +563,11 @@ class TestDialogueFlattening:
 
 # --- 8. CSV keyword parsing cases and fuzz ----------------------------------
 
+def keyword_set(raw):
+    """The keywords extraction keeps from raw, the answer of the CSV-cleaning call."""
+    return list(_cap_keywords(parse_csv_keywords(raw)))
+
+
 class TestCsvKeywordParsing:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -575,7 +583,7 @@ class TestCsvKeywordParsing:
         ],
     )
     def test_documented_cases(self, raw, expected):
-        assert parse_csv_keywords(raw) == expected
+        assert keyword_set(raw) == expected
 
     def test_prose_rejected(self):
         with pytest.raises(MalformedCSV):
@@ -590,20 +598,20 @@ class TestCsvKeywordParsing:
                 for _ in range(rng.randint(1, 6))
             ]
             raw = ",".join(" " * rng.randint(0, 2) + t + " " * rng.randint(0, 2) for t in tokens)
-            parsed = parse_csv_keywords(raw)
+            parsed = keyword_set(raw)
             seen, expected = set(), []
             for token in tokens:
                 if token.casefold() not in seen:
                     seen.add(token.casefold())
                     expected.append(token)
             assert parsed == expected
-            assert parse_csv_keywords(",".join(parsed)) == parsed
+            assert keyword_set(",".join(parsed)) == parsed
 
         noise = alphabet + " ,.!?-\t'\"()"
         for _ in range(500):
             raw = "".join(rng.choices(noise, k=rng.randint(0, 40)))
             try:
-                parsed = parse_csv_keywords(raw)
+                parsed = keyword_set(raw)
             except MalformedCSV:
                 continue
             assert all(item == item.strip() and item for item in parsed)
@@ -611,7 +619,7 @@ class TestCsvKeywordParsing:
             assert len(folded) == len(set(folded))
             # a lone multi-word keyword cannot survive a round trip through CSV
             if not (len(parsed) == 1 and any(ch.isspace() for ch in parsed[0])):
-                assert parse_csv_keywords(",".join(parsed)) == parsed
+                assert keyword_set(",".join(parsed)) == parsed
 
 
 # --- 9. chunking partition and offset properties ----------------------------

@@ -1393,6 +1393,28 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, option, content):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "dataset,content",
+    [
+        # One unclosed quote runs a field past the csv module's size limit.
+        ("twitter-id", 'tweet,label\nok,1\n"' + "x" * 140_000 + ",1\nmore,0\n"),
+        # JSON escapes of half a surrogate pair, which UTF-8 cannot encode.
+        ("mustard", '{"a": {"utterance": "hi \\ud83d", "sarcasm": true}}'),
+        ("mustard", '{"k\\udc00": {"utterance": "hi", "sarcasm": true}}'),
+    ],
+    ids=["twitter-field-too-large", "mustard-surrogate-utterance", "mustard-surrogate-key"],
+)
+def test_malformed_data_file_exits_2_before_the_run(tmp_path, capsys, dataset, content):
+    path = tmp_path / "input"
+    path.write_text(content, encoding="utf-8")
+    code, captured, _ = run_fixture_cli(tmp_path, capsys, "--dataset", dataset, "--data-path", str(path))
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert not (tmp_path / "runs").exists()
+
+
 class TestReportCommand:
     def test_table_output(self, tmp_path, capsys):
         _, _, run_dir = run_fixture_cli(tmp_path, capsys)

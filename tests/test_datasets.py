@@ -4,6 +4,8 @@ import functools
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sarcrag.core import DatasetKind, Label, LanguageTag
 from sarcrag.datasets import flatten_dialogue, load_dataset, normalize_text
@@ -194,6 +196,22 @@ class TestLoadMustard:
         with pytest.raises(FormatError):
             load_mustard(path)
 
+    @pytest.mark.parametrize(
+        "key,entry",
+        [
+            ("k", {"utterance": "great \ud83d", "sarcasm": True}),
+            ("k\udc00", {"utterance": "great", "sarcasm": True}),
+            ("k", {"context": ["fine \udfff"], "utterance": "great", "sarcasm": True}),
+        ],
+        ids=["utterance", "key", "context"],
+    )
+    def test_lone_surrogate_escape_rejected(self, tmp_path, key, entry):
+        # A truncated scraped tweet can leave half of a JSON surrogate-pair escape.
+        path = write_mustard(tmp_path, {key: entry})
+        assert "\\ud" in path.read_text(encoding="utf-8")
+        with pytest.raises(FormatError, match="^entry .* lone surrogate"):
+            load_mustard(path)
+
 
 class TestFlattenDialogue:
     def test_empty_context(self):
@@ -272,6 +290,12 @@ class TestLoadTwitterId:
             load_twitter_id(path)
         assert "line 5" in str(info.value)
 
+    def test_row_the_csv_module_rejects_reports_its_start_line(self, tmp_path):
+        # One unclosed quote runs the field past the csv module's size limit.
+        path = write_twitter(tmp_path, 'tweet,label\nok,1\n"' + "x" * 140_000 + ",1\nmore,0\n")
+        with pytest.raises(FormatError, match="^line 3: .*field larger than field limit"):
+            load_twitter_id(path)
+
     def test_multi_line_tweet_keeps_row_ordinal_ids(self, tmp_path):
         path = write_twitter(tmp_path, 'tweet,label\n"first\nsecond",1\nhalo,0\n')
         assert [s.id for s in load_twitter_id(path)] == ["twitter-id:0", "twitter-id:1"]
@@ -290,3 +314,63 @@ class TestLoadDataset:
         assert load_dataset(DatasetKind.TWITTER_INDONESIA, twitter)[0].id == "twitter-id:0"
         mustard = write_mustard(tmp_path, {"k": {"utterance": "x", "sarcasm": True}})
         assert load_dataset(DatasetKind.MUSTARD, mustard)[0].id == "mustard:k"
+
+
+# File contents near each format, so that generated files often parse. A row is
+# well formed twice as often as it is one loose line.
+_FIELD = st.text(alphabet=st.sampled_from([*"abZ 01é", "\u2028", "\x00", '"', ","]), max_size=12)
+_LOOSE_LINE = st.text(alphabet='ab Z\t\r\n,"01\x00\u2028é', max_size=20)
+_LABEL = st.sampled_from(["0", "1", "0", "1", " 1", "x"])
+_SEMEVAL_ROW = st.tuples(st.sampled_from(["1", "2", "3", "x", ""]), _LABEL, _FIELD).map("\t".join)
+_SEMEVAL_FILES = st.lists(_SEMEVAL_ROW | _SEMEVAL_ROW | _LOOSE_LINE, max_size=4).map(
+    lambda rows: "\n".join(["index\tlabel\ttweet", *rows])
+)
+# Half of the JSON strings may hold a lone surrogate, which json.dumps escapes.
+_JSON_TEXT = st.text(alphabet="ab Z{}\n\"é\U0001f600", max_size=8) | st.text(
+    alphabet=st.sampled_from([*"ab Z", "\U0001f600", "\ud83d", "\udc00"]), max_size=8
+)
+_MUSTARD_ENTRY = st.fixed_dictionaries(
+    {"utterance": _JSON_TEXT, "sarcasm": st.booleans()},
+    optional={"context": st.lists(_JSON_TEXT, max_size=2)},
+)
+_MUSTARD_FILES = st.dictionaries(_JSON_TEXT, _MUSTARD_ENTRY | st.just(None), max_size=3).map(
+    json.dumps
+)
+_TWITTER_ROW = st.tuples(_FIELD, _LABEL)
+_TWITTER_FILES = st.tuples(
+    st.sampled_from([",", "\t"]),
+    st.sampled_from([("tweet", "label"), ("id", "tweet", "label"), ("Tweet", "Label"), ("text", "label")]),
+    st.lists(_TWITTER_ROW | _TWITTER_ROW | _LOOSE_LINE.map(lambda line: (line,)), max_size=4),
+).map(lambda file: "\n".join(file[0].join(row) for row in [file[1], *file[2]]))
+_FILES = st.one_of(
+    _SEMEVAL_FILES.map(lambda text: (DatasetKind.SEMEVAL_2018_T3, text)),
+    _MUSTARD_FILES.map(lambda text: (DatasetKind.MUSTARD, text)),
+    _TWITTER_FILES.map(lambda text: (DatasetKind.TWITTER_INDONESIA, text)),
+).map(lambda case: (case[0], case[1].encode("utf-8")))
+_BYTES = st.tuples(st.sampled_from(list(DatasetKind)), st.binary(max_size=40))
+
+
+@given(case=st.one_of(_FILES, _BYTES))
+@example(case=(DatasetKind.TWITTER_INDONESIA, b'tweet,label\nok,1\n"' + b"x" * 140_000 + b",1\n"))
+@example(case=(DatasetKind.MUSTARD, b'{"a": {"utterance": "hi \\ud83d", "sarcasm": true}}'))
+@example(case=(DatasetKind.MUSTARD, b'{"k\\udc00": {"utterance": "hi", "sarcasm": true}}'))
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    # Each example overwrites the one file, so sharing tmp_path between examples is safe.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_a_loader_returns_encodable_samples_or_raises_format_error(tmp_path, case):
+    # Of each of the three formats, and of arbitrary bytes given to any loader.
+    kind, contents = case
+    path = tmp_path / "data"
+    path.write_bytes(contents)
+    try:
+        samples = load_dataset(kind, path)
+    except FormatError:
+        return
+    for sample in samples:
+        assert sample.id and sample.text
+        sample.id.encode("utf-8")
+        sample.text.encode("utf-8")

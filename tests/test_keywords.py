@@ -11,6 +11,7 @@ from sarcrag.core import Label, LanguageTag, Sample
 from sarcrag.errors import MalformedCSV
 from sarcrag.gateway import Purpose
 from sarcrag.keywords import (
+    _cap_keywords,
     extract_llm_based,
     extract_token_tagging,
     parse_csv_keywords,
@@ -159,16 +160,25 @@ class TestExtractLlmBased:
             extract_llm_based(sample_of("text"), gateway)
 
 
+def keyword_set(raw):
+    """The keywords extraction keeps from raw, the answer of the CSV-cleaning call."""
+    return list(_cap_keywords(parse_csv_keywords(raw)))
+
+
 class TestParseCsvKeywords:
+    def test_only_splits_and_strips(self):
+        # Blank and repeated items are _cap_keywords' to drop.
+        assert parse_csv_keywords(" a , A ,,c ") == ["a", "A", "", "c"]
+
     def test_trims_and_drops_empties(self):
-        assert parse_csv_keywords(" a , b ,,c ") == ["a", "b", "c"]
+        assert keyword_set(" a , b ,,c ") == ["a", "b", "c"]
 
     def test_sentinel_case_insensitive(self):
         assert parse_csv_keywords("no unknown") == []
         assert parse_csv_keywords("  NO UNKNOWN  ") == []
 
     def test_case_fold_dedup(self):
-        assert parse_csv_keywords("a,A,b") == ["a", "b"]
+        assert keyword_set("a,A,b") == ["a", "b"]
 
     def test_single_token_accepted(self):
         assert parse_csv_keywords("wkwk") == ["wkwk"]
@@ -178,8 +188,8 @@ class TestParseCsvKeywords:
             parse_csv_keywords("I do not recognize any of these words")
 
     def test_empty_input_is_empty_list(self):
-        assert parse_csv_keywords("") == []
-        assert parse_csv_keywords("   ") == []
+        assert keyword_set("") == []
+        assert keyword_set("   ") == []
 
     @given(
         st.lists(

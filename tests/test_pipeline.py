@@ -28,7 +28,7 @@ from sarcrag.pipeline import (
     render_word_info_block,
     run_pipeline,
 )
-from sarcrag.retrieval import SearchResult, WordInfo, get_word_info
+from sarcrag.retrieval import SearchResult, WordInfo, WordInfoCache, get_word_info
 from sarcrag.templates import load_templates
 
 EN = load_templates(LanguageTag.ENGLISH)
@@ -190,23 +190,27 @@ class FakeSearch:
         return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
 
 
+def deps_for(gateway, cache_dir, search=None):
+    return PipelineDeps(gateway=gateway, cache=WordInfoCache(cache_dir), search=search)
+
+
 class TestRunPipeline:
-    def test_plain_variant_two_calls(self):
+    def test_plain_variant_two_calls(self, tmp_path):
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: YES"]})
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.keywords == ()
         assert trace.word_infos == ()
         assert (trace.p1_digest, trace.p2_digest) == tuple(r.digest for r in gateway.requests)
         assert trace.verdict is Label.SARCASTIC
 
-    def test_p2_reads_a1_verbatim(self):
+    def test_p2_reads_a1_verbatim(self, tmp_path):
         gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: NO"]})
-        run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+        run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
         p2 = gateway.requests[-1]
         assert p2.messages[1].content == "an analysis"
 
-    def test_tagging_variant_defines_each_keyword(self):
+    def test_tagging_variant_defines_each_keyword(self, tmp_path):
         gateway = PurposeGateway(
             {
                 Purpose.DEFINE_WORD: ["The capital of France."],
@@ -214,22 +218,22 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=gateway))
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, deps_for(gateway, tmp_path))
         assert gateway.purposes == [Purpose.DEFINE_WORD, Purpose.P1, Purpose.P2]
         assert trace.keywords == ("Paris",)
         assert [w.keyword for w in trace.word_infos] == ["Paris"]
         p1_user = gateway.requests[1].messages[1].content
         assert "Paris is The capital of France." in p1_user
 
-    def test_no_keywords_means_plain_p1(self):
+    def test_no_keywords_means_plain_p1(self, tmp_path):
         gateway = PurposeGateway({Purpose.P1: ["analysis"], Purpose.P2: ["Final decision: NO"]})
-        deps = PipelineDeps(gateway=gateway)
+        deps = deps_for(gateway, tmp_path)
         trace = run_pipeline(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.word_infos == ()
         assert gateway.requests[0].messages[1].content == "nothing notable here"
 
-    def test_web_variant_full_call_sequence(self):
+    def test_web_variant_full_call_sequence(self, tmp_path):
         gateway = PurposeGateway(
             {
                 Purpose.KEYWORD_IDENTIFY: ["i do not know Paris"],
@@ -239,7 +243,7 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: YES"],
             }
         )
-        deps = PipelineDeps(gateway=gateway, search=FakeSearch())
+        deps = deps_for(gateway, tmp_path, FakeSearch())
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
         assert gateway.purposes == [
             Purpose.KEYWORD_IDENTIFY,
@@ -251,7 +255,7 @@ class TestRunPipeline:
         assert trace.word_infos[0].source is RetrievalSource.GOOGLE_SEARCH
         assert trace.word_infos[0].evidence
 
-    def test_web_variant_sentinel_means_no_retrieval(self):
+    def test_web_variant_sentinel_means_no_retrieval(self, tmp_path):
         gateway = PurposeGateway(
             {
                 Purpose.KEYWORD_IDENTIFY: ["all clear"],
@@ -260,13 +264,13 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        deps = PipelineDeps(gateway=gateway, search=FakeSearch())
+        deps = deps_for(gateway, tmp_path, FakeSearch())
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
         assert trace.keywords == ()
         assert trace.word_infos == ()
         assert Purpose.REFINE_CHUNKS not in gateway.purposes
 
-    def test_few_shot_variant_alters_only_p2_system(self):
+    def test_few_shot_variant_alters_only_p2_system(self, tmp_path):
         script = {
             Purpose.DEFINE_WORD: ["The capital of France."],
             Purpose.P1: ["analysis"],
@@ -274,8 +278,8 @@ class TestRunPipeline:
         }
         plain = PurposeGateway(script)
         shot = PurposeGateway(script)
-        run_pipeline(en_sample(), PipelineVariant.PMP_WL, PipelineDeps(gateway=plain))
-        run_pipeline(en_sample(), PipelineVariant.PMP_WL_FS, PipelineDeps(gateway=shot))
+        run_pipeline(en_sample(), PipelineVariant.PMP_WL, deps_for(plain, tmp_path / "plain"))
+        run_pipeline(en_sample(), PipelineVariant.PMP_WL_FS, deps_for(shot, tmp_path / "shot"))
         assert plain.purposes == shot.purposes
         plain_p2, shot_p2 = plain.requests[-1], shot.requests[-1]
         assert plain_p2.messages[1].content == shot_p2.messages[1].content
@@ -283,8 +287,8 @@ class TestRunPipeline:
             EN.p2_system + "\n" + EN.fewshot_header_and_examples
         )
 
-    def test_unavailable_definition_drops_keyword_only(self):
-        # no search client and no cache: every web lookup is unavailable
+    def test_unavailable_definition_drops_keyword_only(self, tmp_path):
+        # no search client: every web lookup is unavailable
         gateway = PurposeGateway(
             {
                 Purpose.KEYWORD_IDENTIFY: ["i do not know Paris"],
@@ -293,21 +297,21 @@ class TestRunPipeline:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, PipelineDeps(gateway=gateway))
+        trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps_for(gateway, tmp_path))
         assert trace.word_infos == ()
         assert trace.verdict is Label.NOT_SARCASTIC
         assert gateway.requests[-2].messages[1].content == en_sample().text
 
-    def test_missing_verdict_skips_sample(self):
+    def test_missing_verdict_skips_sample(self, tmp_path):
         gateway = PurposeGateway(
             {Purpose.P1: ["analysis"], Purpose.P2: ["the reading does not converge."]}
         )
         with pytest.raises(VerdictNotFound):
-            run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=gateway))
+            run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
 
-    def test_transport_failure_skips_sample(self):
+    def test_transport_failure_skips_sample(self, tmp_path):
         with pytest.raises(TransportError):
-            run_pipeline(en_sample(), PipelineVariant.PMP, PipelineDeps(gateway=RaisingGateway()))
+            run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(RaisingGateway(), tmp_path))
 
 
 class DefineBackend:
@@ -324,7 +328,7 @@ class TestDefinitionErrors:
 
     SAMPLE = en_sample("i saw Paris, London and Berlin yesterday")
 
-    def test_sample_error_waits_for_every_definition(self, monkeypatch):
+    def test_sample_error_waits_for_every_definition(self, monkeypatch, tmp_path):
         finished = []
 
         def traced_get_word_info(keyword, *args, **kwargs):
@@ -349,7 +353,7 @@ class TestDefinitionErrors:
                 Purpose.P2: ["Final decision: NO"],
             }
         )
-        deps = PipelineDeps(gateway=gateway, search=QuotaSearch())
+        deps = deps_for(gateway, tmp_path, QuotaSearch())
         with pytest.raises(SearchQuotaExceeded):
             run_pipeline(self.SAMPLE, PipelineVariant.PMP_WG, deps)
         assert finished == ["Paris", "London"]
@@ -373,7 +377,8 @@ class TestDefinitionErrors:
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
         with pytest.raises(StoreWriteError):
-            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, PipelineDeps(gateway=Gateway(DefineBackend(), TranscriptStore(tmp_path))))
+            gateway = Gateway(DefineBackend(), TranscriptStore(tmp_path))
+            run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, deps_for(gateway, tmp_path / "cache"))
         assert called == list(errors)
 
 

@@ -938,11 +938,6 @@ class TestGetWordInfo:
                 search=FakeSearch([]),
             )
 
-    def test_works_without_cache(self):
-        gateway = ScriptedGateway(["A definition."])
-        got = get_word_info("kw", RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH)
-        assert got.definition == "A definition."
-
     class SlowGateway:
         """Counts chats, and answers (or raises) after a pause; it merges nothing itself."""
 
