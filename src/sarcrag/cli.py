@@ -154,8 +154,7 @@ def validate_config(config: RunConfig) -> None:
 
 def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
     store = TranscriptStore(config.store_dir)
-    search = None
-    fetcher = None
+    web = None
     if config.backend == "replay":
         gateway = Gateway(None, store)
     else:
@@ -164,17 +163,12 @@ def build_deps(config: RunConfig, run_dir: Path) -> PipelineDeps:
         gateway = Gateway(backend, store=store, exchange_log=run_dir / "exchanges.jsonl")
         if config.variant.retrieval is RetrievalSource.GOOGLE_SEARCH:
             # One session for every search and page fetch, so connections are reused.
-            web = requests.Session()
+            session = requests.Session()
             search = GoogleSearchClient(
-                config.search_api_key, config.search_engine_id, session=web, in_flight=in_flight
+                config.search_api_key, config.search_engine_id, session=session, in_flight=in_flight
             )
-            fetcher = functools.partial(fetch_page, session=web, in_flight=in_flight)
-    return PipelineDeps(
-        gateway=gateway,
-        search=search,
-        cache=WordInfoCache(config.cache_dir),
-        fetcher=fetcher,
-    )
+            web = (search, functools.partial(fetch_page, session=session, in_flight=in_flight))
+    return PipelineDeps(gateway=gateway, cache=WordInfoCache(config.cache_dir), web=web)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -50,12 +50,18 @@ def load_dataset(kind: DatasetKind, path: Path | str) -> list[Sample]:
 
 
 def _semeval_rows(path: Path | str) -> Rows:
-    """Tab-separated rows of (index, label, tweet) under a header line."""
+    """Tab-separated rows of (index, label, tweet) under a header line.
+
+    A first line whose label column is 0 or 1 is a data row, not a header: FormatError.
+    """
     # Universal newlines: rows end at \n, \r\n or \r only, not at the other
     # characters str.splitlines() breaks on (U+2028, \x85, \x0c, ...), which
     # a tweet may hold.
     with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
+    header = lines[0].split("\t")
+    if len(header) > 1 and header[1].strip() in ("0", "1"):
+        raise FormatError("expected a header line, got a data row", line=1)
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -65,6 +71,8 @@ def _semeval_rows(path: Path | str) -> Rows:
         index, label, tweet = columns
         text = normalize_text(tweet)
         if text:
+            if not index.strip():
+                raise FormatError("blank index", line=line_no)
             yield index.strip(), text, _binary_label(label, line_no)
 
 
@@ -78,6 +86,8 @@ def _mustard_rows(path: Path | str) -> Rows:
     if not isinstance(payload, dict):
         raise FormatError("expected a JSON object keyed by entry id")
     for key, entry in payload.items():
+        if not key.strip():
+            raise FormatError(f"entry {key!r}: blank id")
         if not isinstance(entry, dict) or "utterance" not in entry:
             raise FormatError(f"entry {key!r}: missing utterance")
         if "sarcasm" not in entry:

@@ -69,8 +69,7 @@ class PipelineDeps:
 
     gateway: Gateway
     cache: WordInfoCache
-    search: SearchPort | None = None
-    fetcher: PageFetcher | None = None
+    web: tuple[SearchPort, PageFetcher] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,7 @@ def run_pipeline(
                     deps.gateway,
                     sample.language,
                     cache=deps.cache,
-                    search=deps.search,
-                    fetcher=deps.fetcher,
+                    web=deps.web,
                 )
             )
         except DefinitionUnavailable:

@@ -352,14 +352,12 @@ def _read_text(response: requests.Response, limit: int) -> str:
 PageFetcher = Callable[[str], str]
 
 
-def gather_corpus(
-    results: Sequence[SearchResult], fetcher: PageFetcher | None = None
-) -> list[Chunk]:
+def gather_corpus(results: Sequence[SearchResult], fetcher: PageFetcher) -> list[Chunk]:
     """One document per result: the snippet, or the page body when the snippet is thin."""
     chunks: list[Chunk] = []
     for result in results:
         text = result.snippet
-        if len(text.split()) < MIN_SNIPPET_WORDS and fetcher is not None:
+        if len(text.split()) < MIN_SNIPPET_WORDS:
             try:
                 fetched = fetcher(result.url)
             except requests.RequestException:
@@ -474,10 +472,11 @@ def get_word_info(
     language: LanguageTag,
     *,
     cache: WordInfoCache,
-    search: SearchPort | None = None,
-    fetcher: PageFetcher | None = None,
+    web: tuple[SearchPort, PageFetcher] | None = None,
 ) -> WordInfo:
     """Cache-first definition lookup for one keyword via the requested path.
+
+    The web path needs `web`, a search port and the page fetcher for its thin results.
 
     Concurrent calls with one cache key share one lookup, and on a miss one
     definition: the others get the definition the cache keeps, or its error.
@@ -489,10 +488,11 @@ def get_word_info(
             return cached
         if source is RetrievalSource.LLM_ONLY:
             return cache.store(define_llm_only(keyword, gateway, language))
-        if search is None:
+        if web is None:
             raise DefinitionUnavailable(
                 f"no cached definition for {keyword!r} and no search client configured"
             )
+        search, fetcher = web
         corpus = gather_corpus(search_web(keyword, search), fetcher)
         if not corpus:
             raise DefinitionUnavailable(f"search produced no usable text for {keyword!r}")

@@ -18,9 +18,16 @@ import time
 from pathlib import Path
 
 import pytest
-import requests
+from fakes import (
+    FIXTURE,
+    FakeSearch,
+    FunctionBackend,
+    ScriptedGateway,
+    no_page,
+    patch_endpoints,
+    run,
+)
 
-from sarcrag.cli import main
 from sarcrag.core import (
     DatasetKind,
     Label,
@@ -49,7 +56,6 @@ from sarcrag.retrieval import (
 from sarcrag.templates import load_templates
 
 GOLDEN = Path(__file__).parent / "golden"
-FIXTURE = Path(__file__).parent / "fixtures" / "replay"
 
 
 # --- 1. ranking equivalence against a brute-force oracle -----------------
@@ -251,40 +257,20 @@ class TestPromptGoldens:
 
 # --- 4. per-variant call algebra under record and replay -------------------
 
-class AlgebraBackend:
-    """Answers are a pure function of the request purpose."""
-
-    RESPONSES = {
-        Purpose.KEYWORD_IDENTIFY: "I do not know Paris.",
-        Purpose.KEYWORD_CLEAN: "Paris",
-        Purpose.DEFINE_WORD: "A city in western Europe.",
-        Purpose.REFINE_CHUNKS: "A city described by the retrieved passages.",
-        Purpose.P1: "the preliminary analysis",
-        Purpose.P2: "the reflection\nFinal decision: YES",
-    }
-
-    def complete(self, request):
-        return self.RESPONSES[request.purpose]
+# Answers are a pure function of the request purpose.
+ALGEBRA_ANSWERS = {
+    Purpose.KEYWORD_IDENTIFY: "I do not know Paris.",
+    Purpose.KEYWORD_CLEAN: "Paris",
+    Purpose.DEFINE_WORD: "A city in western Europe.",
+    Purpose.REFINE_CHUNKS: "A city described by the retrieved passages.",
+    Purpose.P1: "the preliminary analysis",
+    Purpose.P2: "the reflection\nFinal decision: YES",
+}
 
 
-class RecordingGateway:
-    def __init__(self, inner):
-        self.inner = inner
-        self.requests = []
-
-    def chat(self, request):
-        self.requests.append(request)
-        return self.inner.chat(request)
-
-    @property
-    def purposes(self):
-        return [r.purpose for r in self.requests]
-
-
-class AlgebraSearch:
-    def search(self, query):
-        snippet = " ".join(f"fact{i} about {query}" for i in range(10))
-        return [SearchResult(url="https://ref.example/a", snippet=snippet)]
+def algebra_results(query):
+    snippet = " ".join(f"fact{i} about {query}" for i in range(10))
+    return [SearchResult(url="https://ref.example/a", snippet=snippet)]
 
 
 EXPECTED_SEQUENCES = {
@@ -320,10 +306,11 @@ class TestVariantCallAlgebra:
     def run_all_variants(self, gateway_factory, cache_root):
         captured = {}
         for variant in PipelineVariant:
-            gateway = RecordingGateway(gateway_factory())
+            gateway = ScriptedGateway(gateway_factory().chat)
             # A cache per variant, so each one defines its keywords itself.
             cache = WordInfoCache(cache_root / variant.value)
-            deps = PipelineDeps(gateway=gateway, cache=cache, search=AlgebraSearch())
+            web = (FakeSearch(algebra_results), no_page)
+            deps = PipelineDeps(gateway=gateway, cache=cache, web=web)
             trace = run_pipeline(self.algebra_sample(), variant, deps)
             assert trace.verdict is Label.SARCASTIC
             for request in gateway.requests:
@@ -336,7 +323,7 @@ class TestVariantCallAlgebra:
 
     def test_call_sequences_and_replay_without_network(self, tmp_path):
         store = TranscriptStore(tmp_path / "transcripts")
-        backend = AlgebraBackend()
+        backend = FunctionBackend(lambda request: ALGEBRA_ANSWERS[request.purpose])
         recorded = self.run_all_variants(lambda: Gateway(backend, store=store), tmp_path / "record")
         for variant, gateway in recorded.items():
             assert gateway.purposes == EXPECTED_SEQUENCES[variant], variant
@@ -346,7 +333,7 @@ class TestVariantCallAlgebra:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(socket.socket, "connect", refuse)
-            mp.setattr(requests.sessions.Session, "request", refuse)
+            patch_endpoints(mp)  # every chat, search and page request fails the test
             replayed = self.run_all_variants(lambda: Gateway(None, store), tmp_path / "replay")
         for variant, gateway in replayed.items():
             assert gateway.purposes == EXPECTED_SEQUENCES[variant], variant
@@ -415,22 +402,10 @@ REPLAY_RUNS = [
 
 
 class TestReplayDeterminism:
-    def replay_once(self, out_dir, dataset, data_file, variant):
-        code = main(
-            [
-                "run",
-                "--dataset", dataset,
-                "--data-path", str(FIXTURE / "data" / data_file),
-                "--variant", variant,
-                "--model", "fixture-model",
-                "--backend", "replay",
-                "--transcripts", str(FIXTURE / "transcripts"),
-                "--cache", str(FIXTURE / "cache"),
-                "--out", str(out_dir),
-            ]
-        )
-        assert code == 0
-        run_dir = out_dir / dataset / "fixture-model" / variant
+    def replay_once(self, root, dataset, data_file, variant):
+        flags = ["--dataset", dataset, "--data-path", FIXTURE / "data" / data_file, "--variant", variant]
+        assert run(root, *flags, fixture=True) == 0
+        run_dir = root / "runs" / dataset / "fixture-model" / variant
         records = [
             json.loads(line)
             for line in (run_dir / "run.jsonl").read_text(encoding="utf-8").splitlines()
@@ -465,7 +440,7 @@ class TestReplayDeterminism:
     @pytest.mark.parametrize("dataset,data_file,variant", [run[:3] for run in REPLAY_RUNS])
     def test_run_log_matches_golden(self, tmp_path, dataset, data_file, variant):
         self.replay_once(tmp_path, dataset, data_file, variant)
-        run_log = tmp_path / dataset / "fixture-model" / variant / "run.jsonl"
+        run_log = tmp_path / "runs" / dataset / "fixture-model" / variant / "run.jsonl"
         lines = []
         for line in run_log.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
@@ -664,21 +639,8 @@ LIVE_DATA = os.environ.get("SMOKE_DATA")
 )
 def test_live_smoke(tmp_path):
     model = os.environ.get("SMOKE_MODEL", "default")
-    code = main(
-        [
-            "run",
-            "--dataset", "semeval",
-            "--data-path", LIVE_DATA,
-            "--variant", "pmp",
-            "--model", model,
-            "--backend", "live",
-            "--limit", "20",
-            "--out", str(tmp_path / "runs"),
-            "--transcripts", str(tmp_path / "transcripts"),
-            "--cache", str(tmp_path / "cache"),
-        ]
-    )
-    assert code == 0
+    flags = ["--data-path", LIVE_DATA, "--variant", "pmp", "--model", model, "--limit", 20]
+    assert run(tmp_path, *flags, "--endpoint", LIVE_ENDPOINT) == 0
     run_dir = tmp_path / "runs" / "semeval" / model / "pmp"
     records = [
         json.loads(line)

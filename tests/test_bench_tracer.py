@@ -10,18 +10,9 @@ them.
 import importlib
 from pathlib import Path
 
-import requests
-
-from sarcrag.cli import main
+from fakes import patch_endpoints, run, say_yes
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def answer(self, url, **kwargs):
-    response = requests.Response()
-    response.status_code = 200
-    response._content = b'{"message": {"content": "Final decision: YES"}}'
-    return response
 
 
 def install_tracer(monkeypatch):
@@ -41,28 +32,14 @@ def install_tracer(monkeypatch):
 
 
 def test_grounding_spans_belong_to_their_sample(tmp_path, monkeypatch):
-    monkeypatch.setattr(requests.Session, "post", answer)
+    patch_endpoints(monkeypatch, chat=say_yes)
     tracer = install_tracer(monkeypatch)
     data = tmp_path / "one.tsv"
     data.write_text(
         "Tweet index\tLabel\tTweet text\n7\t1\twe met Alice, Bruno and Carla today\n",
         encoding="utf-8",
     )
-    code = main(
-        [
-            "run",
-            "--dataset", "semeval",
-            "--data-path", str(data),
-            "--variant", "pmpwl",
-            "--model", "m",
-            "--backend", "live",
-            "--endpoint", "http://chat.invalid/api/chat",
-            "--transcripts", str(tmp_path / "transcripts"),
-            "--cache", str(tmp_path / "cache"),
-            "--out", str(tmp_path / "runs"),
-        ]
-    )
-    assert code == 0
+    assert run(tmp_path, "--data-path", data, "--variant", "pmpwl") == 0
     spans = tracer.spans  # id: [name, started, ended, parent id, sample id, error, note]
     [sample_span] = [span_id for span_id, span in spans.items() if span[0] == "pipeline.run_pipeline"]
     grounding = [

@@ -4,14 +4,13 @@ import argparse
 import errno
 import io
 import json
-import shutil
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-import requests
+from fakes import FIXTURE, copy_fixture, http_response, patch_endpoints, run, say_yes
 
 from sarcrag import cli, gateway
 from sarcrag.cli import (
@@ -28,10 +27,9 @@ from sarcrag.errors import ConfigError, LogParseError
 from sarcrag.evaluation import report_to_json
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
 from sarcrag.pipeline import build_p1
-from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, GoogleSearchClient, WordInfoCache
+from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, WordInfoCache
 from sarcrag.templates import load_templates
 
-FIXTURE = Path(__file__).parent / "fixtures" / "replay"
 GOLDEN_RUN = Path(__file__).parent / "golden" / "replay" / "semeval_pmpwl.jsonl"
 EN = load_templates(LanguageTag.ENGLISH)
 
@@ -58,14 +56,15 @@ def make_args(**overrides):
 
 
 def replay_args(tmp_path, **overrides):
+    copy_fixture(tmp_path)
     base = dict(
         dataset="semeval",
         data_path=str(FIXTURE / "data" / "semeval_mini.tsv"),
         variant="pmpwl",
         model="fixture-model",
         backend="replay",
-        transcripts=str(FIXTURE / "transcripts"),
-        cache=str(FIXTURE / "cache"),
+        transcripts=str(tmp_path / "transcripts"),
+        cache=str(tmp_path / "cache"),
         out=str(tmp_path / "runs"),
     )
     base.update(overrides)
@@ -147,8 +146,8 @@ class TestConfigResolution:
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, text):
         config_file = tmp_path / "run.yaml"
         config_file.write_text(text, encoding="utf-8")
-        code, captured, _ = run_fixture_cli(tmp_path, capsys, "--config", str(config_file))
-        assert code == 2
+        assert run(tmp_path, "--config", config_file, fixture=True) == 2
+        captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         # A value of the wrong type fails even where a flag overrides it, and
         # every fault but a YAML syntax error names its key.
@@ -244,29 +243,15 @@ class TestParser:
             build_parser().parse_args([])
 
 
-def run_fixture_cli(tmp_path, capsys, *extra):
-    code = main(
-        [
-            "run",
-            "--dataset", "semeval",
-            "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
-            "--variant", "pmpwl",
-            "--model", "fixture-model",
-            "--backend", "replay",
-            "--transcripts", str(FIXTURE / "transcripts"),
-            "--cache", str(FIXTURE / "cache"),
-            "--out", str(tmp_path / "runs"),
-            *extra,
-        ]
-    )
-    return code, capsys.readouterr(), tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
+# Where a replay of the fixture writes its records, under the root given to `run`.
+FIXTURE_RUN = Path("runs", "semeval", "fixture-model", "pmpwl")
 
 
 class TestRunCommand:
     def test_replay_run_end_to_end(self, tmp_path, capsys):
-        code, captured, run_dir = run_fixture_cli(tmp_path, capsys)
-        assert code == 0
-        assert "scored 3, skipped 1" in captured.out
+        assert run(tmp_path, fixture=True) == 0
+        assert "scored 3, skipped 1" in capsys.readouterr().out
+        run_dir = tmp_path / FIXTURE_RUN
         records = [json.loads(line) for line in (run_dir / "run.jsonl").read_text().splitlines()]
         assert [r["sample_id"] for r in records] == [
             "semeval:1", "semeval:2", "semeval:3", "semeval:4",
@@ -283,14 +268,13 @@ class TestRunCommand:
         assert (run_dir / "report.txt").read_text().startswith("class")
 
     def test_limit_slices_prefix(self, tmp_path, capsys):
-        code, captured, run_dir = run_fixture_cli(tmp_path, capsys, "--limit", "2")
-        assert code == 0
-        records = (run_dir / "run.jsonl").read_text().splitlines()
+        assert run(tmp_path, "--limit", 2, fixture=True) == 0
+        records = (tmp_path / FIXTURE_RUN / "run.jsonl").read_text().splitlines()
         assert len(records) == 2
 
     def test_replay_makes_no_exchange_log(self, tmp_path, capsys):
-        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
-        assert not (run_dir / "exchanges.jsonl").exists()
+        run(tmp_path, fixture=True)
+        assert not (tmp_path / FIXTURE_RUN / "exchanges.jsonl").exists()
 
     def test_all_skipped_run_writes_no_report(self, tmp_path, capsys):
         # semeval:4 replays to a verdict-less reflection, so this run skips everything
@@ -299,21 +283,9 @@ class TestRunCommand:
             "Tweet index\tLabel\tTweet text\n4\t0\tthe quarterly report is ready for review\n",
             encoding="utf-8",
         )
-        code = main(
-            [
-                "run",
-                "--dataset", "semeval",
-                "--data-path", str(data),
-                "--variant", "pmpwl",
-                "--model", "fixture-model",
-                "--backend", "replay",
-                "--transcripts", str(FIXTURE / "transcripts"),
-                "--cache", str(FIXTURE / "cache"),
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
+        code = run(tmp_path, "--data-path", data, fixture=True)
         captured = capsys.readouterr()
-        run_dir = tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
+        run_dir = tmp_path / FIXTURE_RUN
         assert code == 1
         assert "every sample was skipped" in captured.out
         assert (run_dir / "run.jsonl").exists()
@@ -322,10 +294,9 @@ class TestRunCommand:
     def test_a_data_file_with_no_samples_exits_2(self, tmp_path, capsys):
         data = tmp_path / "header_only.tsv"
         data.write_text("Tweet index\tLabel\tTweet text\n", encoding="utf-8")
-        code, captured, run_dir = run_fixture_cli(tmp_path, capsys, "--data-path", str(data))
-        assert code == 2
-        assert captured.err == f"error: data path holds no samples: {data}\n"
-        assert not (run_dir / "run.jsonl").exists()
+        assert run(tmp_path, "--data-path", data, fixture=True) == 2
+        assert capsys.readouterr().err == f"error: data path holds no samples: {data}\n"
+        assert not (tmp_path / FIXTURE_RUN / "run.jsonl").exists()
 
     def test_crash_keeps_the_records_written_before_it(self, tmp_path, capsys, monkeypatch):
         run_pipeline = cli.run_pipeline
@@ -337,9 +308,8 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
         with pytest.raises(RuntimeError):
-            run_fixture_cli(tmp_path, capsys, "--concurrency", "1")
-        run_dir = tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl"
-        records = [json.loads(line) for line in (run_dir / "run.jsonl").read_text().splitlines()]
+            run(tmp_path, "--concurrency", 1, fixture=True)
+        records = read_run_log(tmp_path / FIXTURE_RUN / "run.jsonl")
         assert [r["sample_id"] for r in records] == ["semeval:1", "semeval:2"]
         assert [r["verdict"] for r in records] == ["YES", "NO"]
 
@@ -349,7 +319,7 @@ class TestRunCommand:
         # that starts runs on only once the crash is recorded, so no thread comes
         # free for semeval:5 before that. semeval:4 may start before the crash or be
         # stopped by it. No sample starts after it.
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         crash_recorded = watch_for_crash(monkeypatch)
         data = numbered_samples(tmp_path, 5)
         run_pipeline = cli.run_pipeline
@@ -364,7 +334,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
         with pytest.raises(RuntimeError):
-            live_run(tmp_path, data, "pmp", "--concurrency", "1")
+            run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1)
         assert sorted(called) in (
             ["semeval:1", "semeval:2", "semeval:3"],
             ["semeval:1", "semeval:2", "semeval:3", "semeval:4"],
@@ -376,7 +346,7 @@ class TestRunCommand:
         # There are eight threads. semeval:2 raises once semeval:1 to 8 have all
         # started, and the others run on until the crash is recorded, so no thread
         # comes free before it: semeval:9 to 12 are still queued when the run stops.
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         crash_recorded = watch_for_crash(monkeypatch)
         data = numbered_samples(tmp_path, 12)
         run_pipeline = cli.run_pipeline
@@ -393,7 +363,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
         with pytest.raises(RuntimeError):
-            live_run(tmp_path, data, "pmp", "--concurrency", "2")
+            run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 2)
         assert sorted(called) == [f"semeval:{n}" for n in range(1, 9)]
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
         assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
@@ -402,7 +372,7 @@ class TestRunCommand:
         # At --concurrency 1 there are four threads. semeval:1 runs until semeval:5
         # has started, which it can only do on a thread that another sample frees;
         # records still come out in sample order.
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         run_pipeline = cli.run_pipeline
         fifth_started = threading.Event()
         waited = []
@@ -415,7 +385,8 @@ class TestRunCommand:
             return run_pipeline(sample, variant, deps)
 
         monkeypatch.setattr(cli, "run_pipeline", hold_first)
-        assert live_run(tmp_path, numbered_samples(tmp_path, 6), "pmp", "--concurrency", "1") == 0
+        data = numbered_samples(tmp_path, 6)
+        assert run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1) == 0
         assert waited == [True]
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl")
         assert [r["sample_id"] for r in records] == [f"semeval:{n}" for n in range(1, 7)]
@@ -425,31 +396,6 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
-
-
-def answer_yes(self, url, **kwargs):
-    response = requests.Response()
-    response.status_code = 200
-    response._content = b'{"message": {"content": "Final decision: YES"}}'
-    return response
-
-
-def live_run(tmp_path, data, variant, *extra):
-    return main(
-        [
-            "run",
-            "--dataset", "semeval",
-            "--data-path", str(data),
-            "--variant", variant,
-            "--model", "m",
-            "--backend", "live",
-            "--endpoint", "http://chat.invalid/api/chat",
-            "--transcripts", str(tmp_path / "transcripts"),
-            "--cache", str(tmp_path / "cache"),
-            "--out", str(tmp_path / "runs"),
-            *extra,
-        ]
-    )
 
 
 def numbered_samples(tmp_path, count):
@@ -502,7 +448,7 @@ class NameChat:
         self.calls = []
         self.arrived = threading.Condition()
         self.on_p1 = on_p1
-        monkeypatch.setattr(requests.Session, "post", self.post)
+        patch_endpoints(monkeypatch, chat=self.chat)
 
     @staticmethod
     def data(tmp_path):
@@ -518,8 +464,7 @@ class NameChat:
         with self.arrived:
             return self.arrived.wait_for(lambda: call in self.calls, timeout=10)
 
-    def post(self, url, **kwargs):
-        system, user = (message["content"] for message in kwargs["json"]["messages"])
+    def chat(self, system, user, payload):
         sample = next(n for n, name in enumerate(NAMES, start=1) if name in user)
         if system == DEFINE_SYSTEM[LanguageTag.ENGLISH]:
             kind, text = "define", f"{user} is a person."
@@ -530,39 +475,24 @@ class NameChat:
         with self.arrived:
             self.calls.append((kind, sample))
             self.arrived.notify_all()
-        status = self.on_p1(sample) if kind == "P1" else None
-        response = requests.Response()
-        response.status_code = status or 200
-        response._content = json.dumps({"message": {"content": text}}).encode()
-        return response
+        return (self.on_p1(sample) if kind == "P1" else None) or text
 
 
-def chat_answer(url, **kwargs):
-    """A 200 answer to a chat request: P2 says YES, and any other call names its user message."""
-    system, user = (message["content"] for message in kwargs["json"]["messages"][:2])
-    text = "Final decision: YES" if system.startswith(EN.p2_system) else f"{user} is a person."
-    response = requests.Response()
-    response.status_code = 200
-    response._content = json.dumps({"message": {"content": text}}).encode()
-    return response
+def chat_answer(system, user, payload):
+    """A chat answer: P2 says YES, and any other call names its user message."""
+    return "Final decision: YES" if system.startswith(EN.p2_system) else f"{user} is a person."
 
 
-def web_chat_answer(self, url, **kwargs):
-    """A 200 answer to a chat request of a web-grounded run over `NameChat.data`: each
-    sample's one keyword is the name in it, and each refinement says "A person."."""
-    system, user = (m["content"] for m in kwargs["json"]["messages"][:2])
+def web_chat_answer(system, user, payload):
+    """A chat answer of a web-grounded run over `NameChat.data`: each sample's one
+    keyword is the name in it, and each refinement says "A person."."""
     if system == EN.keyword_identify:
-        text = f"Words I do not know: {user}"
-    elif system == EN.keyword_csv:
-        text = next(name for name in NAMES if name in user)
-    elif system == REFINE_SYSTEM[LanguageTag.ENGLISH]:
-        text = "A person."
-    else:
-        return chat_answer(url, **kwargs)
-    response = requests.Response()
-    response.status_code = 200
-    response._content = json.dumps({"message": {"content": text}}).encode()
-    return response
+        return f"Words I do not know: {user}"
+    if system == EN.keyword_csv:
+        return next(name for name in NAMES if name in user)
+    if system == REFINE_SYSTEM[LanguageTag.ENGLISH]:
+        return "A person."
+    return chat_answer(system, user, payload)
 
 
 class TestWholeSamples:
@@ -581,7 +511,8 @@ class TestWholeSamples:
                 held.append((reached, time.monotonic() - started))
 
         chat = NameChat(monkeypatch, on_p1=hold_first)
-        assert live_run(tmp_path, chat.data(tmp_path), "pmpwl", "--concurrency", "1") == 0
+        data = chat.data(tmp_path)
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 1) == 0
         [(reached, held_for)] = held
         assert reached
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl")
@@ -616,13 +547,13 @@ class TestWholeSamples:
         before = set(threading.enumerate())
         raised = []
 
-        def run():
+        def run_and_catch():
             try:
-                live_run(tmp_path, data, "pmpwl", "--concurrency", "1")
+                run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 1)
             except BaseException as exc:
                 raised.append(exc)
 
-        runner = threading.Thread(target=run, daemon=True)
+        runner = threading.Thread(target=run_and_catch, daemon=True)
         runner.start()
         runner.join(timeout=10)
         assert not runner.is_alive()
@@ -648,7 +579,8 @@ class TestWholeSamples:
             return None
 
         chat = NameChat(monkeypatch, on_p1=fail_first_p1)
-        assert live_run(tmp_path, chat.data(tmp_path), "pmpwl", "--concurrency", "1") == 0
+        data = chat.data(tmp_path)
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 1) == 0
         def second_p1(sample):
             return [i for i, call in enumerate(chat.calls) if call == ("P1", sample)][1]
 
@@ -665,17 +597,14 @@ class TestWholeSamples:
         monkeypatch.setattr(gateway, "BACKOFF_BASE_S", 0.2)
         defines = []
 
-        def post(self, url, **kwargs):
-            system = kwargs["json"]["messages"][0]["content"]
+        def chat(system, user, payload):
             if system == DEFINE_SYSTEM[LanguageTag.ENGLISH]:
-                defines.append(url)
+                defines.append(user)
                 if len(defines) == 1:
-                    response = requests.Response()
-                    response.status_code = 500
-                    return response
-            return chat_answer(url, **kwargs)
+                    return 500
+            return chat_answer(system, user, payload)
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        patch_endpoints(monkeypatch, chat=chat)
         data = tmp_path / "penny.tsv"
         data.write_text(
             "Tweet index\tLabel\tTweet text\n"
@@ -683,10 +612,8 @@ class TestWholeSamples:
             encoding="utf-8",
         )
         codes = []
-        runner = threading.Thread(
-            target=lambda: codes.append(live_run(tmp_path, data, "pmpwl", "--concurrency", "1")),
-            daemon=True,
-        )
+        flags = ["--data-path", data, "--variant", "pmpwl", "--concurrency", 1]
+        runner = threading.Thread(target=lambda: codes.append(run(tmp_path, *flags)), daemon=True)
         runner.start()
         runner.join(timeout=10)
         assert not runner.is_alive(), "the run deadlocked"
@@ -700,7 +627,7 @@ class TestWholeSamples:
         # KeyboardInterrupt once sample 5 has started on the thread that sample 1
         # freed. Samples 2 to 5 run on only once the interrupt is recorded, so no
         # thread comes free before it, and samples 6 to 12 are queued: none starts.
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         interrupted = threading.Event()
         fifth_started = threading.Event()
         interrupt_recorded = watch_for_pool_shutdown(monkeypatch)
@@ -729,7 +656,7 @@ class TestWholeSamples:
         data = numbered_samples(tmp_path, 12)
         before = set(threading.enumerate())
         with pytest.raises(KeyboardInterrupt):
-            live_run(tmp_path, data, "pmp", "--concurrency", "1")
+            run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1)
         assert set(threading.enumerate()) - before == set()
         assert sorted(started) == [(f"semeval:{n}", False) for n in range(1, 6)]
 
@@ -744,32 +671,29 @@ class TestWholeSamples:
         threads = set()
         failed = set()
 
-        def post(self, url, **kwargs):
+        def chat(system, user, payload):
             with lock:
                 in_flight[0] += 1
                 most_in_flight[0] = max(most_in_flight[0], in_flight[0])
                 threads.update(set(threading.enumerate()) - before)
             try:
                 time.sleep(0.005)
-                system, user = (m["content"] for m in kwargs["json"]["messages"][:2])
                 if system.startswith(EN.p1_system) and user not in failed:
                     failed.add(user)
-                    response = requests.Response()
-                    response.status_code = 503
-                    return response
-                return chat_answer(url, **kwargs)
+                    return 503
+                return chat_answer(system, user, payload)
             finally:
                 with lock:
                     in_flight[0] -= 1
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        patch_endpoints(monkeypatch, chat=chat)
         data = tmp_path / "twelve.tsv"
         data.write_text(
             "Tweet index\tLabel\tTweet text\n"
             + "".join(f"{n}\t1\twe met Person{n} today\n" for n in range(1, 13)),
             encoding="utf-8",
         )
-        assert live_run(tmp_path, data, "pmpwl", "--concurrency", "2") == 0
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 2) == 0
         assert len(failed) == 12
         assert most_in_flight[0] <= 4
         assert len(threads) <= 8
@@ -781,11 +705,9 @@ class TestWholeSamples:
         lock = threading.Lock()
         in_flight = [0]
         most_in_flight = [0]
-        kinds = []
 
-        def enter(kind):
+        def enter():
             with lock:
-                kinds.append(kind)
                 in_flight[0] += 1
                 most_in_flight[0] = max(most_in_flight[0], in_flight[0])
 
@@ -801,40 +723,36 @@ class TestWholeSamples:
                     leave()
                 return block
 
-        def post(self, url, **kwargs):
-            enter("chat")
-            try:
-                time.sleep(0.005)
-                return web_chat_answer(self, url, **kwargs)
-            finally:
-                leave()
+        def held(respond):
+            def holding(*args):
+                enter()
+                try:
+                    time.sleep(0.005)
+                    return respond(*args)
+                finally:
+                    leave()
 
-        def get(self, url, **kwargs):
-            response = requests.Response()
-            response.status_code = 200
-            if url != GoogleSearchClient.endpoint:
-                enter("page")
-                response.headers["Content-Type"] = "text/html; charset=utf-8"
-                response.encoding = "utf-8"
-                response.raw = HeldBody(f"<p>{url} names someone we know.</p>".encode())
-                return response
-            enter("search")
-            try:
-                time.sleep(0.005)
-                query = kwargs["params"]["q"]
-                items = [{"link": f"https://pages.invalid/{query}", "snippet": query}]
-                response._content = json.dumps({"items": items}).encode()
-                return response
-            finally:
-                leave()
+            return holding
 
-        monkeypatch.setattr(requests.Session, "post", post)
-        monkeypatch.setattr(requests.Session, "get", get)
+        def page(url):
+            enter()
+            response = http_response()
+            response.raw = HeldBody(f"<p>{url} names someone we know.</p>".encode())
+            return response
+
+        exchanges = patch_endpoints(
+            monkeypatch,
+            chat=held(web_chat_answer),
+            search=held(lambda query: [{"link": f"https://pages.invalid/{query}", "snippet": query}]),
+            page=page,
+        )
         monkeypatch.setenv("SEARCH_API_KEY", "key")
         monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
-        assert live_run(tmp_path, NameChat.data(tmp_path), "pmpwg", "--concurrency", "1") == 0
+        data = NameChat.data(tmp_path)
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwg", "--concurrency", 1) == 0
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl")
         assert [r["verdict"] for r in records] == ["YES"] * len(NAMES)
+        kinds = [kind for kind, _ in exchanges]
         assert kinds.count("search") == kinds.count("page") == len(NAMES)
         assert in_flight[0] == 0, "a page body was not read to its end"
         assert most_in_flight[0] == 2
@@ -843,15 +761,12 @@ class TestWholeSamples:
         before = set(threading.enumerate())
         alive = []
 
-        def post(self, url, **kwargs):
+        def chat(system, user, payload):
             alive.append(len(set(threading.enumerate()) - before))
             time.sleep(0.002)
-            response = requests.Response()
-            response.status_code = 200
-            response._content = b'{"message": {"content": "Final decision: YES"}}'
-            return response
+            return "Final decision: YES"
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        patch_endpoints(monkeypatch, chat=chat)
         names = iter(f"Name{n}" for n in range(32))
         rows = [
             f"{i}\t1\t" + " and ".join(next(names) for _ in range(MAX_KEYWORDS_PER_SAMPLE))
@@ -859,22 +774,7 @@ class TestWholeSamples:
         ]
         data = tmp_path / "eight_keywords.tsv"
         data.write_text("Tweet index\tLabel\tTweet text\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        code = main(
-            [
-                "run",
-                "--dataset", "semeval",
-                "--data-path", str(data),
-                "--variant", "pmpwl",
-                "--model", "m",
-                "--backend", "live",
-                "--endpoint", "http://chat.invalid/api/chat",
-                "--concurrency", "2",
-                "--transcripts", str(tmp_path / "transcripts"),
-                "--cache", str(tmp_path / "cache"),
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
-        assert code == 0
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 2) == 0
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
         records = [json.loads(line) for line in run_log.read_text().splitlines()]
         assert [len(r["keywords"]) for r in records] == [MAX_KEYWORDS_PER_SAMPLE] * 4
@@ -888,7 +788,8 @@ class TestReusedRunDirectory:
     """A second run into one --out leaves only its own outputs."""
 
     def test_crash_removes_the_earlier_report(self, tmp_path, capsys, monkeypatch):
-        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
+        run(tmp_path, fixture=True)
+        run_dir = tmp_path / FIXTURE_RUN
         assert (run_dir / "report.json").exists()
 
         def crash(sample, variant, deps):
@@ -896,12 +797,13 @@ class TestReusedRunDirectory:
 
         monkeypatch.setattr(cli, "run_pipeline", crash)
         with pytest.raises(RuntimeError):
-            run_fixture_cli(tmp_path, capsys)
+            run(tmp_path, fixture=True)
         assert not (run_dir / "report.json").exists()
         assert not (run_dir / "report.txt").exists()
 
     def test_all_skipped_run_removes_the_earlier_report(self, tmp_path, capsys):
-        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
+        run(tmp_path, fixture=True)
+        run_dir = tmp_path / FIXTURE_RUN
         assert (run_dir / "report.txt").exists()
         # semeval:4 replays to a verdict-less reflection, so this run skips everything
         data = tmp_path / "only_skipped.tsv"
@@ -909,15 +811,14 @@ class TestReusedRunDirectory:
             "Tweet index\tLabel\tTweet text\n4\t0\tthe quarterly report is ready for review\n",
             encoding="utf-8",
         )
-        code, captured, _ = run_fixture_cli(tmp_path, capsys, "--data-path", str(data))
-        assert code == 1
-        assert "every sample was skipped" in captured.out
+        assert run(tmp_path, "--data-path", data, fixture=True) == 1
+        assert "every sample was skipped" in capsys.readouterr().out
         assert len(read_run_log(run_dir / "run.jsonl")) == 1
         assert not (run_dir / "report.json").exists()
         assert not (run_dir / "report.txt").exists()
 
     def test_second_live_run_starts_an_empty_exchange_log(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         data = tmp_path / "two.tsv"
         data.write_text(
             "Tweet index\tLabel\tTweet text\n1\t1\tfirst sample\n2\t0\tsecond sample\n",
@@ -926,7 +827,7 @@ class TestReusedRunDirectory:
         exchange_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "exchanges.jsonl"
         backends = []
         for _ in range(2):
-            assert live_run(tmp_path, data, "pmp", "--concurrency", "1") == 0
+            assert run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1) == 0
             lines = exchange_log.read_text(encoding="utf-8").splitlines()
             backends.append([json.loads(line)["backend"] for line in lines])
         # Two samples of two chats each; the second run is answered from the store.
@@ -939,26 +840,11 @@ class TestCorruptRecords:
 
     @pytest.fixture
     def store(self, tmp_path):
-        shutil.copytree(FIXTURE / "transcripts", tmp_path / "transcripts")
-        shutil.copytree(FIXTURE / "cache", tmp_path / "cache")
-        return tmp_path
+        return copy_fixture(tmp_path)
 
     def replay(self, tmp_path):
-        code = main(
-            [
-                "run",
-                "--dataset", "semeval",
-                "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
-                "--variant", "pmpwl",
-                "--model", "fixture-model",
-                "--backend", "replay",
-                "--transcripts", str(tmp_path / "transcripts"),
-                "--cache", str(tmp_path / "cache"),
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
-        assert code == 0
-        return read_run_log(tmp_path / "runs" / "semeval" / "fixture-model" / "pmpwl" / "run.jsonl")
+        assert run(tmp_path, fixture=True) == 0
+        return read_run_log(tmp_path / FIXTURE_RUN / "run.jsonl")
 
     def assert_only_skipped(self, records, sample_id):
         golden = read_run_log(GOLDEN_RUN)
@@ -1034,14 +920,14 @@ class TestCorruptRecords:
         assert records[2]["skipped_reason"].endswith("ValueError: definition must be non-empty")
 
     def test_truncated_transcript_in_a_live_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         data = FIXTURE / "data" / "semeval_mini.tsv"
         first = load_dataset(DatasetKind.SEMEVAL_2018_T3, data)[0]
         digest = build_p1(first, [], load_templates(LanguageTag.ENGLISH)).digest
         path = tmp_path / "transcripts" / "m" / f"{digest}.json"
         path.parent.mkdir(parents=True)
         path.write_text('{"digest": "trunc', encoding="utf-8")
-        assert live_run(tmp_path, data, "pmp", "--concurrency", "1") == 0
+        assert run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1) == 0
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl")
         assert [r["sample_id"] for r in records] == [
             "semeval:1", "semeval:2", "semeval:3", "semeval:4",
@@ -1103,11 +989,12 @@ class TestRunFileWriteFailures:
                 take_room()
             return path_mkdir(path, *args, **kwargs)
 
-        monkeypatch.setattr(requests.Session, "post", answer_yes)
+        patch_endpoints(monkeypatch, chat=say_yes)
         monkeypatch.setattr(Path, "open", open_)
         monkeypatch.setattr(Path, "mkdir", mkdir)
         run_dir = tmp_path / "runs" / "semeval" / "m" / "pmp"
-        code = live_run(tmp_path, FIXTURE / "data" / "semeval_mini.tsv", "pmp", "--concurrency", "1")
+        data = FIXTURE / "data" / "semeval_mini.tsv"
+        code = run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1)
         captured = capsys.readouterr()
         assert code == 2
         failed = run_dir if name == "pmp" else run_dir / name
@@ -1120,27 +1007,11 @@ class TestRunFileWriteFailures:
 
 class TestLiveTransport:
     def test_null_content_skips_samples_and_writes_run_log(self, tmp_path, capsys, monkeypatch):
-        def post(self, url, json=None, timeout=None):
-            response = requests.Response()
-            response.status_code = 200
-            response._content = b'{"choices": [{"message": {"role": "assistant", "content": null}}]}'
-            return response
-
-        monkeypatch.setattr(requests.Session, "post", post)
-        code = main(
-            [
-                "run",
-                "--dataset", "semeval",
-                "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
-                "--variant", "pmp",
-                "--model", "m",
-                "--backend", "live",
-                "--endpoint", "http://chat.invalid/v1/chat/completions",
-                "--transcripts", str(tmp_path / "transcripts"),
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
-        assert code == 1
+        null_content = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+        patch_endpoints(monkeypatch, chat=lambda system, user, payload: http_response(null_content))
+        data = FIXTURE / "data" / "semeval_mini.tsv"
+        endpoint = "http://chat.invalid/v1/chat/completions"
+        assert run(tmp_path, "--data-path", data, "--variant", "pmp", "--endpoint", endpoint) == 1
         assert "every sample was skipped" in capsys.readouterr().out
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
         records = [json.loads(line) for line in run_log.read_text().splitlines()]
@@ -1151,16 +1022,12 @@ class TestLiveTransport:
         # A sampling model: every call gets a different answer.
         calls = []
 
-        def post(self, url, **kwargs):
-            calls.append(kwargs["json"])
+        def chat(system, user, payload):
+            calls.append(payload)
             n = len(calls)
-            answer = f"Answer {n}.\nFinal decision: {'YES' if n % 4 < 2 else 'NO'}"
-            response = requests.Response()
-            response.status_code = 200
-            response._content = json.dumps({"message": {"content": answer}}).encode()
-            return response
+            return f"Answer {n}.\nFinal decision: {'YES' if n % 4 < 2 else 'NO'}"
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        patch_endpoints(monkeypatch, chat=chat)
         data = tmp_path / "twice.tsv"
         data.write_text(
             "Tweet index\tLabel\tTweet text\n"
@@ -1169,71 +1036,41 @@ class TestLiveTransport:
             encoding="utf-8",
         )
 
-        def run(backend, *extra):
-            code = main(
-                [
-                    "run",
-                    "--dataset", "semeval",
-                    "--data-path", str(data),
-                    "--variant", "pmpwl",
-                    "--model", "m",
-                    "--backend", backend,
-                    "--concurrency", "1",
-                    "--transcripts", str(tmp_path / "transcripts"),
-                    "--cache", str(tmp_path / "cache"),
-                    "--out", str(tmp_path / backend),
-                    *extra,
-                ]
-            )
-            assert code == 0
-            run_log = tmp_path / backend / "semeval" / "m" / "pmpwl" / "run.jsonl"
+        def records(backend):
+            flags = ["--data-path", data, "--variant", "pmpwl", "--backend", backend, "--concurrency", 1]
+            assert run(tmp_path, *flags) == 0
+            run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
             return [
                 (r["sample_id"], r["verdict"], r["p1_digest"], r["p2_digest"])
                 for r in map(json.loads, run_log.read_text().splitlines())
             ]
 
-        recorded = run("live", "--endpoint", "http://chat.invalid/api/chat")
+        recorded = records("live")
         assert all(verdict is not None for _, verdict, _, _ in recorded)
         n_calls = len(calls)
-        assert run("replay") == recorded
+        assert records("replay") == recorded
         assert len(calls) == n_calls
 
     def test_each_model_answers_from_its_own_store(self, tmp_path, capsys, monkeypatch):
         asked = []
 
-        def post(self, url, **kwargs):
-            model = kwargs["json"]["model"]
+        def chat(system, user, payload):
+            model = payload["model"]
             asked.append(model)
-            answer = f"{model} thinks so.\nFinal decision: {'YES' if model == 'a' else 'NO'}"
-            response = requests.Response()
-            response.status_code = 200
-            response._content = json.dumps({"message": {"content": answer}}).encode()
-            return response
+            return f"{model} thinks so.\nFinal decision: {'YES' if model == 'a' else 'NO'}"
 
-        monkeypatch.setattr(requests.Session, "post", post)
+        patch_endpoints(monkeypatch, chat=chat)
 
-        def run(model):
-            code = main(
-                [
-                    "run",
-                    "--dataset", "semeval",
-                    "--data-path", str(FIXTURE / "data" / "semeval_mini.tsv"),
-                    "--variant", "pmp",
-                    "--model", model,
-                    "--backend", "live",
-                    "--concurrency", "1",
-                    "--endpoint", "http://chat.invalid/api/chat",
-                    "--transcripts", str(tmp_path / "transcripts"),
-                    "--out", str(tmp_path / "runs"),
-                ]
-            )
-            assert code == 0
+        def verdicts(model):
+            data = FIXTURE / "data" / "semeval_mini.tsv"
+            flags = ["--data-path", data, "--variant", "pmp", "--model", model, "--concurrency", 1]
+            assert run(tmp_path, *flags) == 0
             run_log = tmp_path / "runs" / "semeval" / model / "pmp" / "run.jsonl"
             return [json.loads(line)["verdict"] for line in run_log.read_text().splitlines()]
 
-        assert run("a") == ["YES"] * 4
+        assert verdicts("a") == ["YES"] * 4
         n_asked = len(asked)
-        assert run("b") == ["NO"] * 4
+        assert verdicts("b") == ["NO"] * 4
         assert asked == ["a"] * n_asked + ["b"] * n_asked
         assert sorted(p.name for p in (tmp_path / "transcripts").iterdir()) == ["a", "b"]
 
@@ -1241,21 +1078,15 @@ class TestLiveTransport:
         # A 403 (bad key, disabled API or spent daily quota) would fail every later
         # search, so the run stops at sample 3, whose keyword draws it, and exits 2
         # with the records before it written.
-        def get(self, url, **kwargs):
-            query = kwargs["params"]["q"]
-            response = requests.Response()
-            response.status_code = 403 if query == "Carla" else 200
+        def search(query):
             snippet = " ".join([f"{query} is someone we know"] * 5)
-            items = [{"link": "https://a.invalid", "snippet": snippet}]
-            response._content = json.dumps({"items": items}).encode()
-            return response
+            return 403 if query == "Carla" else [{"link": "https://a.invalid", "snippet": snippet}]
 
-        monkeypatch.setattr(requests.Session, "post", web_chat_answer)
-        monkeypatch.setattr(requests.Session, "get", get)
+        patch_endpoints(monkeypatch, chat=web_chat_answer, search=search)
         monkeypatch.setenv("SEARCH_API_KEY", "key")
         monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
         data = NameChat.data(tmp_path)
-        assert live_run(tmp_path, data, "pmpwg", "--concurrency", "1") == 2
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwg", "--concurrency", 1) == 2
         assert "search refused (403)" in capsys.readouterr().err
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl")
         assert [(r["sample_id"], r["verdict"]) for r in records] == [
@@ -1263,18 +1094,7 @@ class TestLiveTransport:
         ]
 
     def test_searches_and_page_fetches_share_one_session(self, tmp_path, monkeypatch):
-        used = []
-
-        def get(self, url, **kwargs):
-            used.append(self)
-            response = requests.Response()
-            response.status_code = 200
-            response.headers["Content-Type"] = "text/html; charset=utf-8"
-            response.encoding = "utf-8"
-            response.raw = io.BytesIO(b"<p>page text</p>")
-            return response
-
-        monkeypatch.setattr(requests.Session, "get", get)
+        exchanges = patch_endpoints(monkeypatch, page=lambda url: b"<p>page text</p>")
         monkeypatch.setenv("SEARCH_API_KEY", "key")
         monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
         config = build_run_config(
@@ -1287,17 +1107,19 @@ class TestLiveTransport:
                 endpoint="http://chat.invalid/api/chat",
             )
         )
-        deps = build_deps(config, tmp_path)
+        search, fetcher = build_deps(config, tmp_path).web
         for i in range(5):
-            assert deps.fetcher(f"http://pages.invalid/{i}") == "page text"
+            assert fetcher(f"http://pages.invalid/{i}") == "page text"
+        used = [session for _, session in exchanges]
         assert len(used) == 5
         assert all(session is used[0] for session in used)
-        assert deps.search.session is used[0]
+        assert search.session is used[0]
 
 
 class TestRunLogReading:
     def test_round_trip_from_real_run(self, tmp_path, capsys):
-        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
+        run(tmp_path, fixture=True)
+        run_dir = tmp_path / FIXTURE_RUN
         report = report_from_log(run_dir / "run.jsonl")
         assert report.n_scored == 3
         assert report.n_skipped == 1
@@ -1384,7 +1206,7 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, option, content):
     if option == "report":
         code, captured = main(["report", str(path)]), capsys.readouterr()
     else:
-        code, captured, _ = run_fixture_cli(tmp_path, capsys, option, str(path))
+        code, captured = run(tmp_path, option, path, fixture=True), capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
@@ -1407,8 +1229,8 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, option, content):
 def test_malformed_data_file_exits_2_before_the_run(tmp_path, capsys, dataset, content):
     path = tmp_path / "input"
     path.write_text(content, encoding="utf-8")
-    code, captured, _ = run_fixture_cli(tmp_path, capsys, "--dataset", dataset, "--data-path", str(path))
-    assert code == 2
+    assert run(tmp_path, "--dataset", dataset, "--data-path", path, fixture=True) == 2
+    captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert str(path) in captured.err
@@ -1417,16 +1239,18 @@ def test_malformed_data_file_exits_2_before_the_run(tmp_path, capsys, dataset, c
 
 class TestReportCommand:
     def test_table_output(self, tmp_path, capsys):
-        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
-        code = main(["report", str(run_dir / "run.jsonl")])
+        run(tmp_path, fixture=True)
+        capsys.readouterr()  # the run's own summary line
+        code = main(["report", str(tmp_path / FIXTURE_RUN / "run.jsonl")])
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("class")
         assert "scored: 3  skipped: 1" in captured.out
 
     def test_json_output(self, tmp_path, capsys):
-        _, _, run_dir = run_fixture_cli(tmp_path, capsys)
-        code = main(["report", "--json", str(run_dir / "run.jsonl")])
+        run(tmp_path, fixture=True)
+        capsys.readouterr()  # the run's own summary line
+        code = main(["report", "--json", str(tmp_path / FIXTURE_RUN / "run.jsonl")])
         captured = capsys.readouterr()
         assert code == 0
         payload = json.loads(captured.out)
@@ -1450,41 +1274,22 @@ class ModelChat:
 
     def __init__(self, monkeypatch):
         self.defines = []
-        monkeypatch.setattr(requests.Session, "post", self.post)
+        patch_endpoints(monkeypatch, chat=self.chat)
 
-    def post(self, url, **kwargs):
-        model = kwargs["json"]["model"]
-        system, user = (message["content"] for message in kwargs["json"]["messages"][:2])
-        text = "Final decision: YES"
-        if system in self.LANGUAGES:
-            self.defines.append((model, self.LANGUAGES[system], user))
-            text = f"{user} as {model} defines it in {self.LANGUAGES[system]}."
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps({"message": {"content": text}}).encode()
-        return response
+    def chat(self, system, user, payload):
+        model = payload["model"]
+        if system not in self.LANGUAGES:
+            return "Final decision: YES"
+        self.defines.append((model, self.LANGUAGES[system], user))
+        return f"{user} as {model} defines it in {self.LANGUAGES[system]}."
 
 
 class TestDefinitionCacheKeys:
     """One --cache root keeps each model's definitions in each language apart."""
 
     def run(self, tmp_path, dataset, data, model):
-        code = main(
-            [
-                "run",
-                "--dataset", dataset,
-                "--data-path", str(data),
-                "--variant", "pmpwl",
-                "--model", model,
-                "--backend", "live",
-                "--endpoint", "http://chat.invalid/api/chat",
-                "--concurrency", "1",
-                "--transcripts", str(tmp_path / "transcripts"),
-                "--cache", str(tmp_path / "cache"),
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
-        assert code == 0
+        flags = ["--dataset", dataset, "--data-path", data, "--variant", "pmpwl", "--model", model]
+        assert run(tmp_path, *flags, "--concurrency", 1) == 0
 
     def definition(self, tmp_path, model, language):
         cache = WordInfoCache(tmp_path / "cache" / model / language)

@@ -59,6 +59,19 @@ class TestLoadSemeval:
         path = write_semeval(tmp_path, ["7\t1\ttext"])
         assert [s.id for s in load_semeval(path)] == ["semeval:7"]
 
+    def test_file_without_a_header_rejected(self, tmp_path):
+        # Its first row would be read as the header and lost.
+        path = tmp_path / "data.tsv"
+        path.write_text("1\t1\tfirst tweet\n2\t0\tsecond tweet\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 1: "):
+            load_semeval(path)
+
+    @pytest.mark.parametrize("index", ["", "  "])
+    def test_blank_index_rejected(self, tmp_path, index):
+        path = write_semeval(tmp_path, ["1\t1\tfirst", f"{index}\t0\thello"])
+        with pytest.raises(FormatError, match="^line 3: blank index"):
+            load_semeval(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = write_semeval(tmp_path, ["1\t1\ta", "", "2\t0\tb"])
         assert len(load_semeval(path)) == 2
@@ -183,6 +196,13 @@ class TestLoadMustard:
     def test_empty_utterance_rejected(self, tmp_path):
         path = write_mustard(tmp_path, {"k": {"utterance": "  ", "sarcasm": True}})
         with pytest.raises(FormatError):
+            load_mustard(path)
+
+    @pytest.mark.parametrize("key", ["", "  "])
+    def test_blank_entry_id_rejected(self, tmp_path, key):
+        entries = {"k": {"utterance": "x", "sarcasm": True}, key: {"utterance": "y", "sarcasm": False}}
+        path = write_mustard(tmp_path, entries)
+        with pytest.raises(FormatError, match=f"^entry {key!r}: blank id"):
             load_mustard(path)
 
     def test_top_level_list_rejected(self, tmp_path):
@@ -371,6 +391,6 @@ def test_a_loader_returns_encodable_samples_or_raises_format_error(tmp_path, cas
     except FormatError:
         return
     for sample in samples:
-        assert sample.id and sample.text
+        assert sample.id.split(":", 1)[1].strip() and sample.text
         sample.id.encode("utf-8")
         sample.text.encode("utf-8")

@@ -11,6 +11,7 @@ import time
 
 import pytest
 import requests
+from fakes import FakeSession, FunctionBackend, http_response
 
 from sarcrag.errors import (
     CorruptRecord,
@@ -256,36 +257,6 @@ class TestReplayBackend:
         assert gateway.chat(request) == gateway.chat(request) == "same thing"
 
 
-class FakeResponse:
-    def __init__(self, payload=None, status=200, text=None, headers=None):
-        self.status_code = status
-        self.text = json.dumps(payload or {}) if text is None else text
-        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        try:
-            return json.loads(self.text)
-        except json.JSONDecodeError as exc:
-            raise requests.exceptions.JSONDecodeError(exc.msg, exc.doc, exc.pos) from exc
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def post(self, url, json=None, timeout=None):
-        self.calls.append(json)
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 def live_backend(session, sleep=lambda s: None, model="m"):
     """A LiveBackend whose POSTs each hold the one permit of its own bound."""
     return LiveBackend(
@@ -295,18 +266,16 @@ def live_backend(session, sleep=lambda s: None, model="m"):
 
 class TestLiveBackend:
     def test_parses_message_content_shape(self):
-        session = FakeSession([FakeResponse({"message": {"content": "hi there"}})])
+        session = FakeSession([http_response({"message": {"content": "hi there"}})])
         backend = live_backend(session, model="m1")
         assert backend.complete(make_request()) == "hi there"
-        sent = session.calls[0]
+        sent = session.calls[0][1]["json"]
         assert sent["model"] == "m1"
         assert sent["messages"][0] == {"role": "system", "content": "be helpful"}
         assert "temperature" not in sent and "top_p" not in sent
 
     def test_parses_choices_shape(self):
-        session = FakeSession(
-            [FakeResponse({"choices": [{"message": {"content": "choice text"}}]})]
-        )
+        session = FakeSession([http_response({"choices": [{"message": {"content": "choice text"}}]})])
         backend = live_backend(session)
         assert backend.complete(make_request()) == "choice text"
 
@@ -314,8 +283,8 @@ class TestLiveBackend:
         session = FakeSession(
             [
                 requests.ConnectionError("down"),
-                FakeResponse(status=500),
-                FakeResponse({"message": {"content": "third time lucky"}}),
+                http_response(status=500),
+                http_response({"message": {"content": "third time lucky"}}),
             ]
         )
         slept = []
@@ -328,11 +297,11 @@ class TestLiveBackend:
         backend = live_backend(session)
         with pytest.raises(TransportError):
             backend.complete(make_request())
-        assert not session.responses
+        assert not session.answers
         assert backend.in_flight.acquire(blocking=False), "a failed POST kept its permit"
 
 
-OK = FakeResponse({"message": {"content": "recovered"}})
+OK = http_response({"message": {"content": "recovered"}})
 
 
 class TestRetryClassification:
@@ -345,18 +314,18 @@ class TestRetryClassification:
     @pytest.mark.parametrize(
         "response",
         [
-            FakeResponse(status=400),
-            FakeResponse(status=401),
-            FakeResponse(status=404),
-            FakeResponse(status=422),
-            FakeResponse(text='{"message": {"role": "assistant", "content": "trunc'),
-            FakeResponse(text="<html>not json</html>"),
-            FakeResponse({"unexpected": "shape"}),
-            FakeResponse({"choices": []}),
-            FakeResponse(text="null"),
-            FakeResponse({"choices": [{"message": {"role": "assistant", "content": None}}]}),
-            FakeResponse({"message": {"content": 42}}),
-            FakeResponse({"model": "m", "response": "an answer", "done": True}),
+            http_response(status=400),
+            http_response(status=401),
+            http_response(status=404),
+            http_response(status=422),
+            http_response(body=b'{"message": {"role": "assistant", "content": "trunc'),
+            http_response(body=b"<html>not json</html>"),
+            http_response({"unexpected": "shape"}),
+            http_response({"choices": []}),
+            http_response(body=b"null"),
+            http_response({"choices": [{"message": {"role": "assistant", "content": None}}]}),
+            http_response({"message": {"content": 42}}),
+            http_response({"model": "m", "response": "an answer", "done": True}),
             requests.exceptions.InvalidURL("bad url"),
         ],
         ids=[
@@ -376,9 +345,9 @@ class TestRetryClassification:
     @pytest.mark.parametrize(
         "fault",
         [
-            FakeResponse(status=429),
-            FakeResponse(status=500),
-            FakeResponse(status=503),
+            http_response(status=429),
+            http_response(status=500),
+            http_response(status=503),
             requests.Timeout("slow"),
             requests.exceptions.ReadTimeout("slow read"),
             requests.ConnectionError("refused"),
@@ -395,12 +364,12 @@ class TestRetryClassification:
     @pytest.mark.parametrize(
         "responses, message",
         [
-            ([FakeResponse(status=503)] * 3, r"HTTP 503 after 3 attempts$"),
+            ([http_response(status=503)] * 3, r"HTTP 503 after 3 attempts$"),
             ([requests.ConnectionError("refused")] * 3, r"ConnectionError: refused after 3 attempts$"),
-            ([FakeResponse(status=400)], r"HTTP 400, not retried$"),
-            ([FakeResponse(status=500), FakeResponse(status=400)], r"HTTP 400 on attempt 2, not retried$"),
-            ([FakeResponse(text="{")], r"unreadable body \(.*\), not retried$"),
-            ([FakeResponse({"message": {"content": None}})], r"NoneType, not a string\), not retried$"),
+            ([http_response(status=400)], r"HTTP 400, not retried$"),
+            ([http_response(status=500), http_response(status=400)], r"HTTP 400 on attempt 2, not retried$"),
+            ([http_response(body=b"{")], r"unreadable body \(.*\), not retried$"),
+            ([http_response({"message": {"content": None}})], r"NoneType, not a string\), not retried$"),
         ],
         ids=["exhausted-status", "exhausted-exception", "at-once", "on-attempt-2", "malformed", "null"],
     )
@@ -409,6 +378,12 @@ class TestRetryClassification:
         with pytest.raises(TransportError, match=message):
             backend.complete(make_request())
         assert len(session.calls) == len(responses)
+
+
+def retry_after(status, value):
+    response = http_response(status=status)
+    response.headers["Retry-After"] = value
+    return response
 
 
 class TestRetryAfter:
@@ -423,24 +398,24 @@ class TestRetryAfter:
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_seconds(self, status):
-        assert self.slept_after(FakeResponse(status=status, headers={"Retry-After": "3"})) == [3.0]
+        assert self.slept_after(retry_after(status, "3")) == [3.0]
 
     def test_http_date(self):
         # "GMT", and the "-0000" that formatdate gives by default, which parses to a naive time.
         for usegmt in (True, False):
             when = email.utils.formatdate(time.time() + 30, usegmt=usegmt)
-            [slept] = self.slept_after(FakeResponse(status=503, headers={"Retry-After": when}))
+            [slept] = self.slept_after(retry_after(503, when))
             assert 28 <= slept <= 30
 
     def test_a_wait_over_the_cap_is_cut_to_the_cap(self):
-        slept = self.slept_after(FakeResponse(status=429, headers={"Retry-After": "3600"}))
+        slept = self.slept_after(retry_after(429, "3600"))
         assert slept == [MAX_RETRY_AFTER_S]
 
     def test_garbage_falls_back_to_the_backoff(self):
         # Each attempt reads its own header: the first is unreadable, the second asks for 5 s.
         slept = self.slept_after(
-            FakeResponse(status=429, headers={"Retry-After": "soon"}),
-            FakeResponse(status=429, headers={"Retry-After": "5"}),
+            retry_after(429, "soon"),
+            retry_after(429, "5"),
         )
         assert slept == [1.0, 5.0]
 
@@ -449,12 +424,7 @@ class TestRetryAfter:
         ids=["shorter", "past-date", "not-429-or-503"],
     )
     def test_never_shortens_the_backoff(self, status, header):
-        assert self.slept_after(FakeResponse(status=status, headers={"Retry-After": header})) == [1.0]
-
-
-class Echo:
-    def complete(self, request):
-        return f"answer to {request.messages[-1].content}"
+        assert self.slept_after(retry_after(status, header)) == [1.0]
 
 
 class TestDigestsPerChat:
@@ -473,7 +443,9 @@ class TestDigestsPerChat:
 
     def test_live_backend_with_store_and_log(self, tmp_path, digest_calls):
         gateway = Gateway(
-            Echo(), store=TranscriptStore(tmp_path), exchange_log=tmp_path / "exchanges.jsonl"
+            FunctionBackend(lambda request: f"answer to {request.messages[-1].content}"),
+            store=TranscriptStore(tmp_path),
+            exchange_log=tmp_path / "exchanges.jsonl",
         )
         for user in self.USERS:
             gateway.chat(make_request(user=user))
@@ -500,61 +472,49 @@ class TestGateway:
             gateway.chat(request)
 
     def test_empty_answer_is_logged_then_raised(self, tmp_path):
-        class Blank:
-            def complete(self, request):
-                return "   "
-
         log_path = tmp_path / "exchanges.jsonl"
-        gateway = Gateway(Blank(), TranscriptStore(tmp_path / "store"), exchange_log=log_path)
+        blank = FunctionBackend(lambda request: "   ")
+        gateway = Gateway(blank, TranscriptStore(tmp_path / "store"), exchange_log=log_path)
         with pytest.raises(EmptyResponse):
             gateway.chat(make_request())
         assert logged_backends(log_path) == ["live"]
 
     def test_records_exchange_when_store_attached(self, tmp_path):
-        class OneShot:
-            def complete(self, request):
-                return "fresh answer"
-
         store = TranscriptStore(tmp_path / "store")
         log_path = tmp_path / "exchanges.jsonl"
-        gateway = Gateway(OneShot(), store=store, exchange_log=log_path)
+        backend = FunctionBackend(lambda request: "fresh answer")
+        gateway = Gateway(backend, store=store, exchange_log=log_path)
         request = make_request()
         assert gateway.chat(request) == "fresh answer"
         assert logged_backends(log_path) == ["live"]
         assert store.lookup(request) == "fresh answer"
 
     def test_store_hit_makes_no_backend_call(self, tmp_path):
-        class Unreachable:
-            def complete(self, request):
-                raise AssertionError("backend called for a stored request")
+        def unreachable(request):
+            raise AssertionError("backend called for a stored request")
 
         store = TranscriptStore(tmp_path / "store")
         request = make_request()
         store.save(request, "recorded")
         log_path = tmp_path / "exchanges.jsonl"
-        assert Gateway(Unreachable(), store, exchange_log=log_path).chat(request) == "recorded"
+        assert Gateway(FunctionBackend(unreachable), store, exchange_log=log_path).chat(request) == "recorded"
         assert logged_backends(log_path) == ["store"]
 
     def test_miss_returns_the_text_the_store_kept(self, tmp_path):
-        class Racing:
-            """Stands in for a backend whose request another writer recorded first."""
-
-            def complete(self, request):
-                TranscriptStore(tmp_path).save(request, "first writer")
-                return "second writer"
+        def racing(request):
+            """A backend whose request another writer recorded first."""
+            TranscriptStore(tmp_path).save(request, "first writer")
+            return "second writer"
 
         store = TranscriptStore(tmp_path)
         request = make_request()
-        assert Gateway(Racing(), store).chat(request) == "first writer"
+        assert Gateway(FunctionBackend(racing), store).chat(request) == "first writer"
         assert store.lookup(request) == "first writer"
 
     def test_exchange_log_appends_one_line_per_call(self, tmp_path):
-        class OneShot:
-            def complete(self, request):
-                return "logged"
-
         log_path = tmp_path / "exchanges.jsonl"
-        gateway = Gateway(OneShot(), TranscriptStore(tmp_path / "store"), exchange_log=log_path)
+        backend = FunctionBackend(lambda request: "logged")
+        gateway = Gateway(backend, TranscriptStore(tmp_path / "store"), exchange_log=log_path)
         first = make_request(user="first")
         gateway.chat(first)
         gateway.chat(make_request(user="second"))

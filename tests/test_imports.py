@@ -1,4 +1,5 @@
-"""Import hygiene: every name that a module under src/, tests/ or tools/ imports is used there."""
+"""Source hygiene, checked by AST: every name that a module under src/, tests/ or tools/
+imports is used there, and only tests/fakes.py fakes an HTTP exchange."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,60 @@ def test_every_imported_name_is_used():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []
+
+
+SESSION = ("requests.Session", "requests.sessions.Session")
+
+
+def _dotted(node) -> str:
+    """`a.b.c` for an attribute chain of names, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def http_fakes(source: str) -> list[int]:
+    """The lines of source that patch an attribute of requests.Session or call requests.Response()."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            target = node.args[0] if node.args else None
+            if isinstance(target, ast.Constant):  # setattr("requests.Session.post", post)
+                owner = str(target.value).rpartition(".")[0]
+            else:
+                owner = _dotted(target)
+            if name == "requests.Response" or name.endswith("setattr") and owner in SESSION:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Attribute) and _dotted(target.value) in SESSION for target in node.targets
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_http_fakes_finds_each_patch_of_the_session_and_each_built_response():
+    source = (
+        "import requests\n"
+        "monkeypatch.setattr(requests.Session, 'post', post)\n"
+        "mp.setattr(requests.sessions.Session, 'request', refuse)\n"
+        "monkeypatch.setattr('requests.Session.get', get)\n"
+        "requests.Session.post = post\n"
+        "response = requests.Response()\n"
+        "monkeypatch.setattr(requests, 'get', get)\n"
+        "session = requests.Session()\n"
+        "monkeypatch.setattr(gateway, 'BACKOFF_BASE_S', 0.5)\n"
+    )
+    assert http_fakes(source) == [2, 3, 4, 5, 6]
+
+
+def test_only_fakes_py_patches_the_session_or_builds_a_response():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "tests").rglob("*.py"))
+        if path.name != "fakes.py"
+        for line in http_fakes(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

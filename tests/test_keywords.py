@@ -4,6 +4,7 @@ import re
 import string
 
 import pytest
+from fakes import ScriptedGateway
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,18 +117,6 @@ class TestExtractTokenTagging:
         run = "Alpha Beta Gamma Delta Epsilon Zeta"  # 6 tokens, one merged run
         keywords = extract_token_tagging(sample_of(run))
         assert keywords == ()
-
-
-class ScriptedGateway:
-    """Stands in for Gateway: returns scripted responses and records purposes."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def chat(self, request):
-        self.requests.append(request)
-        return self.responses.pop(0)
 
 
 class TestExtractLlmBased:

@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from fakes import FakeSearch, FunctionBackend, ScriptedGateway, no_page
 
 from sarcrag.core import (
     Label,
@@ -160,43 +161,18 @@ class TestParseVerdict:
             parse_verdict(text)
 
 
-class PurposeGateway:
-    """Scripted stand-in for Gateway: answers by request purpose, records every call."""
-
-    def __init__(self, script):
-        self.script = {purpose: list(texts) for purpose, texts in script.items()}
-        self.requests = []
-
-    def chat(self, request):
-        self.requests.append(request)
-        queue = self.script[request.purpose]
-        return queue.pop(0) if len(queue) > 1 else queue[0]
-
-    @property
-    def purposes(self):
-        return [r.purpose for r in self.requests]
-
-
-class RaisingGateway:
-    def chat(self, request):
-        raise TransportError("backend unreachable")
-
-
 LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
-
-
-class FakeSearch:
-    def search(self, query):
-        return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
+LONG_RESULTS = [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
 
 
 def deps_for(gateway, cache_dir, search=None):
-    return PipelineDeps(gateway=gateway, cache=WordInfoCache(cache_dir), search=search)
+    web = None if search is None else (search, no_page)
+    return PipelineDeps(gateway=gateway, cache=WordInfoCache(cache_dir), web=web)
 
 
 class TestRunPipeline:
     def test_plain_variant_two_calls(self, tmp_path):
-        gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: YES"]})
+        gateway = ScriptedGateway({Purpose.P1: "an analysis", Purpose.P2: "Final decision: YES"})
         trace = run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
         assert trace.keywords == ()
@@ -205,17 +181,17 @@ class TestRunPipeline:
         assert trace.verdict is Label.SARCASTIC
 
     def test_p2_reads_a1_verbatim(self, tmp_path):
-        gateway = PurposeGateway({Purpose.P1: ["an analysis"], Purpose.P2: ["Final decision: NO"]})
+        gateway = ScriptedGateway({Purpose.P1: "an analysis", Purpose.P2: "Final decision: NO"})
         run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
         p2 = gateway.requests[-1]
         assert p2.messages[1].content == "an analysis"
 
     def test_tagging_variant_defines_each_keyword(self, tmp_path):
-        gateway = PurposeGateway(
+        gateway = ScriptedGateway(
             {
-                Purpose.DEFINE_WORD: ["The capital of France."],
-                Purpose.P1: ["analysis"],
-                Purpose.P2: ["Final decision: NO"],
+                Purpose.DEFINE_WORD: "The capital of France.",
+                Purpose.P1: "analysis",
+                Purpose.P2: "Final decision: NO",
             }
         )
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WL, deps_for(gateway, tmp_path))
@@ -226,7 +202,7 @@ class TestRunPipeline:
         assert "Paris is The capital of France." in p1_user
 
     def test_no_keywords_means_plain_p1(self, tmp_path):
-        gateway = PurposeGateway({Purpose.P1: ["analysis"], Purpose.P2: ["Final decision: NO"]})
+        gateway = ScriptedGateway({Purpose.P1: "analysis", Purpose.P2: "Final decision: NO"})
         deps = deps_for(gateway, tmp_path)
         trace = run_pipeline(en_sample("nothing notable here"), PipelineVariant.PMP_WL, deps)
         assert gateway.purposes == [Purpose.P1, Purpose.P2]
@@ -234,16 +210,16 @@ class TestRunPipeline:
         assert gateway.requests[0].messages[1].content == "nothing notable here"
 
     def test_web_variant_full_call_sequence(self, tmp_path):
-        gateway = PurposeGateway(
+        gateway = ScriptedGateway(
             {
-                Purpose.KEYWORD_IDENTIFY: ["i do not know Paris"],
-                Purpose.KEYWORD_CLEAN: ["Paris"],
-                Purpose.REFINE_CHUNKS: ["A city in France."],
-                Purpose.P1: ["analysis"],
-                Purpose.P2: ["Final decision: YES"],
+                Purpose.KEYWORD_IDENTIFY: "i do not know Paris",
+                Purpose.KEYWORD_CLEAN: "Paris",
+                Purpose.REFINE_CHUNKS: "A city in France.",
+                Purpose.P1: "analysis",
+                Purpose.P2: "Final decision: YES",
             }
         )
-        deps = deps_for(gateway, tmp_path, FakeSearch())
+        deps = deps_for(gateway, tmp_path, FakeSearch(LONG_RESULTS))
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
         assert gateway.purposes == [
             Purpose.KEYWORD_IDENTIFY,
@@ -256,15 +232,15 @@ class TestRunPipeline:
         assert trace.word_infos[0].evidence
 
     def test_web_variant_sentinel_means_no_retrieval(self, tmp_path):
-        gateway = PurposeGateway(
+        gateway = ScriptedGateway(
             {
-                Purpose.KEYWORD_IDENTIFY: ["all clear"],
-                Purpose.KEYWORD_CLEAN: ["NO UNKNOWN"],
-                Purpose.P1: ["analysis"],
-                Purpose.P2: ["Final decision: NO"],
+                Purpose.KEYWORD_IDENTIFY: "all clear",
+                Purpose.KEYWORD_CLEAN: "NO UNKNOWN",
+                Purpose.P1: "analysis",
+                Purpose.P2: "Final decision: NO",
             }
         )
-        deps = deps_for(gateway, tmp_path, FakeSearch())
+        deps = deps_for(gateway, tmp_path, FakeSearch(LONG_RESULTS))
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps)
         assert trace.keywords == ()
         assert trace.word_infos == ()
@@ -272,12 +248,12 @@ class TestRunPipeline:
 
     def test_few_shot_variant_alters_only_p2_system(self, tmp_path):
         script = {
-            Purpose.DEFINE_WORD: ["The capital of France."],
-            Purpose.P1: ["analysis"],
-            Purpose.P2: ["Final decision: NO"],
+            Purpose.DEFINE_WORD: "The capital of France.",
+            Purpose.P1: "analysis",
+            Purpose.P2: "Final decision: NO",
         }
-        plain = PurposeGateway(script)
-        shot = PurposeGateway(script)
+        plain = ScriptedGateway(script)
+        shot = ScriptedGateway(script)
         run_pipeline(en_sample(), PipelineVariant.PMP_WL, deps_for(plain, tmp_path / "plain"))
         run_pipeline(en_sample(), PipelineVariant.PMP_WL_FS, deps_for(shot, tmp_path / "shot"))
         assert plain.purposes == shot.purposes
@@ -289,12 +265,12 @@ class TestRunPipeline:
 
     def test_unavailable_definition_drops_keyword_only(self, tmp_path):
         # no search client: every web lookup is unavailable
-        gateway = PurposeGateway(
+        gateway = ScriptedGateway(
             {
-                Purpose.KEYWORD_IDENTIFY: ["i do not know Paris"],
-                Purpose.KEYWORD_CLEAN: ["Paris"],
-                Purpose.P1: ["analysis"],
-                Purpose.P2: ["Final decision: NO"],
+                Purpose.KEYWORD_IDENTIFY: "i do not know Paris",
+                Purpose.KEYWORD_CLEAN: "Paris",
+                Purpose.P1: "analysis",
+                Purpose.P2: "Final decision: NO",
             }
         )
         trace = run_pipeline(en_sample(), PipelineVariant.PMP_WG, deps_for(gateway, tmp_path))
@@ -303,24 +279,23 @@ class TestRunPipeline:
         assert gateway.requests[-2].messages[1].content == en_sample().text
 
     def test_missing_verdict_skips_sample(self, tmp_path):
-        gateway = PurposeGateway(
-            {Purpose.P1: ["analysis"], Purpose.P2: ["the reading does not converge."]}
+        gateway = ScriptedGateway(
+            {Purpose.P1: "analysis", Purpose.P2: "the reading does not converge."}
         )
         with pytest.raises(VerdictNotFound):
             run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
 
     def test_transport_failure_skips_sample(self, tmp_path):
+        gateway = ScriptedGateway([TransportError("backend unreachable")])
         with pytest.raises(TransportError):
-            run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(RaisingGateway(), tmp_path))
+            run_pipeline(en_sample(), PipelineVariant.PMP, deps_for(gateway, tmp_path))
 
 
-class DefineBackend:
-    """Chat backend for a real Gateway that defines each keyword."""
-
-    def complete(self, request):
-        if request.purpose is Purpose.DEFINE_WORD:
-            return f"A city called {request.messages[1].content}."
-        return "Final decision: YES" if request.purpose is Purpose.P2 else "analysis"
+def define_each_keyword(request):
+    """A backend's answer that defines each keyword."""
+    if request.purpose is Purpose.DEFINE_WORD:
+        return f"A city called {request.messages[1].content}."
+    return "Final decision: YES" if request.purpose is Purpose.P2 else "analysis"
 
 
 class TestDefinitionErrors:
@@ -337,23 +312,22 @@ class TestDefinitionErrors:
             finally:
                 finished.append(keyword)
 
-        class QuotaSearch:
-            def search(self, query):
-                if query == "Paris":
-                    raise SearchQuotaExceeded("search quota rejected (429)")
-                return [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
+        def quota_search(query):
+            if query == "Paris":
+                raise SearchQuotaExceeded("search quota rejected (429)")
+            return LONG_RESULTS
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", traced_get_word_info)
-        gateway = PurposeGateway(
+        gateway = ScriptedGateway(
             {
-                Purpose.KEYWORD_IDENTIFY: ["i do not know Paris or London"],
-                Purpose.KEYWORD_CLEAN: ["Paris,London"],
-                Purpose.REFINE_CHUNKS: ["A city."],
-                Purpose.P1: ["analysis"],
-                Purpose.P2: ["Final decision: NO"],
+                Purpose.KEYWORD_IDENTIFY: "i do not know Paris or London",
+                Purpose.KEYWORD_CLEAN: "Paris,London",
+                Purpose.REFINE_CHUNKS: "A city.",
+                Purpose.P1: "analysis",
+                Purpose.P2: "Final decision: NO",
             }
         )
-        deps = deps_for(gateway, tmp_path, QuotaSearch())
+        deps = deps_for(gateway, tmp_path, FakeSearch(quota_search))
         with pytest.raises(SearchQuotaExceeded):
             run_pipeline(self.SAMPLE, PipelineVariant.PMP_WG, deps)
         assert finished == ["Paris", "London"]
@@ -377,7 +351,7 @@ class TestDefinitionErrors:
 
         monkeypatch.setattr("sarcrag.pipeline.get_word_info", failing_get_word_info)
         with pytest.raises(StoreWriteError):
-            gateway = Gateway(DefineBackend(), TranscriptStore(tmp_path))
+            gateway = Gateway(FunctionBackend(define_each_keyword), TranscriptStore(tmp_path))
             run_pipeline(self.SAMPLE, PipelineVariant.PMP_WL, deps_for(gateway, tmp_path / "cache"))
         assert called == list(errors)
 

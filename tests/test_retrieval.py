@@ -2,7 +2,6 @@
 
 import errno
 import hashlib
-import io
 import json
 import math
 import os
@@ -13,6 +12,7 @@ import time
 
 import pytest
 import requests
+from fakes import FakeSearch, FakeSession, ScriptedGateway, http_response, no_page
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -230,26 +230,6 @@ class TestBm25:
         assert [c.index for c in ranked] == list(range(DEFAULT_TOP_K))
 
 
-class FakeSearch:
-    def __init__(self, results):
-        self.results = results
-        self.queries = []
-
-    def search(self, query):
-        self.queries.append(query)
-        return self.results
-
-
-class ScriptedGateway:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def chat(self, request):
-        self.requests.append(request)
-        return self.responses.pop(0)
-
-
 LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
 
 
@@ -264,17 +244,17 @@ def search_items(count):
 class TestSearchAndGather:
     def test_search_web_truncates_to_max_results(self):
         items = search_items(DEFAULT_MAX_RESULTS)
-        session = make_search_session(FakeHttpResponse(payload={"items": items}))
+        session = FakeSession([http_response({"items": items})])
         got = search_web("kw", make_search_client(session))
         assert got == [make_result(item["snippet"], url=item["link"]) for item in items]
-        assert [(params["q"], params["num"]) for _, params, _ in session.calls] == [
+        assert [(kw["params"]["q"], kw["params"]["num"]) for _, kw in session.calls] == [
             ("kw", DEFAULT_MAX_RESULTS)
         ]
 
     def test_search_web_truncates_an_overlong_answer(self):
         # the API may answer with more items than the `num` it was asked for
         items = search_items(DEFAULT_MAX_RESULTS + 2)
-        session = make_search_session(FakeHttpResponse(payload={"items": items}))
+        session = FakeSession([http_response({"items": items})])
         got = search_web("kw", make_search_client(session))
         assert got == [
             make_result(item["snippet"], url=item["link"]) for item in items[:DEFAULT_MAX_RESULTS]
@@ -296,32 +276,21 @@ class TestSearchAndGather:
         assert chunks[0].text.startswith("word0")
 
     def test_gather_falls_back_to_snippet_on_fetch_error(self):
-        import requests
-
-        def failing(url):
-            raise requests.ConnectionError("boom")
-
-        chunks = gather_corpus([make_result("short snippet")], failing)
+        chunks = gather_corpus([make_result("short snippet")], no_page)
         assert chunks[0].text == "short snippet"
 
     def test_gather_keeps_a_page_with_malformed_markup(self):
-        session = PageSession(MALFORMED_PAGE.encode())
-        chunks = gather_corpus(
-            [make_result("short snippet")], lambda url: fetch(session, url)
-        )
+        response = http_response(body=MALFORMED_PAGE.encode())
+        chunks = gather_corpus([make_result("short snippet")], lambda url: fetch(response, url))
         assert [c.text for c in chunks] == ["Penny is a waitress in Pasadena"]
 
-    def test_gather_without_fetcher_uses_snippets(self):
-        chunks = gather_corpus([make_result("short snippet")], None)
-        assert chunks[0].text == "short snippet"
-
     def test_gather_skips_results_with_no_text(self):
-        chunks = gather_corpus([make_result("")], None)
+        chunks = gather_corpus([make_result("")], no_page)
         assert chunks == []
 
     def test_chunks_at_default_window_and_overlap(self):
         words = [f"w{i}" for i in range(250)]
-        chunks = gather_corpus([make_result(" ".join(words))], None)
+        chunks = gather_corpus([make_result(" ".join(words))], no_page)
         step = DEFAULT_CHUNK_SIZE - DEFAULT_OVERLAP
         assert [c.text.split() for c in chunks] == [
             words[offset : offset + DEFAULT_CHUNK_SIZE] for offset in range(0, 250, step)
@@ -330,38 +299,10 @@ class TestSearchAndGather:
     def test_chunk_indices_restart_per_document(self):
         page = " ".join(f"word{i}" for i in range(250))
         results = [make_result(page, url="https://a.com"), make_result(page, url="https://b.com")]
-        chunks = gather_corpus(results, None)
+        chunks = gather_corpus(results, no_page)
         assert [(c.source_url, c.index) for c in chunks] == [
             (url, index) for url in ("https://a.com", "https://b.com") for index in range(3)
         ]
-
-
-class FakeHttpResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = text
-
-    def raise_for_status(self):
-        import requests
-
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self._payload
-
-
-def make_search_session(response):
-    class Session:
-        def __init__(self):
-            self.calls = []
-
-        def get(self, url, params=None, timeout=None):
-            self.calls.append((url, params, timeout))
-            return response
-
-    return Session()
 
 
 def make_search_client(session):
@@ -378,12 +319,12 @@ class TestGoogleSearchClient:
                 {"title": "T2", "link": "https://b.com", "snippet": "s2"},
             ]
         }
-        session = make_search_session(FakeHttpResponse(payload=payload))
+        session = FakeSession([http_response(payload)])
         client = make_search_client(session)
         results = client.search("query")
         assert [r.url for r in results] == ["https://a.com", "https://b.com"]
         assert [r.snippet for r in results] == ["s1", "s2"]
-        url, params, _ = session.calls[0]
+        params = session.calls[0][1]["params"]
         assert params["q"] == "query"
         assert params["key"] == "k"
         assert params["cx"] == "cx"
@@ -395,14 +336,14 @@ class TestGoogleSearchClient:
         ids=["403", "429"],
     )
     def test_quota_exhaustion_is_distinct(self, status, error, skips):
-        session = make_search_session(FakeHttpResponse(status_code=status))
+        session = FakeSession([http_response(status=status)])
         client = make_search_client(session)
         with pytest.raises(error) as info:
             client.search("q")
         assert isinstance(info.value, SampleError) is skips
 
     def test_server_error_raises_transport(self):
-        session = make_search_session(FakeHttpResponse(status_code=500))
+        session = FakeSession([http_response(status=500)])
         client = make_search_client(session)
         with pytest.raises(SearchTransportError) as info:
             client.search("q")
@@ -413,9 +354,7 @@ class TestGoogleSearchClient:
         [None, [], {"items": None}, {"items": ["x"]}, {"items": [{"link": None, "snippet": 5}]}],
     )
     def test_malformed_body_raises_transport(self, body):
-        response = FakeHttpResponse()
-        response.json = lambda: body
-        session = make_search_session(response)
+        session = FakeSession([http_response(body=json.dumps(body).encode())])
         client = make_search_client(session)
         with pytest.raises(SearchTransportError) as info:
             client.search("q")
@@ -425,19 +364,19 @@ class TestGoogleSearchClient:
         in_flight = threading.BoundedSemaphore(1)
         taken = []
 
-        class Session:
-            def get(self, url, params=None, timeout=None):
-                taken.append(not in_flight.acquire(blocking=False))
-                return FakeHttpResponse(status_code=429)
+        def answer(url, **kwargs):
+            taken.append(not in_flight.acquire(blocking=False))
+            return http_response(status=429)
 
-        client = GoogleSearchClient(api_key="k", engine_id="cx", session=Session(), in_flight=in_flight)
+        session = FakeSession(answer)
+        client = GoogleSearchClient(api_key="k", engine_id="cx", session=session, in_flight=in_flight)
         with pytest.raises(SearchQuotaExceeded):
             client.search("q")
         assert taken == [True]
         assert in_flight.acquire(blocking=False), "the search kept its permit"
 
     def test_missing_items_is_empty(self):
-        session = make_search_session(FakeHttpResponse(payload={}))
+        session = FakeSession([http_response({})])
         client = make_search_client(session)
         assert client.search("q") == []
 
@@ -462,62 +401,21 @@ class TestStripMarkup:
         assert strip_markup(MALFORMED_PAGE) == "Penny is a waitress in Pasadena"
 
 
-class BlockReader(io.BytesIO):
-    """A response body that counts the blocks it hands out."""
-
-    def __init__(self, body):
-        super().__init__(body)
-        self.blocks = 0
-
-    def read(self, size=-1):
-        block = super().read(size)
-        if block:
-            self.blocks += 1
-        return block
-
-
-def streamed_response(body, content_type="text/html; charset=utf-8", status_code=200):
-    """A real requests.Response over an in-memory body, as `get(..., stream=True)` returns."""
-    response = requests.Response()
-    response.status_code = status_code
-    if content_type is not None:
-        response.headers["Content-Type"] = content_type
-    response.encoding = requests.utils.get_encoding_from_headers(response.headers)
-    response.raw = BlockReader(body)
-    return response
-
-
-class PageSession:
-    def __init__(self, body, content_type="text/html; charset=utf-8", status_code=200):
-        self.response = streamed_response(body, content_type, status_code)
-
-    def get(self, url, headers=None, timeout=None, stream=False):
-        assert stream is True
-        return self.response
-
-
-def text_of(body, content_type="text/html; charset=utf-8"):
+def text_of(body, content_type):
     """The reference: markup cut from the whole body decoded by `response.text`."""
-    return strip_markup(streamed_response(body, content_type).text[:MAX_FETCHED_CHARS])
+    return strip_markup(http_response(body=body, content_type=content_type).text[:MAX_FETCHED_CHARS])
 
 
-def fetch(session, url="https://a.com"):
-    """fetch_page over session, under a bound of its own."""
-    return fetch_page(url, session=session, in_flight=threading.BoundedSemaphore(1))
+def fetch(response, url="https://a.com"):
+    """fetch_page of a session that answers with response, under a bound of its own."""
+    return fetch_page(url, session=FakeSession([response]), in_flight=threading.BoundedSemaphore(1))
 
 
 class TestFetchPage:
     def test_truncates_and_sends_user_agent(self):
-        seen = {}
-
-        class Session:
-            def get(self, url, headers=None, timeout=None, stream=False):
-                seen["headers"] = headers
-                seen["timeout"] = timeout
-                seen["stream"] = stream
-                return streamed_response(("<p>" + "x" * 30000 + "</p>").encode())
-
-        text = fetch(Session())
+        session = FakeSession([http_response(body=("<p>" + "x" * 30000 + "</p>").encode())])
+        text = fetch_page("https://a.com", session=session, in_flight=threading.BoundedSemaphore(1))
+        [(_, seen)] = session.calls
         assert len(text) <= 20000
         assert "User-Agent" in seen["headers"]
         assert seen["timeout"] == 10
@@ -525,17 +423,17 @@ class TestFetchPage:
 
     def test_oversized_body_read_only_to_cap(self):
         body = b"<p>" + b"x" * (4 * 1024 * 1024) + b"</p>"
-        session = PageSession(body)
-        text = fetch(session)
-        reader = session.response.raw
+        response = http_response(body=body)
+        text = fetch(response)
+        reader = response.raw
         assert text == "x" * (MAX_FETCHED_CHARS - 3)
         assert reader.blocks == -(-MAX_FETCHED_CHARS // FETCH_BLOCK_BYTES)
         assert reader.closed
 
     def test_short_body_read_to_end(self):
-        session = PageSession(b"<p>short page</p>")
-        assert fetch(session) == "short page"
-        assert session.response.raw.tell() == len(b"<p>short page</p>")
+        response = http_response(body=b"<p>short page</p>")
+        assert fetch(response) == "short page"
+        assert response.raw.tell() == len(b"<p>short page</p>")
 
     @pytest.mark.parametrize(
         "body, content_type",
@@ -557,8 +455,8 @@ class TestFetchPage:
         ],
     )
     def test_equals_decoding_whole_body(self, body, content_type):
-        session = PageSession(body, content_type)
-        assert fetch(session) == text_of(body, content_type)
+        response = http_response(body=body, content_type=content_type)
+        assert fetch(response) == text_of(body, content_type)
 
     @pytest.mark.parametrize(
         "content_type",
@@ -572,29 +470,30 @@ class TestFetchPage:
     )
     def test_unknown_or_undeclared_charset_falls_back_to_utf8(self, content_type):
         body = ("<p>" + "kata é " * 5000 + "</p>").encode()
-        text = fetch(PageSession(body, content_type))
+        text = fetch(http_response(body=body, content_type=content_type))
         assert text == strip_markup(body.decode()[:MAX_FETCHED_CHARS])
 
     def test_holds_a_permit_while_the_body_is_read(self):
         in_flight = threading.BoundedSemaphore(1)
-        session = PageSession(b"<p>short page</p>")
+        response = http_response(body=b"<p>short page</p>")
         taken = []
-        read = session.response.raw.read
+        read = response.raw.read
 
         def read_and_check(size=-1):
             taken.append(not in_flight.acquire(blocking=False))
             return read(size)
 
-        session.response.raw.read = read_and_check
+        response.raw.read = read_and_check
+        session = FakeSession([response])
         assert fetch_page("https://a.com", session=session, in_flight=in_flight) == "short page"
         assert taken and all(taken)
         assert in_flight.acquire(blocking=False), "the fetch kept its permit"
 
     def test_http_error_raises_request_exception_and_closes(self):
-        session = PageSession(b"error", status_code=500)
+        response = http_response(status=500, body=b"error")
         with pytest.raises(requests.HTTPError):
-            fetch(session)
-        assert session.response.raw.closed
+            fetch(response)
+        assert response.raw.closed
 
 
 class TestRefineDefinition:
@@ -907,7 +806,7 @@ class TestGetWordInfo:
                 ScriptedGateway([]),
                 LanguageTag.ENGLISH,
                 cache=WordInfoCache(tmp_path),
-                search=None,
+                web=None,
             )
 
     def test_search_path_end_to_end(self, tmp_path):
@@ -920,7 +819,7 @@ class TestGetWordInfo:
             gateway,
             LanguageTag.ENGLISH,
             cache=cache,
-            search=search,
+            web=(search, no_page),
         )
         assert got.definition == "Means imitation goods."
         assert got.evidence and got.evidence[0][0] == "https://a.com"
@@ -935,7 +834,7 @@ class TestGetWordInfo:
                 ScriptedGateway([]),
                 LanguageTag.ENGLISH,
                 cache=WordInfoCache(tmp_path),
-                search=FakeSearch([]),
+                web=(FakeSearch([]), no_page),
             )
 
     class SlowGateway:

@@ -2,15 +2,14 @@
 
 The real CLI runs one input set on several schedules: `--concurrency` 1, 2
 and 4, and the samples in reverse order. The chat model, the search engine and
-the web pages are patched in at `requests.Session`; each answers as a pure
-function of its request, after a seeded random sleep, so calls finish in a
-different order on each schedule. Every schedule must leave byte-identical
-transcript and cache trees, and the same `run.jsonl` records but for
-`wall_time`.
+the web pages are patched in at `requests.Session` by `fakes.patch_endpoints`;
+each answers as a pure function of its request, after a seeded random sleep, so
+calls finish in a different order on each schedule. Every schedule must leave
+byte-identical transcript and cache trees, and the same `run.jsonl` records but
+for `wall_time`.
 """
 
 import hashlib
-import io
 import json
 import random
 import re
@@ -18,15 +17,12 @@ import threading
 import time
 
 import pytest
-import requests
+from fakes import patch_endpoints, run
 
-from sarcrag.cli import main
 from sarcrag.core import LanguageTag
-from sarcrag.retrieval import GoogleSearchClient
 from sarcrag.templates import load_templates
 
 EN = load_templates(LanguageTag.ENGLISH)
-CHAT_URL = "http://chat.invalid/api/chat"
 SHARED_PAGE = "https://pages.invalid/london-airports"
 
 TEXTS = [
@@ -51,27 +47,26 @@ CASINGS = ["we love PENNY so much", "we love Penny so much"]
 SCHEDULES = [("1", False), ("2", False), ("4", False), ("1", True)]
 
 
-def answer(messages):
+def answer(system, user, payload):
     """The fake model: keyword steps follow the text, anything else is named by its digest."""
-    system, user = messages[0]["content"], messages[1]["content"]
     if system == EN.keyword_identify:
         return f"Words I do not know: {user}"
     if system == EN.keyword_csv:
         names = re.findall(r"\b[A-Z][A-Za-z]+", user.split(":", 1)[1])
         return ",".join(names) if names else "NO UNKNOWN"
-    digest = hashlib.sha256(json.dumps(messages).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(payload["messages"]).encode()).hexdigest()
     verdict = "YES" if int(digest, 16) % 2 else "NO"
     return f"Note {digest[:12]}.\nFinal decision: {verdict}"
 
 
 def search_items(query):
     url = SHARED_PAGE if query in ("Heathrow", "Gatwick") else f"https://pages.invalid/{query}"
-    return {"items": [{"link": url, "snippet": f"about {query}"}]}
+    return [{"link": url, "snippet": f"about {query}"}]
 
 
 def page(url):
     name = url.rsplit("/", 1)[1]
-    return f"<p>{name} " + " ".join(f"{name} fact {i}." for i in range(60)) + "</p>"
+    return (f"<p>{name} " + " ".join(f"{name} fact {i}." for i in range(60)) + "</p>").encode()
 
 
 @pytest.fixture
@@ -80,33 +75,21 @@ def fake_services(monkeypatch):
     state = {"rng": random.Random(0)}
     lock = threading.Lock()
 
-    def pause():
-        with lock:
-            delay = state["rng"].uniform(0, 0.02)
-        time.sleep(delay)
+    def after_a_pause(respond):
+        def paused(*args):
+            with lock:
+                delay = state["rng"].uniform(0, 0.02)
+            time.sleep(delay)
+            return respond(*args)
 
-    def post(self, url, **kwargs):
-        pause()
-        response = requests.Response()
-        response.status_code = 200
-        text = answer(kwargs["json"]["messages"])
-        response._content = json.dumps({"message": {"content": text}}).encode()
-        return response
+        return paused
 
-    def get(self, url, **kwargs):
-        pause()
-        response = requests.Response()
-        response.status_code = 200
-        if url == GoogleSearchClient.endpoint:
-            response._content = json.dumps(search_items(kwargs["params"]["q"])).encode()
-        else:
-            response.headers["Content-Type"] = "text/html; charset=utf-8"
-            response.encoding = "utf-8"
-            response.raw = io.BytesIO(page(url).encode())
-        return response
-
-    monkeypatch.setattr(requests.Session, "post", post)
-    monkeypatch.setattr(requests.Session, "get", get)
+    patch_endpoints(
+        monkeypatch,
+        chat=after_a_pause(answer),
+        search=after_a_pause(search_items),
+        page=after_a_pause(page),
+    )
     monkeypatch.setenv("SEARCH_API_KEY", "key")
     monkeypatch.setenv("SEARCH_ENGINE_ID", "engine")
     monkeypatch.delenv("LLM_ENDPOINT", raising=False)
@@ -124,22 +107,7 @@ def run_schedule(root, texts, concurrency, reverse):
         "Tweet index\tLabel\tTweet text\n" + "\n".join(rows[::-1] if reverse else rows) + "\n",
         encoding="utf-8",
     )
-    code = main(
-        [
-            "run",
-            "--dataset", "semeval",
-            "--data-path", str(data),
-            "--variant", "pmpwg",
-            "--model", "m",
-            "--backend", "live",
-            "--endpoint", CHAT_URL,
-            "--concurrency", concurrency,
-            "--transcripts", str(root / "transcripts"),
-            "--cache", str(root / "cache"),
-            "--out", str(root / "runs"),
-        ]
-    )
-    assert code == 0
+    assert run(root, "--data-path", data, "--variant", "pmpwg", "--concurrency", concurrency) == 0
     run_log = root / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl"
     records = [json.loads(line) for line in run_log.read_text(encoding="utf-8").splitlines()]
     for record in records:
