@@ -76,11 +76,21 @@ def _semeval_rows(path: Path | str) -> Rows:
             yield index.strip(), text, _binary_label(label, line_no)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of pairs; FormatError if a key repeats, where json keeps the last."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _mustard_rows(path: Path | str) -> Rows:
     """JSON object keyed by entry id; context lines and the braced target utterance."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):

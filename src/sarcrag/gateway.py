@@ -292,8 +292,10 @@ def _not_retried(cause: str, attempt: int) -> TransportError:
 def _extract_text(body: object) -> str:
     """Pull generated text out of an Ollama-chat (`message`) or OpenAI-chat (`choices`) body.
 
-    Raises ValueError for any other shape, and for text that is not a string,
-    such as the `"content": null` an OpenAI-shape answer may carry.
+    Raises ValueError for any other shape, for text that is not a string, such as
+    the `"content": null` an OpenAI-shape answer may carry, and for text that UTF-8
+    cannot encode, such as one half of a surrogate pair, which JSON can escape alone:
+    no transcript could hold it.
     """
     try:
         if "message" in body:
@@ -305,6 +307,7 @@ def _extract_text(body: object) -> str:
         raise ValueError(f"unrecognized response shape: {shape}") from exc
     if not isinstance(text, str):
         raise ValueError(f"response text is {type(text).__name__}, not a string")
+    text.encode("utf-8")  # raises UnicodeEncodeError, a ValueError
     return text
 
 

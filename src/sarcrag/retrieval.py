@@ -263,7 +263,8 @@ def _search_items(body: object) -> list[dict]:
     """The items of a search body; a missing link or snippet reads as empty.
 
     Raises ValueError unless the body is an object whose items, if any, are a
-    list of objects with string link and snippet values.
+    list of objects with string link and snippet values that UTF-8 can encode;
+    one half of a surrogate pair, which JSON can escape alone, could not be cached.
     """
     items = body.get("items", []) if isinstance(body, dict) else None
     if not isinstance(items, list) or not all(
@@ -273,6 +274,9 @@ def _search_items(body: object) -> list[dict]:
         for item in items
     ):
         raise ValueError("body is not an object with a list of items with string link and snippet")
+    for item in items:
+        # raises UnicodeEncodeError, a ValueError
+        (item.get("link", "") + item.get("snippet", "")).encode("utf-8")
     return items
 
 

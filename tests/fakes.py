@@ -1,22 +1,81 @@
-"""Test doubles that more than one test uses: HTTP responses and sessions, the chat,
-search and page endpoints behind `requests.Session`, stand-ins for the pipeline's
-gateway, backend and search ports, and the `sarcrag run` command line.
+"""Test doubles and inputs that more than one test uses: HTTP responses and sessions,
+the chat, search and page endpoints behind `requests.Session`, stand-ins for the
+pipeline's gateway, backend and search ports, the `sarcrag run` command line,
+SemEval data files, the race harness and the loader of the generator scripts.
 
 Test files import them as `from fakes import ...`. Every fake HTTP exchange of
 the suite is answered here, by `FakeSession` or by `patch_endpoints`.
 """
 
+import importlib.util
 import io
 import json
 import shutil
+import sys
+import threading
 from pathlib import Path
 
 import requests
 
 from sarcrag.cli import main
+from sarcrag.keywords import _cap_keywords, parse_csv_keywords
 from sarcrag.retrieval import GoogleSearchClient
 
 FIXTURE = Path(__file__).parent / "fixtures" / "replay"
+
+# A search snippet of 25 words, long enough that its page is not fetched.
+LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
+
+
+def keyword_set(raw):
+    """The keywords extraction keeps from raw, the answer of the CSV-cleaning call."""
+    return list(_cap_keywords(parse_csv_keywords(raw)))
+
+
+def load_script(path):
+    """The script at path, imported as a module named after its file."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def semeval_file(path, texts):
+    """path, written as a SemEval file whose rows are `texts`, numbered from 1, each labelled 1."""
+    rows = "".join(f"{n}\t1\t{text}\n" for n, text in enumerate(texts, start=1))
+    path.write_text("Tweet index\tLabel\tTweet text\n" + rows, encoding="utf-8")
+    return path
+
+
+def at_once(calls):
+    """What each of `calls` returned, or the exception it raised, in call order.
+
+    Each call runs on its own thread, and all of them start together at one barrier.
+    The interpreter's switch interval is 1 µs meanwhile, so that the threads switch
+    as often as they can; it is restored afterwards. Each thread gets 30 s to finish.
+    """
+    outcomes = [None] * len(calls)
+    start = threading.Barrier(len(calls), timeout=30)
+
+    def call(n):
+        start.wait()
+        try:
+            outcomes[n] = calls[n]()
+        except Exception as exc:
+            outcomes[n] = exc
+
+    threads = [threading.Thread(target=call, args=(n,)) for n in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a call ran past 30 s"
+    return outcomes
 
 
 class BlockReader(io.BytesIO):

@@ -1,7 +1,8 @@
 """Recompute the ranking-function golden values with plain arithmetic.
 
 Intentionally independent of the package: the scoring formula is restated
-here directly so the printed values act as an oracle for the implementation.
+here directly so the printed values act as an oracle for the implementation,
+and tests/test_acceptance.py scores random corpora with `score` as well.
 Run from the repository root: python tests/golden/make_bm25_goldens.py
 """
 
@@ -35,16 +36,20 @@ def score(query: list[str], doc: list[str], corpus: list[list[str]]) -> float:
     return total
 
 
-def main() -> None:
+def goldens() -> dict[str, float]:
     d1 = "a b a".split()
     d2 = "b c".split()
-    goldens = {
+    return {
         "idf_two_docs_term_in_one": idf(2, 1),
         "idf_single_doc_term_present": idf(1, 1),
         "two_doc_score_query_a_doc_d1": score(["a"], d1, [d1, d2]),
     }
-    OUT.write_text(json.dumps(goldens, indent=2) + "\n", encoding="utf-8")
-    for name, value in goldens.items():
+
+
+def main() -> None:
+    values = goldens()
+    OUT.write_text(json.dumps(values, indent=2) + "\n", encoding="utf-8")
+    for name, value in values.items():
         print(f"{name} = {value!r}")
 
 

@@ -7,9 +7,7 @@ search, so correctness is asserted through oracles, goldens, and replay
 determinism instead of score reproduction.
 """
 
-import importlib.util
 import json
-import math
 import os
 import random
 import socket
@@ -23,6 +21,8 @@ from fakes import (
     FakeSearch,
     FunctionBackend,
     ScriptedGateway,
+    keyword_set,
+    load_script,
     no_page,
     patch_endpoints,
     run,
@@ -40,7 +40,7 @@ from sarcrag.datasets import load_dataset
 from sarcrag.errors import MalformedCSV
 from sarcrag.evaluation import ConfusionMatrix, macro_metrics
 from sarcrag.gateway import Gateway, Purpose, Role, TranscriptStore
-from sarcrag.keywords import _cap_keywords, parse_csv_keywords
+from sarcrag.keywords import parse_csv_keywords
 from sarcrag.pipeline import PipelineDeps, build_p1, build_p2, run_pipeline
 from sarcrag.retrieval import (
     DEFAULT_TOP_K,
@@ -56,25 +56,13 @@ from sarcrag.retrieval import (
 from sarcrag.templates import load_templates
 
 GOLDEN = Path(__file__).parent / "golden"
+# The generator scripts of the goldens, whose plain restatements of BM25 and of
+# prompt composition are the oracles, and whose inputs the golden prompts hold.
+BM25 = load_script(GOLDEN / "make_bm25_goldens.py")
+PROMPTS = load_script(GOLDEN / "make_prompt_goldens.py")
 
 
 # --- 1. ranking equivalence against a brute-force oracle -----------------
-
-def oracle_idf(n_docs, df_term):
-    return math.log((n_docs - df_term + 0.5) / (df_term + 0.5) + 1.0)
-
-
-def oracle_score(query, doc, corpus, k1=1.2, b=0.75):
-    avg_len = sum(len(d) for d in corpus) / len(corpus)
-    total = 0.0
-    for term in query:
-        freq = doc.count(term)
-        if freq == 0:
-            continue
-        df_term = sum(1 for d in corpus if term in d)
-        norm = k1 * (1.0 - b + b * len(doc) / avg_len)
-        total += oracle_idf(len(corpus), df_term) * freq * (k1 + 1.0) / (freq + norm)
-    return total
 
 
 VOCAB = [
@@ -93,10 +81,10 @@ def assert_ranking_matches_oracle(rng, chunks):
     got_scores = bm25_scores(" ".join(query), chunks)
     assert len(got_scores) == len(chunks)
     for got, doc in zip(got_scores, docs):
-        want = oracle_score(query, doc, docs)
+        want = BM25.score(query, doc, docs)
         assert abs(got - want) <= 1e-9
     got_order = rank_chunks(" ".join(query), chunks)
-    scored = [(oracle_score(query, d, docs), c) for d, c in zip(docs, chunks)]
+    scored = [(BM25.score(query, d, docs), c) for d, c in zip(docs, chunks)]
     want_order = [
         c
         for _, c in sorted(
@@ -140,67 +128,28 @@ class TestRankingOracleEquivalence:
 
 # --- 2. frozen ranking golden values --------------------------------------
 
-class TestRankingGoldenValues:
-    # frozen from tests/golden/make_bm25_goldens.py
-    IDF_TWO_DOCS_TERM_IN_ONE = 0.6931471805599453
-    IDF_SINGLE_DOC_TERM_PRESENT = 0.28768207245178085
-    TWO_DOC_SCORE = 0.9023217735099880
+def bm25_goldens():
+    """The frozen values of tests/golden/bm25_goldens.json."""
+    return json.loads((GOLDEN / "bm25_goldens.json").read_text(encoding="utf-8"))
 
+
+class TestRankingGoldenValues:
     def test_idf_goldens(self):
-        assert abs(bm25_idf(2, 1) - self.IDF_TWO_DOCS_TERM_IN_ONE) < 1e-6
-        assert abs(bm25_idf(1, 1) - self.IDF_SINGLE_DOC_TERM_PRESENT) < 1e-6
+        goldens = bm25_goldens()
+        assert abs(bm25_idf(2, 1) - goldens["idf_two_docs_term_in_one"]) < 1e-6
+        assert abs(bm25_idf(1, 1) - goldens["idf_single_doc_term_present"]) < 1e-6
 
     def test_two_document_score_golden(self):
         d1 = Chunk(text="a b a", source_url="", index=0, tokens=("a", "b", "a"))
         d2 = Chunk(text="b c", source_url="", index=1, tokens=("b", "c"))
         score, _ = bm25_scores("a", [d1, d2])
-        assert abs(score - self.TWO_DOC_SCORE) < 1e-6
+        assert abs(score - bm25_goldens()["two_doc_score_query_a_doc_d1"]) < 1e-6
 
     def test_goldens_file_in_sync(self):
-        recorded = json.loads((GOLDEN / "bm25_goldens.json").read_text(encoding="utf-8"))
-        assert recorded["idf_two_docs_term_in_one"] == self.IDF_TWO_DOCS_TERM_IN_ONE
-        assert recorded["idf_single_doc_term_present"] == self.IDF_SINGLE_DOC_TERM_PRESENT
-        assert recorded["two_doc_score_query_a_doc_d1"] == self.TWO_DOC_SCORE
+        assert bm25_goldens() == BM25.goldens()
 
 
 # --- 3. prompt composition byte-matches golden files ----------------------
-
-PROMPT_SAMPLE_TEXT = {
-    "en": "Sweet United Nations video. Just in time for Christmas.",
-    "id": "Keren banget jam kw ini, baru seminggu udah mati wkwk",
-}
-
-PROMPT_WORD_INFOS = {
-    "en": [
-        (
-            "United Nations",
-            "an international organization founded in 1945 to keep peace between countries.",
-        ),
-        ("Christmas", "a Christian holiday celebrated every 25 December."),
-    ],
-    "id": [
-        (
-            "kw",
-            "singkatan yang merujuk pada barang tiruan dengan kualitas lebih rendah dari produk asli.",
-        ),
-        ("wkwk", "sebuah ekspresi tawa yang sering dipakai dalam percakapan di media sosial."),
-    ],
-}
-
-PROMPT_A1 = {
-    "en": (
-        'The statement to analyze is: "Sweet United Nations video. Just in time for Christmas."\n'
-        "The speaker implies the video arrived at a convenient moment, but the praise feels exaggerated.\n"
-        "The speaker appears unimpressed by the video despite the positive wording.\n"
-        "What is implied and what is thought do not match, so the speaker may be pretending to be pleased."
-    ),
-    "id": (
-        'Pernyataan yang dianalisis: "Keren banget jam kw ini, baru seminggu udah mati wkwk"\n'
-        "Pembicara menyiratkan bahwa jam tiruan itu cepat rusak, bertentangan dengan pujian di awal kalimat.\n"
-        "Pembicara sebenarnya kecewa dengan kualitas jam tersebut.\n"
-        "Yang tersirat dan yang dipikirkan tidak sejalan, jadi pembicara tampak berpura-pura memuji."
-    ),
-}
 
 PROMPT_LANGUAGES = {"en": LanguageTag.ENGLISH, "id": LanguageTag.INDONESIAN}
 
@@ -215,13 +164,13 @@ def prompt_inputs(lang):
     language = PROMPT_LANGUAGES[lang]
     sample = Sample(
         id=f"golden:{lang}",
-        text=PROMPT_SAMPLE_TEXT[lang],
+        text=PROMPTS.SAMPLE_TEXT[lang],
         gold=Label.SARCASTIC,
         language=language,
     )
     infos = [
         WordInfo(keyword=k, definition=d, source=RetrievalSource.LLM_ONLY)
-        for k, d in PROMPT_WORD_INFOS[lang]
+        for k, d in PROMPTS.WORD_INFOS[lang]
     ]
     return sample, infos, load_templates(language)
 
@@ -244,7 +193,7 @@ class TestPromptGoldens:
     @pytest.mark.parametrize("lang", ["en", "id"])
     def test_p2_with_few_shot(self, lang):
         _, _, templates = prompt_inputs(lang)
-        request = build_p2(PROMPT_A1[lang], True, templates)
+        request = build_p2(PROMPTS.A1_TEXT[lang], True, templates)
         assert request.messages[0].content == golden_text(lang, "p2_fewshot_system")
         assert request.messages[1].content == golden_text(lang, "p2_fewshot_user")
 
@@ -451,10 +400,7 @@ class TestReplayDeterminism:
         assert lines == golden.read_text(encoding="utf-8").splitlines()
 
     def test_fixture_rebuild_is_byte_identical(self, tmp_path):
-        spec = importlib.util.spec_from_file_location("make_fixture", FIXTURE / "make_fixture.py")
-        make_fixture = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make_fixture)
-        make_fixture.main(tmp_path)
+        load_script(FIXTURE / "make_fixture.py").main(tmp_path)
 
         def files(root):
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -537,11 +483,6 @@ class TestDialogueFlattening:
 
 
 # --- 8. CSV keyword parsing cases and fuzz ----------------------------------
-
-def keyword_set(raw):
-    """The keywords extraction keeps from raw, the answer of the CSV-cleaning call."""
-    return list(_cap_keywords(parse_csv_keywords(raw)))
-
 
 class TestCsvKeywordParsing:
     @pytest.mark.parametrize(

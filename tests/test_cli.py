@@ -1,6 +1,5 @@
 """Command line: config resolution, the run/report/cache subcommands, exit codes."""
 
-import argparse
 import errno
 import io
 import json
@@ -10,7 +9,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from fakes import FIXTURE, copy_fixture, http_response, patch_endpoints, run, say_yes
+from fakes import FIXTURE, copy_fixture, http_response, patch_endpoints, run, say_yes, semeval_file
 
 from sarcrag import cli, gateway
 from sarcrag.cli import (
@@ -33,26 +32,11 @@ from sarcrag.templates import load_templates
 GOLDEN_RUN = Path(__file__).parent / "golden" / "replay" / "semeval_pmpwl.jsonl"
 EN = load_templates(LanguageTag.ENGLISH)
 
-RUN_ARG_NAMES = (
-    "dataset",
-    "data_path",
-    "variant",
-    "model",
-    "backend",
-    "endpoint",
-    "concurrency",
-    "limit",
-    "out",
-    "transcripts",
-    "cache",
-    "config",
-)
-
-
 def make_args(**overrides):
-    values = {name: None for name in RUN_ARG_NAMES}
-    values.update(overrides)
-    return argparse.Namespace(**values)
+    """The arguments of `sarcrag run` with no flag given, then `overrides` set."""
+    args = build_parser().parse_args(["run"])
+    vars(args).update(overrides)
+    return args
 
 
 def replay_args(tmp_path, **overrides):
@@ -292,8 +276,7 @@ class TestRunCommand:
         assert not (run_dir / "report.json").exists()
 
     def test_a_data_file_with_no_samples_exits_2(self, tmp_path, capsys):
-        data = tmp_path / "header_only.tsv"
-        data.write_text("Tweet index\tLabel\tTweet text\n", encoding="utf-8")
+        data = semeval_file(tmp_path / "header_only.tsv", [])
         assert run(tmp_path, "--data-path", data, fixture=True) == 2
         assert capsys.readouterr().err == f"error: data path holds no samples: {data}\n"
         assert not (tmp_path / FIXTURE_RUN / "run.jsonl").exists()
@@ -399,13 +382,7 @@ class TestRunCommand:
 
 
 def numbered_samples(tmp_path, count):
-    data = tmp_path / "numbered.tsv"
-    data.write_text(
-        "Tweet index\tLabel\tTweet text\n"
-        + "".join(f"{n}\t1\tsample number {n}\n" for n in range(1, count + 1)),
-        encoding="utf-8",
-    )
-    return data
+    return semeval_file(tmp_path / "numbered.tsv", [f"sample number {n}" for n in range(1, count + 1)])
 
 
 def watch_for_crash(monkeypatch):
@@ -452,13 +429,7 @@ class NameChat:
 
     @staticmethod
     def data(tmp_path):
-        data = tmp_path / "names.tsv"
-        data.write_text(
-            "Tweet index\tLabel\tTweet text\n"
-            + "".join(f"{n}\t1\twe met {name} today\n" for n, name in enumerate(NAMES, start=1)),
-            encoding="utf-8",
-        )
-        return data
+        return semeval_file(tmp_path / "names.tsv", [f"we met {name} today" for name in NAMES])
 
     def wait_for(self, call):
         with self.arrived:
@@ -605,12 +576,7 @@ class TestWholeSamples:
             return chat_answer(system, user, payload)
 
         patch_endpoints(monkeypatch, chat=chat)
-        data = tmp_path / "penny.tsv"
-        data.write_text(
-            "Tweet index\tLabel\tTweet text\n"
-            + "".join(f"{n}\t1\twe met Penny on day {n}\n" for n in range(1, 7)),
-            encoding="utf-8",
-        )
+        data = semeval_file(tmp_path / "penny.tsv", [f"we met Penny on day {n}" for n in range(1, 7)])
         codes = []
         flags = ["--data-path", data, "--variant", "pmpwl", "--concurrency", 1]
         runner = threading.Thread(target=lambda: codes.append(run(tmp_path, *flags)), daemon=True)
@@ -687,12 +653,7 @@ class TestWholeSamples:
                     in_flight[0] -= 1
 
         patch_endpoints(monkeypatch, chat=chat)
-        data = tmp_path / "twelve.tsv"
-        data.write_text(
-            "Tweet index\tLabel\tTweet text\n"
-            + "".join(f"{n}\t1\twe met Person{n} today\n" for n in range(1, 13)),
-            encoding="utf-8",
-        )
+        data = semeval_file(tmp_path / "twelve.tsv", [f"we met Person{n} today" for n in range(1, 13)])
         assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 2) == 0
         assert len(failed) == 12
         assert most_in_flight[0] <= 4
@@ -768,12 +729,8 @@ class TestWholeSamples:
 
         patch_endpoints(monkeypatch, chat=chat)
         names = iter(f"Name{n}" for n in range(32))
-        rows = [
-            f"{i}\t1\t" + " and ".join(next(names) for _ in range(MAX_KEYWORDS_PER_SAMPLE))
-            for i in range(1, 5)
-        ]
-        data = tmp_path / "eight_keywords.tsv"
-        data.write_text("Tweet index\tLabel\tTweet text\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        texts = [" and ".join(next(names) for _ in range(MAX_KEYWORDS_PER_SAMPLE)) for _ in range(4)]
+        data = semeval_file(tmp_path / "eight_keywords.tsv", texts)
         assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 2) == 0
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
         records = [json.loads(line) for line in run_log.read_text().splitlines()]
@@ -1018,6 +975,20 @@ class TestLiveTransport:
         assert len(records) == 4
         assert all("TransportError" in r["skipped_reason"] for r in records)
 
+    def test_lone_surrogate_in_an_answer_skips_only_its_sample(self, tmp_path, capsys, monkeypatch):
+        # JSON can escape one half of a surrogate pair, which UTF-8 cannot encode.
+        def chat(system, user, payload):
+            return "analysis \ud83d of it" if user == "sample number 1" else say_yes(system, user, payload)
+
+        patch_endpoints(monkeypatch, chat=chat)
+        data = numbered_samples(tmp_path, 2)
+        assert run(tmp_path, "--data-path", data, "--variant", "pmp") == 0
+        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl")
+        assert [(r["sample_id"], r["skip_class"], r["verdict"]) for r in records] == [
+            ("semeval:1", "TransportError", None),
+            ("semeval:2", None, "YES"),
+        ]
+
     def test_duplicate_texts_replay_as_recorded(self, tmp_path, capsys, monkeypatch):
         # A sampling model: every call gets a different answer.
         calls = []
@@ -1028,13 +999,7 @@ class TestLiveTransport:
             return f"Answer {n}.\nFinal decision: {'YES' if n % 4 < 2 else 'NO'}"
 
         patch_endpoints(monkeypatch, chat=chat)
-        data = tmp_path / "twice.tsv"
-        data.write_text(
-            "Tweet index\tLabel\tTweet text\n"
-            "1\t1\tgreat, another Monday at the Office\n"
-            "2\t1\tgreat, another Monday at the Office\n",
-            encoding="utf-8",
-        )
+        data = semeval_file(tmp_path / "twice.tsv", ["great, another Monday at the Office"] * 2)
 
         def records(backend):
             flags = ["--data-path", data, "--variant", "pmpwl", "--backend", backend, "--concurrency", 1]
@@ -1295,14 +1260,9 @@ class TestDefinitionCacheKeys:
         cache = WordInfoCache(tmp_path / "cache" / model / language)
         return cache.lookup("Alice", RetrievalSource.LLM_ONLY).definition
 
-    def data(self, tmp_path, name, text):
-        path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
-        return path
-
     def test_each_model_defines_and_keeps_its_own(self, tmp_path, monkeypatch):
         chat = ModelChat(monkeypatch)
-        data = self.data(tmp_path, "data.tsv", "Tweet index\tLabel\tTweet text\n1\t1\twe met Alice\n")
+        data = semeval_file(tmp_path / "data.tsv", ["we met Alice"])
         self.run(tmp_path, "semeval", data, "model-a")
         self.run(tmp_path, "semeval", data, "model-b")
         assert chat.defines == [("model-a", "en", "Alice"), ("model-b", "en", "Alice")]
@@ -1311,8 +1271,9 @@ class TestDefinitionCacheKeys:
 
     def test_each_language_defines_and_keeps_its_own(self, tmp_path, monkeypatch):
         chat = ModelChat(monkeypatch)
-        semeval = self.data(tmp_path, "data.tsv", "Tweet index\tLabel\tTweet text\n1\t1\twe met Alice\n")
-        twitter = self.data(tmp_path, "data.csv", "tweet,label\nkami bertemu Alice,1\n")
+        semeval = semeval_file(tmp_path / "data.tsv", ["we met Alice"])
+        twitter = tmp_path / "data.csv"
+        twitter.write_text("tweet,label\nkami bertemu Alice,1\n", encoding="utf-8")
         self.run(tmp_path, "semeval", semeval, "m")
         self.run(tmp_path, "twitter-id", twitter, "m")
         assert chat.defines == [("m", "en", "Alice"), ("m", "id", "Alice")]

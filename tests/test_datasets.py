@@ -205,6 +205,16 @@ class TestLoadMustard:
         with pytest.raises(FormatError, match=f"^entry {key!r}: blank id"):
             load_mustard(path)
 
+    def test_repeated_entry_id_rejected(self, tmp_path):
+        # json.load would keep only the last of the two entries.
+        path = tmp_path / "data.json"
+        path.write_text(
+            '{"a": {"utterance": "one", "sarcasm": true}, "a": {"utterance": "two", "sarcasm": false}}',
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError, match="^repeated key 'a'$"):
+            load_mustard(path)
+
     def test_top_level_list_rejected(self, tmp_path):
         path = write_mustard(tmp_path, [{"utterance": "x", "sarcasm": True}])
         with pytest.raises(FormatError):

@@ -5,13 +5,12 @@ import errno
 import json
 import os
 import re
-import sys
 import threading
 import time
 
 import pytest
 import requests
-from fakes import FakeSession, FunctionBackend, http_response
+from fakes import FakeSession, FunctionBackend, at_once, http_response
 
 from sarcrag.errors import (
     CorruptRecord,
@@ -175,26 +174,7 @@ class TestTranscriptStore:
     def test_concurrent_writers_of_one_digest(self, tmp_path):
         # One store object per thread, as separate processes would have.
         request = make_request()
-        kept = []
-        start = threading.Barrier(8, timeout=30)
-
-        def write(n):
-            store = TranscriptStore(tmp_path)
-            start.wait()
-            kept.append(store.save(request, f"answer {n}"))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=write, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(kept) == 8
+        kept = at_once([lambda n=n: TranscriptStore(tmp_path).save(request, f"answer {n}") for n in range(8)])
         assert len(set(kept)) == 1
         assert TranscriptStore(tmp_path).lookup(request) == kept[0]
         assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest}.json"]
@@ -326,12 +306,13 @@ class TestRetryClassification:
             http_response({"choices": [{"message": {"role": "assistant", "content": None}}]}),
             http_response({"message": {"content": 42}}),
             http_response({"model": "m", "response": "an answer", "done": True}),
+            http_response({"message": {"content": "analysis \ud83d of it"}}),
             requests.exceptions.InvalidURL("bad url"),
         ],
         ids=[
             "400", "401", "404", "422", "truncated-json", "not-json", "unknown-shape",
             "no-choices", "json-null", "null-content", "numeric-content", "generate-shape",
-            "invalid-url",
+            "lone-surrogate", "invalid-url",
         ],
     )
     def test_permanent_fault_fails_at_once(self, response):
@@ -542,38 +523,13 @@ class TestConcurrentMisses:
                 raise self.answer
             return self.answer
 
-    def chat_at_once(self, gateway, request, n=8):
-        """Each caller's answer, or the exception it raised, from n threads behind a barrier."""
-        outcomes = []
-        start = threading.Barrier(n, timeout=30)
-
-        def call():
-            start.wait()
-            try:
-                outcomes.append(gateway.chat(request))
-            except TransportError as exc:
-                outcomes.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call) for _ in range(n)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        return outcomes
-
     def test_one_backend_call_and_one_stored_file(self, tmp_path):
         backend = self.Slow("the answer")
         store = TranscriptStore(tmp_path / "store")
         log_path = tmp_path / "exchanges.jsonl"
         request = make_request()
-        outcomes = self.chat_at_once(Gateway(backend, store, exchange_log=log_path), request)
-        assert outcomes == ["the answer"] * 8
+        gateway = Gateway(backend, store, exchange_log=log_path)
+        assert at_once([lambda: gateway.chat(request)] * 8) == ["the answer"] * 8
         assert backend.calls == [request.digest]
         assert [p.name for p in store.root.iterdir()] == [f"{request.digest}.json"]
         # The caller that made the call logs the backend; the seven that waited for it, the store.
@@ -585,8 +541,8 @@ class TestConcurrentMisses:
         store = TranscriptStore(tmp_path / "store")
         log_path = tmp_path / "exchanges.jsonl"
         request = make_request()
-        outcomes = self.chat_at_once(Gateway(backend, store, exchange_log=log_path), request)
-        assert outcomes == [error] * 8
+        gateway = Gateway(backend, store, exchange_log=log_path)
+        assert at_once([lambda: gateway.chat(request)] * 8) == [error] * 8
         assert backend.calls == [request.digest]
         assert not store.root.exists() or list(store.root.iterdir()) == []
         assert not log_path.exists()

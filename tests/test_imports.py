@@ -1,5 +1,6 @@
 """Source hygiene, checked by AST: every name that a module under src/, tests/ or tools/
-imports is used there, and only tests/fakes.py fakes an HTTP exchange."""
+imports is used there, and only tests/fakes.py fakes an HTTP exchange or sets the
+interpreter's thread switch interval."""
 
 import ast
 from pathlib import Path
@@ -96,5 +97,36 @@ def test_only_fakes_py_patches_the_session_or_builds_a_response():
         for path in sorted((ROOT / "tests").rglob("*.py"))
         if path.name != "fakes.py"
         for line in http_fakes(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def switch_interval_calls(source: str) -> list[int]:
+    """The lines of source that call sys.setswitchinterval."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("sys.setswitchinterval", "setswitchinterval")
+    )
+
+
+def test_switch_interval_calls_finds_each_call():
+    source = (
+        "import sys\n"
+        "from sys import setswitchinterval\n"
+        "interval = sys.getswitchinterval()\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "setswitchinterval(interval)\n"
+    )
+    assert switch_interval_calls(source) == [4, 5]
+
+
+def test_only_fakes_py_sets_the_switch_interval():
+    # One race harness, fakes.at_once, so every race test runs by one recipe.
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "tests").rglob("*.py"))
+        if path.name != "fakes.py"
+        for line in switch_interval_calls(path.read_text(encoding="utf-8"))
     ]
     assert found == []

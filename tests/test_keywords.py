@@ -4,7 +4,7 @@ import re
 import string
 
 import pytest
-from fakes import ScriptedGateway
+from fakes import ScriptedGateway, keyword_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from sarcrag.core import Label, LanguageTag, Sample
 from sarcrag.errors import MalformedCSV
 from sarcrag.gateway import Purpose
 from sarcrag.keywords import (
-    _cap_keywords,
     extract_llm_based,
     extract_token_tagging,
     parse_csv_keywords,
@@ -147,11 +146,6 @@ class TestExtractLlmBased:
         gateway = ScriptedGateway(["words", "these are not comma separated values"])
         with pytest.raises(MalformedCSV):
             extract_llm_based(sample_of("text"), gateway)
-
-
-def keyword_set(raw):
-    """The keywords extraction keeps from raw, the answer of the CSV-cleaning call."""
-    return list(_cap_keywords(parse_csv_keywords(raw)))
 
 
 class TestParseCsvKeywords:

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from fakes import FakeSearch, FunctionBackend, ScriptedGateway, no_page
+from fakes import LONG_SNIPPET, FakeSearch, FunctionBackend, ScriptedGateway, no_page
 
 from sarcrag.core import (
     Label,
@@ -161,7 +161,6 @@ class TestParseVerdict:
             parse_verdict(text)
 
 
-LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
 LONG_RESULTS = [SearchResult(url="https://a.com", snippet=LONG_SNIPPET)]
 
 

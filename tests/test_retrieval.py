@@ -6,13 +6,20 @@ import json
 import math
 import os
 import shutil
-import sys
 import threading
 import time
 
 import pytest
 import requests
-from fakes import FakeSearch, FakeSession, ScriptedGateway, http_response, no_page
+from fakes import (
+    LONG_SNIPPET,
+    FakeSearch,
+    FakeSession,
+    ScriptedGateway,
+    at_once,
+    http_response,
+    no_page,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -230,9 +237,6 @@ class TestBm25:
         assert [c.index for c in ranked] == list(range(DEFAULT_TOP_K))
 
 
-LONG_SNIPPET = " ".join(f"word{i}" for i in range(25))
-
-
 def make_result(snippet, url="https://a.com"):
     return SearchResult(url=url, snippet=snippet)
 
@@ -351,7 +355,14 @@ class TestGoogleSearchClient:
 
     @pytest.mark.parametrize(
         "body",
-        [None, [], {"items": None}, {"items": ["x"]}, {"items": [{"link": None, "snippet": 5}]}],
+        [
+            None,
+            [],
+            {"items": None},
+            {"items": ["x"]},
+            {"items": [{"link": None, "snippet": 5}]},
+            {"items": [{"link": "https://a.com", "snippet": "a lone \ud83d half"}]},
+        ],
     )
     def test_malformed_body_raises_transport(self, body):
         session = FakeSession([http_response(body=json.dumps(body).encode())])
@@ -707,34 +718,14 @@ class TestWordInfoCache:
 
     def test_concurrent_writers_of_one_keyword(self, tmp_path):
         # One cache object per thread, as separate processes would have.
-        errors = []
-
         def write(n):
             cache = WordInfoCache(tmp_path)
-            try:
-                for i in range(40):
-                    cache.store(
-                        WordInfo(
-                            keyword="kw",
-                            definition=f"Definition {n}.{i}.",
-                            source=RetrievalSource.LLM_ONLY,
-                        )
-                    )
-            except Exception as exc:
-                errors.append(exc)
+            for i in range(40):
+                cache.store(
+                    WordInfo(keyword="kw", definition=f"Definition {n}.{i}.", source=RetrievalSource.LLM_ONLY)
+                )
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=write, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        assert at_once([lambda n=n: write(n) for n in range(8)]) == [None] * 8
         cache = WordInfoCache(tmp_path)
         info = cache.lookup("kw", RetrievalSource.LLM_ONLY)
         assert info.definition.startswith("Definition ")
@@ -854,23 +845,10 @@ class TestGetWordInfo:
 
     def miss_together(self, gateway, cache, keywords=("penny",) * 8):
         """One thread per keyword defines it, all at once; what each got or raised."""
-        barrier = threading.Barrier(len(keywords))
-        got = [None] * len(keywords)
-
-        def define(n):
-            barrier.wait(timeout=10)
-            try:
-                got[n] = get_word_info(keywords[n], RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH, cache=cache)
-            except Exception as exc:
-                got[n] = exc
-
-        threads = [threading.Thread(target=define, args=(n,)) for n in range(len(keywords))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-        return got
+        return at_once([
+            lambda k=k: get_word_info(k, RetrievalSource.LLM_ONLY, gateway, LanguageTag.ENGLISH, cache=cache)
+            for k in keywords
+        ])
 
     def test_concurrent_misses_of_one_keyword_make_one_request(self, tmp_path):
         gateway = self.SlowGateway("A definition.")

@@ -1,4 +1,4 @@
-"""The CI workflow names only test files, test classes and scripts that exist.
+"""The CI workflow names only test files, test classes, tests and scripts that exist.
 
 A stale test id makes pytest exit 4, and a missing script fails its step, but only
 where the workflow runs; these tests catch both in a local run.
@@ -21,26 +21,28 @@ def run_commands():
 
 
 COMMANDS = "\n".join(run_commands())
-# `tests/test_<name>.py`, optionally with `::<Class>`, wherever a command names one.
-TEST_IDS = sorted(set(re.findall(r"\btests/test_\w+\.py(?:::\w+)?", COMMANDS)))
+# `tests/test_<name>.py`, optionally with `::<Class>` and `::<test>`, wherever a command names one.
+TEST_IDS = sorted(set(re.findall(r"\btests/test_\w+\.py(?:::\w+){0,2}", COMMANDS)))
 # The file a `python` or `python3` command runs; `python -m ...` names no file.
 SCRIPTS = sorted(set(re.findall(r"\bpython3?\s+([\w./-]+\.py)\b", COMMANDS)))
 
 
 def test_the_workflow_names_test_classes_and_scripts():
     # Guards the patterns above: a test id or script they miss is not checked.
-    assert any("::" in test_id for test_id in TEST_IDS)
+    assert any(test_id.count("::") == 1 for test_id in TEST_IDS)
+    assert any(test_id.count("::") == 2 for test_id in TEST_IDS)
     assert "bench/run.py" in SCRIPTS
 
 
 @pytest.mark.parametrize("test_id", TEST_IDS)
 def test_named_test_file_and_class_exist(test_id):
-    path, _, class_name = test_id.partition("::")
+    path, *names = test_id.split("::")
     assert (ROOT / path).is_file(), path
-    if class_name:
-        tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
-        classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-        assert class_name in classes, test_id
+    body = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+    for name in names:
+        defined = {node.name: node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        assert name in defined, test_id
+        body = defined[name].body
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
