@@ -10,11 +10,11 @@ from __future__ import annotations
 import codecs
 import hashlib
 import html.parser
-import itertools
 import math
 import re
+import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -98,12 +98,11 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A window of page text; `tokens` is `bm25_tokenize(text)`."""
+    """A window of page text, the `index`-th window of the page at `source_url`."""
 
     text: str
     source_url: str
     index: int
-    tokens: tuple[str, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -153,30 +152,18 @@ def chunk_document(
 ) -> list[Chunk]:
     """Sliding word windows of chunk_size stepping by (chunk_size - overlap).
 
-    Each distinct word is tokenized once. A window's tokens are its words'
-    tokens in order, which equals tokenizing the window: tokens never span
-    whitespace, and case folding maps each character on its own.
+    A window in which `bm25_tokenize` would find no token is dropped and keeps its
+    ordinal, so the indices of the windows kept can skip numbers.
     """
     if overlap < 0 or chunk_size <= overlap:
         raise ValueError("require chunk_size > overlap >= 0")
     words = text.split()
-    vocabulary = {word: bm25_tokenize(word) for word in set(words)}
-    word_tokens = [vocabulary[word] for word in words]
     step = chunk_size - overlap
     chunks: list[Chunk] = []
     for ordinal, offset in enumerate(range(0, len(words), step)):
-        tokens = tuple(itertools.chain.from_iterable(word_tokens[offset : offset + chunk_size]))
-        # Windows of pure punctuation carry nothing rankable; drop them.
-        if not tokens:
-            continue
-        chunks.append(
-            Chunk(
-                text=" ".join(words[offset : offset + chunk_size]),
-                source_url=source_url,
-                index=ordinal,
-                tokens=tokens,
-            )
-        )
+        window = " ".join(words[offset : offset + chunk_size])
+        if _TOKEN.search(window.casefold()):
+            chunks.append(Chunk(text=window, source_url=source_url, index=ordinal))
     return chunks
 
 
@@ -187,21 +174,24 @@ def bm25_idf(n_docs: int, df_term: int) -> float:
 def bm25_scores(keyword: str, chunks: Sequence[Chunk]) -> list[float]:
     """Okapi BM25 score of each chunk for the tokenized keyword, at k1 BM25_K1 and b BM25_B.
 
-    Term and document frequencies are counted for the query's terms only.
+    Each chunk's text is tokenized once, for its length and its counts of the query's terms.
     See Robertson & Zaragoza, "The Probabilistic Relevance Framework: BM25 and Beyond", 2009.
     """
     query = bm25_tokenize(keyword)
-    freqs = [{term: chunk.tokens.count(term) for term in query} for chunk in chunks]
-    df = {term: sum(1 for freq in freqs if freq[term]) for term in query}
-    avg_len = sum(len(chunk.tokens) for chunk in chunks) / len(chunks)
+    lengths, freqs = [], []
+    for chunk in chunks:
+        tokens = bm25_tokenize(chunk.text)
+        lengths.append(len(tokens))
+        freqs.append({term: tokens.count(term) for term in query})
+    idf = {term: bm25_idf(len(chunks), sum(1 for freq in freqs if freq[term])) for term in query}
+    avg_len = sum(lengths) / len(chunks)
     scores = []
-    for chunk, freq in zip(chunks, freqs):
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(chunk.tokens) / avg_len)
+    for length, freq in zip(lengths, freqs):
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * length / avg_len)
         score = 0.0
         for term in query:
             if freq[term]:
-                idf = bm25_idf(len(chunks), df[term])
-                score += idf * freq[term] * (BM25_K1 + 1.0) / (freq[term] + norm)
+                score += idf[term] * freq[term] * (BM25_K1 + 1.0) / (freq[term] + norm)
         scores.append(score)
     return scores
 
@@ -332,7 +322,7 @@ def fetch_page(url: str, *, session: requests.Session, in_flight: threading.Sema
 
 
 def _read_text(response: requests.Response, limit: int) -> str:
-    """`response.text[:limit]`, reading only the blocks those characters need."""
+    """`response.text[:limit]` with lone surrogates as U+FFFD, reading only the blocks it needs."""
     blocks = response.iter_content(FETCH_BLOCK_BYTES)
     first = next(blocks, b"")
     encoding = response.encoding
@@ -345,12 +335,21 @@ def _read_text(response: requests.Response, limit: int) -> str:
         decoder = codecs.getincrementaldecoder(encoding)(errors="replace")
     except (LookupError, ValueError):
         decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-    text = ""
-    for block in itertools.chain((first,), blocks):
+    try:
+        text = decoder.decode(first)
+    except UnicodeError:
+        # Only utf-16 and utf-32 raise, on a body with no byte-order mark; str() reads it in native order.
+        native = f"{codecs.lookup(encoding).name}-{'le' if sys.byteorder == 'little' else 'be'}"
+        decoder = codecs.getincrementaldecoder(native)(errors="replace")
+        text = decoder.decode(first)
+    while len(text) < limit:
+        block = next(blocks, None)
+        if block is None:
+            text += decoder.decode(b"", final=True)
+            break
         text += decoder.decode(block)
-        if len(text) >= limit:
-            return text[:limit]
-    return (text + decoder.decode(b"", final=True))[:limit]
+    # UTF-8 cannot encode the lone surrogates that utf-7 and unicode_escape can decode to.
+    return re.sub(r"[\ud800-\udfff]", "\ufffd", text[:limit])
 
 
 PageFetcher = Callable[[str], str]

@@ -102,19 +102,12 @@ class TestRankingOracleEquivalence:
             chunks = []
             for index in range(rng.randint(1, 20)):
                 words = rng.choices(VOCAB, k=rng.randint(1, 50))
-                chunks.append(
-                    Chunk(
-                        text=" ".join(words),
-                        source_url=rng.choice(URLS),
-                        index=index,
-                        tokens=tuple(words),
-                    )
-                )
+                chunks.append(Chunk(text=" ".join(words), source_url=rng.choice(URLS), index=index))
             assert_ranking_matches_oracle(rng, chunks)
         assert time.perf_counter() - started < 5.0
 
     def test_500_random_chunked_pages(self):
-        # Chunks as chunk_document builds them, with the tokens they carry.
+        # Chunks as chunk_document builds them, windows of pages with overlap.
         rng = random.Random(20261019)
         for _ in range(500):
             chunks = []
@@ -140,8 +133,8 @@ class TestRankingGoldenValues:
         assert abs(bm25_idf(1, 1) - goldens["idf_single_doc_term_present"]) < 1e-6
 
     def test_two_document_score_golden(self):
-        d1 = Chunk(text="a b a", source_url="", index=0, tokens=("a", "b", "a"))
-        d2 = Chunk(text="b c", source_url="", index=1, tokens=("b", "c"))
+        d1 = Chunk(text="a b a", source_url="", index=0)
+        d2 = Chunk(text="b c", source_url="", index=1)
         score, _ = bm25_scores("a", [d1, d2])
         assert abs(score - bm25_goldens()["two_doc_score_query_a_doc_d1"]) < 1e-6
 
@@ -553,7 +546,7 @@ class TestChunkingProperties:
 
             chunk_size = rng.randint(1, 40)
             chunks = chunk_document(text, chunk_size, 0)
-            assert sum(len(c.tokens) for c in chunks) == len(words)
+            assert sum(len(bm25_tokenize(c.text)) for c in chunks) == len(words)
             assert [w for c in chunks for w in c.text.split()] == words
 
             chunk_size = rng.randint(2, 40)
@@ -565,7 +558,7 @@ class TestChunkingProperties:
             for ordinal, (chunk, offset) in enumerate(zip(chunks, offsets)):
                 assert chunk.index == ordinal
                 assert chunk.text.split() == words[offset : offset + chunk_size]
-                assert list(chunk.tokens) == bm25_tokenize(chunk.text)
+                assert bm25_tokenize(chunk.text) == chunk.text.split()
 
 
 # --- 10. optional live smoke test -------------------------------------------

@@ -5,9 +5,12 @@ import hashlib
 import json
 import math
 import os
+import random
 import shutil
+import string
 import threading
 import time
+import tracemalloc
 
 import pytest
 import requests
@@ -15,12 +18,13 @@ from fakes import (
     LONG_SNIPPET,
     FakeSearch,
     FakeSession,
+    FunctionBackend,
     ScriptedGateway,
     at_once,
     http_response,
     no_page,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sarcrag.core import LanguageTag, RetrievalSource
@@ -34,7 +38,7 @@ from sarcrag.errors import (
     StoreWriteError,
     TransportError,
 )
-from sarcrag.gateway import Purpose
+from sarcrag.gateway import Gateway, Purpose, TranscriptStore
 from sarcrag.retrieval import (
     FETCH_BLOCK_BYTES,
     MAX_FETCHED_CHARS,
@@ -65,12 +69,7 @@ from sarcrag.retrieval import (
 
 
 def make_chunk(text, index=0, url="https://example.com/a"):
-    return Chunk(
-        text=text,
-        source_url=url,
-        index=index,
-        tokens=tuple(bm25_tokenize(text)),
-    )
+    return Chunk(text=text, source_url=url, index=index)
 
 
 class TestTokenize:
@@ -124,8 +123,12 @@ class TestChunking:
         overlap=st.integers(0, 10),
         step=st.integers(1, 10),
     )
+    # A word character only after case folding: bm25_tokenize reads "\u0345" as ["ι"].
+    @example(text="\u0345", overlap=0, step=1)
+    # A window of pure punctuation between two kept ones.
+    @example(text="alpha ?! beta", overlap=0, step=1)
     @settings(max_examples=300, deadline=None)
-    def test_carried_tokens_equal_tokenizing_the_window(self, text, overlap, step):
+    def test_keeps_exactly_the_windows_that_tokenize(self, text, overlap, step):
         assume(text.strip())
         chunk_size = overlap + step
         chunks = chunk_document(text, chunk_size, overlap)
@@ -133,8 +136,6 @@ class TestChunking:
         windows = [" ".join(words[o : o + chunk_size]) for o in range(0, len(words), step)]
         kept = [(ordinal, w) for ordinal, w in enumerate(windows) if bm25_tokenize(w)]
         assert [(c.index, c.text) for c in chunks] == kept
-        for chunk in chunks:
-            assert list(chunk.tokens) == bm25_tokenize(chunk.text)
 
     def test_ten_words_size_four_overlap_one(self):
         words = [f"w{i}" for i in range(10)]
@@ -147,7 +148,7 @@ class TestChunking:
             ["w9"],
         ]
         assert [c.index for c in chunks] == [0, 1, 2, 3]
-        assert [len(c.tokens) for c in chunks] == [4, 4, 4, 1]
+        assert [len(bm25_tokenize(c.text)) for c in chunks] == [4, 4, 4, 1]
 
     def test_overlap_zero_partitions_words(self):
         words = [f"tok{i}" for i in range(11)]
@@ -167,10 +168,10 @@ class TestChunking:
             chunk_document("a b c", 4, -1)
 
     def test_windows_without_indexable_tokens_dropped(self):
-        # middle window is pure punctuation and would carry no tokens
+        # middle window is pure punctuation, so bm25_tokenize finds no token in it
         text = "alpha beta ?! ?! gamma delta"
         chunks = chunk_document(text, 2, 0)
-        assert all(c.tokens for c in chunks)
+        assert all(bm25_tokenize(c.text) for c in chunks)
         assert [c.text for c in chunks] == ["alpha beta", "gamma delta"]
         # the dropped window keeps its ordinal, so indices can have gaps
         assert [c.index for c in chunks] == [0, 2]
@@ -178,6 +179,21 @@ class TestChunking:
     def test_source_url_carried_through(self):
         chunks = chunk_document("a b c", 2, 0, source_url="https://e.com")
         assert all(c.source_url == "https://e.com" for c in chunks)
+
+    def test_chunks_retain_little_more_than_their_page(self):
+        # 20,000 characters of mostly distinct words, as a real page has.
+        rng = random.Random(4141)
+        words = ("".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 10))) for _ in range(5000))
+        page = " ".join(words)[:MAX_FETCHED_CHARS]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chunks = chunk_document(page, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert chunks
+        assert retained < 2.5 * len(page)
 
 
 class TestBm25:
@@ -395,6 +411,12 @@ class TestGoogleSearchClient:
 # html.parser raises AssertionError on this marked section.
 MALFORMED_PAGE = "<p>Penny is a waitress in Pasadena</p><![ if gte mso 9]>x"
 
+# Decodes to a lone surrogate, "\ud800", even with errors="replace".
+LONE_SURROGATE_PAGE = b"<p>Gokil +2AA- adalah kata gaul. Gokil artinya keren.</p>"
+
+# Declared charsets, each decoding arbitrary bytes differently; None declares none.
+PAGE_CHARSETS = ["utf-8", "latin-1", "utf-16", "utf-7", "unicode_escape", "x-no-such-charset", None]
+
 
 class TestStripMarkup:
     def test_drops_tags_and_scripts(self):
@@ -457,12 +479,14 @@ class TestFetchPage:
             (bytes(range(32, 256)) * 200, "text/html"),
             ("çà ".encode("cp1252") * 9000, "text/html; charset=windows-1252"),
             ("kata 中".encode("utf-16") * 5000, "text/plain; charset=utf-16"),
+            ("kata 中".encode("utf-16-le") * 5000, "text/plain; charset=utf-16"),
+            ("kata 中".encode("utf-32-le") * 5000, "text/plain; charset=UTF-32"),
             (b"", "text/html; charset=utf-8"),
         ],
         ids=[
             "ascii", "utf8-2byte-split", "utf8-3byte-split", "utf8-4byte-split",
             "short-trailing-partial", "iso-8859-1-default", "declared-cp1252", "utf16-bom",
-            "empty",
+            "utf16-no-bom", "utf32-no-bom", "empty",
         ],
     )
     def test_equals_decoding_whole_body(self, body, content_type):
@@ -505,6 +529,22 @@ class TestFetchPage:
         with pytest.raises(requests.HTTPError):
             fetch(response)
         assert response.raw.closed
+
+    def test_lone_surrogates_read_as_replacement_characters(self):
+        response = http_response(body=LONE_SURROGATE_PAGE, content_type="text/html; charset=utf-7")
+        assert fetch(response) == "Gokil \ufffd adalah kata gaul. Gokil artinya keren."
+
+    # unicode_escape warns of each backslash it does not know, such as "\%".
+    @pytest.mark.filterwarnings("ignore:invalid escape sequence:DeprecationWarning")
+    @given(body=st.binary(max_size=2048), charset=st.sampled_from(PAGE_CHARSETS))
+    @example(body=LONE_SURROGATE_PAGE, charset="utf-7")
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_any_page_chunks_into_utf8_windows_that_tokenize(self, body, charset):
+        content_type = "application/octet-stream" if charset is None else f"text/html; charset={charset}"
+        text = fetch(http_response(body=body, content_type=content_type))
+        for chunk in chunk_document(text, DEFAULT_CHUNK_SIZE, DEFAULT_OVERLAP):
+            chunk.text.encode("utf-8")
+            assert bm25_tokenize(chunk.text)
 
 
 class TestRefineDefinition:
@@ -816,6 +856,21 @@ class TestGetWordInfo:
         assert got.evidence and got.evidence[0][0] == "https://a.com"
         assert search.queries[0] == "kw"
         assert cache.lookup("kw", RetrievalSource.GOOGLE_SEARCH) == got
+
+    def test_a_page_that_decodes_to_a_lone_surrogate_is_defined(self, tmp_path):
+        # The refine request's digest encodes the page text as UTF-8.
+        page = http_response(body=LONE_SURROGATE_PAGE, content_type="text/html; charset=utf-7")
+        gateway = Gateway(FunctionBackend(lambda request: "Gokil berarti keren."), TranscriptStore(tmp_path / "store"))
+        got = get_word_info(
+            "Gokil",
+            RetrievalSource.GOOGLE_SEARCH,
+            gateway,
+            LanguageTag.INDONESIAN,
+            cache=WordInfoCache(tmp_path / "cache"),
+            web=(FakeSearch([make_result("Gokil")]), lambda url: fetch(page, url)),
+        )
+        assert got.definition == "Gokil berarti keren."
+        assert got.evidence == (("https://a.com", 0),)
 
     def test_empty_search_results_unavailable(self, tmp_path):
         with pytest.raises(DefinitionUnavailable):
