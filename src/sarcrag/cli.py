@@ -198,7 +198,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # starts, the running ones finish, and `map` raises the error once the records
     # before it are written. Positions, not the mere fact of a crash, decide: a
     # sample taken off the queue before the failed one may reach this check after it.
-    # An error that leaves the record loop (Ctrl-C) stops every sample not yet started.
+    # An error that leaves the record loop (Ctrl-C) drops `map`'s result iterator, and
+    # the iterator's cleanup cancels every sample not yet started.
     crashed: list[int] = []
 
     def run_one(position: int, sample) -> dict | None:
@@ -230,14 +231,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     with writing(run_dir / "run.jsonl") as log_path:
         fh = log_path.open("w", encoding="utf-8")
     with fh, ThreadPoolExecutor(4 * config.concurrency) as pool:
-        try:
-            for record in pool.map(run_one, range(len(samples)), samples):
-                with writing(log_path):
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    fh.flush()
-        except BaseException:
-            crashed.append(-1)
-            raise
+        for record in pool.map(run_one, range(len(samples)), samples):
+            with writing(log_path):
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                fh.flush()
 
     try:
         report = report_from_log(log_path)

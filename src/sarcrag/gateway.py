@@ -350,10 +350,10 @@ class Gateway:
     """Answers requests from the store when it holds them, else from the backend.
 
     With no backend, the gateway replays: a request the store lacks raises
-    MissingTranscript. A backend answer is saved, and the answer the store
-    keeps (the first recorded for the digest) is returned. Concurrent requests
-    with one digest share one lookup and, on a miss, one backend call; the
-    callers that waited for it are logged as answered by the store.
+    MissingTranscript. A backend answer is saved, a blank one too, and the
+    answer the store keeps (the first recorded for the digest) is returned.
+    Concurrent requests with one digest share one lookup and, on a miss, one
+    backend call; the callers that waited for it are logged as answered by the store.
     """
 
     def __init__(
@@ -389,10 +389,7 @@ class Gateway:
             return response_text, "store"
         if self.backend is None:
             raise MissingTranscript(request.digest)
-        response_text = self.backend.complete(request)
-        if response_text.strip():
-            response_text = self.store.save(request, response_text)
-        return response_text, "live"
+        return self.store.save(request, self.backend.complete(request)), "live"
 
     def _append_log(self, request: ChatRequest, backend: str, latency: float) -> None:
         line = json.dumps(

@@ -2,6 +2,8 @@
 
 Intentionally independent of the package: composition is restated here with
 plain string operations so the goldens act as an oracle for the builders.
+`goldens()` composes the files and `main()` writes them; tests/test_acceptance.py
+checks that the committed files equal `goldens()`.
 Run from the repository root: python tests/golden/make_prompt_goldens.py
 """
 
@@ -52,10 +54,10 @@ def read_template(lang: str, name: str) -> str:
     return path.read_text(encoding="utf-8").removesuffix("\n")
 
 
-def main() -> None:
+def goldens() -> dict[str, str]:
+    """Each golden prompt file's path under OUT, such as "en/p1_plain_user.txt", and its text."""
+    files = {}
     for lang in ("en", "id"):
-        out_dir = OUT / lang
-        out_dir.mkdir(parents=True, exist_ok=True)
         text = SAMPLE_TEXT[lang]
         connective = CONNECTIVE[lang]
 
@@ -69,7 +71,7 @@ def main() -> None:
             f"{keyword} {connective} {definition}" for keyword, definition in WORD_INFOS[lang]
         )
 
-        goldens = {
+        prompts = {
             "p1_plain_system": p1_system,
             "p1_plain_user": text,
             "p1_wordinfo_system": p1_system + "\n" + suffix,
@@ -77,9 +79,16 @@ def main() -> None:
             "p2_fewshot_system": p2_system + "\n" + fewshot,
             "p2_fewshot_user": A1_TEXT[lang],
         }
-        for name, content in goldens.items():
-            (out_dir / f"{name}.txt").write_text(content, encoding="utf-8")
-            print(f"wrote {lang}/{name}.txt ({len(content)} chars)")
+        files.update({f"{lang}/{name}.txt": content for name, content in prompts.items()})
+    return files
+
+
+def main() -> None:
+    for name, content in goldens().items():
+        path = OUT / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+        print(f"wrote {name} ({len(content)} chars)")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 Every check runs offline except the final live smoke test, which is skipped
 unless a local model endpoint is configured. The headline benchmark scores the
 pipelines were designed around depend on live model generations and live web
-search, so correctness is asserted through oracles, goldens, and replay
-determinism instead of score reproduction.
+search, so correctness is asserted instead against independent references (the
+BM25 oracle script, scikit-learn, the committed golden prompts and replay
+fixture) and by checks over the whole package (call sequences under record and
+replay, replay determinism, keyword parsing).
 """
 
 import json
@@ -47,18 +49,16 @@ from sarcrag.retrieval import (
     Chunk,
     SearchResult,
     WordInfoCache,
-    bm25_idf,
     bm25_scores,
-    bm25_tokenize,
     chunk_document,
     rank_chunks,
 )
 from sarcrag.templates import load_templates
 
 GOLDEN = Path(__file__).parent / "golden"
-# The generator scripts of the goldens, whose plain restatements of BM25 and of
-# prompt composition are the oracles, and whose inputs the golden prompts hold.
-BM25 = load_script(GOLDEN / "make_bm25_goldens.py")
+# Plain restatements of BM25 and of prompt composition, the oracles; the prompt
+# script also holds the inputs of the golden prompts.
+BM25 = load_script(GOLDEN / "bm25_oracle.py")
 PROMPTS = load_script(GOLDEN / "make_prompt_goldens.py")
 
 
@@ -119,30 +119,7 @@ class TestRankingOracleEquivalence:
             assert_ranking_matches_oracle(rng, chunks)
 
 
-# --- 2. frozen ranking golden values --------------------------------------
-
-def bm25_goldens():
-    """The frozen values of tests/golden/bm25_goldens.json."""
-    return json.loads((GOLDEN / "bm25_goldens.json").read_text(encoding="utf-8"))
-
-
-class TestRankingGoldenValues:
-    def test_idf_goldens(self):
-        goldens = bm25_goldens()
-        assert abs(bm25_idf(2, 1) - goldens["idf_two_docs_term_in_one"]) < 1e-6
-        assert abs(bm25_idf(1, 1) - goldens["idf_single_doc_term_present"]) < 1e-6
-
-    def test_two_document_score_golden(self):
-        d1 = Chunk(text="a b a", source_url="", index=0)
-        d2 = Chunk(text="b c", source_url="", index=1)
-        score, _ = bm25_scores("a", [d1, d2])
-        assert abs(score - bm25_goldens()["two_doc_score_query_a_doc_d1"]) < 1e-6
-
-    def test_goldens_file_in_sync(self):
-        assert bm25_goldens() == BM25.goldens()
-
-
-# --- 3. prompt composition byte-matches golden files ----------------------
+# --- 2. prompt composition byte-matches golden files ----------------------
 
 PROMPT_LANGUAGES = {"en": LanguageTag.ENGLISH, "id": LanguageTag.INDONESIAN}
 
@@ -190,6 +167,13 @@ class TestPromptGoldens:
         assert request.messages[0].content == golden_text(lang, "p2_fewshot_system")
         assert request.messages[1].content == golden_text(lang, "p2_fewshot_user")
 
+    def test_committed_files_match_the_generator(self):
+        committed = {
+            path.relative_to(GOLDEN / "prompts").as_posix(): path.read_text(encoding="utf-8")
+            for path in (GOLDEN / "prompts").rglob("*.txt")
+        }
+        assert committed == PROMPTS.goldens()
+
     def test_headers_and_suffix_present(self):
         assert "Entity facts:" in golden_text("en", "p1_wordinfo_user")
         assert "Definisi kata-kata penting:" in golden_text("id", "p1_wordinfo_user")
@@ -197,7 +181,7 @@ class TestPromptGoldens:
         assert "JANGAN menciptakan fakta baru" in golden_text("id", "p1_wordinfo_system")
 
 
-# --- 4. per-variant call algebra under record and replay -------------------
+# --- 3. per-variant call algebra under record and replay -------------------
 
 # Answers are a pure function of the request purpose.
 ALGEBRA_ANSWERS = {
@@ -297,7 +281,7 @@ class TestVariantCallAlgebra:
             )
 
 
-# --- 5. end-to-end replay determinism over the committed fixture -----------
+# --- 4. end-to-end replay determinism over the committed fixture -----------
 
 REPLAY_RUNS = [
     # dataset flag, data file, variant flag, frozen report values
@@ -414,7 +398,7 @@ class TestReplayDeterminism:
             assert len(samples) == 4
 
 
-# --- 6. metrics against an independent reference ---------------------------
+# --- 5. metrics against an independent reference ---------------------------
 
 class TestMetricsReference:
     def arrays(self, tp, fp, fn, tn):
@@ -440,15 +424,8 @@ class TestMetricsReference:
             assert abs(report.f1_macro - f1) <= 1e-12
             assert abs(report.accuracy - accuracy) <= 1e-12
 
-    def test_hand_derived_case(self):
-        report = macro_metrics(ConfusionMatrix(tp=2, fp=1, fn=1, tn=1))
-        assert report.accuracy == 0.6
-        # per class: positive f1 = 2/3, negative f1 = 1/2; mean is 7/12
-        assert report.f1_macro == (2 / 3 + 1 / 2) / 2
-        assert abs(report.f1_macro - 7 / 12) <= 1e-12
 
-
-# --- 7. dialogue flattening goldens ----------------------------------------
+# --- 6. dialogue flattening goldens ----------------------------------------
 
 MUSTARD_GOLDEN_TEXTS = {
     "mustard:f_001": (
@@ -470,12 +447,8 @@ class TestDialogueFlattening:
         samples = {s.id: s.text for s in load_dataset(DatasetKind.MUSTARD, path)}
         assert samples == MUSTARD_GOLDEN_TEXTS
 
-    def test_empty_context_uses_braces_only(self):
-        assert MUSTARD_GOLDEN_TEXTS["mustard:f_002"].startswith("{")
-        assert MUSTARD_GOLDEN_TEXTS["mustard:f_002"].endswith("}")
 
-
-# --- 8. CSV keyword parsing cases and fuzz ----------------------------------
+# --- 7. CSV keyword parsing cases and fuzz ----------------------------------
 
 class TestCsvKeywordParsing:
     @pytest.mark.parametrize(
@@ -489,6 +462,7 @@ class TestCsvKeywordParsing:
             ("no unknown", []),
             ("  No Unknown  ", []),
             ("", []),
+            ("   ", []),
         ],
     )
     def test_documented_cases(self, raw, expected):
@@ -531,37 +505,7 @@ class TestCsvKeywordParsing:
                 assert keyword_set(",".join(parsed)) == parsed
 
 
-# --- 9. chunking partition and offset properties ----------------------------
-
-class TestChunkingProperties:
-    def test_200_random_texts(self):
-        rng = random.Random(7171)
-        alphabet = string.ascii_lowercase + string.digits
-        for _ in range(200):
-            words = [
-                "".join(rng.choices(alphabet, k=rng.randint(1, 8)))
-                for _ in range(rng.randint(1, 300))
-            ]
-            text = " ".join(words)
-
-            chunk_size = rng.randint(1, 40)
-            chunks = chunk_document(text, chunk_size, 0)
-            assert sum(len(bm25_tokenize(c.text)) for c in chunks) == len(words)
-            assert [w for c in chunks for w in c.text.split()] == words
-
-            chunk_size = rng.randint(2, 40)
-            overlap = rng.randint(1, chunk_size - 1)
-            step = chunk_size - overlap
-            chunks = chunk_document(text, chunk_size, overlap)
-            offsets = list(range(0, len(words), step))
-            assert len(chunks) == len(offsets)
-            for ordinal, (chunk, offset) in enumerate(zip(chunks, offsets)):
-                assert chunk.index == ordinal
-                assert chunk.text.split() == words[offset : offset + chunk_size]
-                assert bm25_tokenize(chunk.text) == chunk.text.split()
-
-
-# --- 10. optional live smoke test -------------------------------------------
+# --- 8. optional live smoke test -------------------------------------------
 
 LIVE_ENDPOINT = os.environ.get("LLM_ENDPOINT")
 LIVE_DATA = os.environ.get("SMOKE_DATA")

@@ -281,76 +281,6 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: data path holds no samples: {data}\n"
         assert not (tmp_path / FIXTURE_RUN / "run.jsonl").exists()
 
-    def test_crash_keeps_the_records_written_before_it(self, tmp_path, capsys, monkeypatch):
-        run_pipeline = cli.run_pipeline
-
-        def crash_on_third(sample, variant, deps):
-            if sample.id == "semeval:3":
-                raise RuntimeError("crashed mid-run")
-            return run_pipeline(sample, variant, deps)
-
-        monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
-        with pytest.raises(RuntimeError):
-            run(tmp_path, "--concurrency", 1, fixture=True)
-        records = read_run_log(tmp_path / FIXTURE_RUN / "run.jsonl")
-        assert [r["sample_id"] for r in records] == ["semeval:1", "semeval:2"]
-        assert [r["verdict"] for r in records] == ["YES", "NO"]
-
-    def test_crash_stops_new_samples(self, tmp_path, capsys, monkeypatch):
-        # At --concurrency 1 there are four threads, so semeval:5 is queued while
-        # semeval:1 to 4 may start. semeval:3 raises at once, and every other sample
-        # that starts runs on only once the crash is recorded, so no thread comes
-        # free for semeval:5 before that. semeval:4 may start before the crash or be
-        # stopped by it. No sample starts after it.
-        patch_endpoints(monkeypatch, chat=say_yes)
-        crash_recorded = watch_for_crash(monkeypatch)
-        data = numbered_samples(tmp_path, 5)
-        run_pipeline = cli.run_pipeline
-        called = []
-
-        def crash_on_third(sample, variant, deps):
-            called.append(sample.id)
-            if sample.id == "semeval:3":
-                raise RuntimeError("crashed mid-run")
-            assert crash_recorded.wait(timeout=10)
-            return run_pipeline(sample, variant, deps)
-
-        monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
-        with pytest.raises(RuntimeError):
-            run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1)
-        assert sorted(called) in (
-            ["semeval:1", "semeval:2", "semeval:3"],
-            ["semeval:1", "semeval:2", "semeval:3", "semeval:4"],
-        )
-        run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
-        assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1", "semeval:2"]
-
-    def test_crash_stops_queued_samples_at_concurrency_2(self, tmp_path, capsys, monkeypatch):
-        # There are eight threads. semeval:2 raises once semeval:1 to 8 have all
-        # started, and the others run on until the crash is recorded, so no thread
-        # comes free before it: semeval:9 to 12 are still queued when the run stops.
-        patch_endpoints(monkeypatch, chat=say_yes)
-        crash_recorded = watch_for_crash(monkeypatch)
-        data = numbered_samples(tmp_path, 12)
-        run_pipeline = cli.run_pipeline
-        eight_started = threading.Barrier(8)
-        called = []
-
-        def crash_on_second(sample, variant, deps):
-            called.append(sample.id)
-            eight_started.wait(timeout=10)
-            if sample.id == "semeval:2":
-                raise RuntimeError("crashed mid-run")
-            assert crash_recorded.wait(timeout=10)
-            return run_pipeline(sample, variant, deps)
-
-        monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
-        with pytest.raises(RuntimeError):
-            run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 2)
-        assert sorted(called) == [f"semeval:{n}" for n in range(1, 9)]
-        run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
-        assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
-
     def test_next_sample_starts_when_any_running_one_finishes(self, tmp_path, capsys, monkeypatch):
         # At --concurrency 1 there are four threads. semeval:1 runs until semeval:5
         # has started, which it can only do on a thread that another sample frees;
@@ -413,7 +343,7 @@ def watch_for_pool_shutdown(monkeypatch):
     return shut_down
 
 
-NAMES = ["Alice", "Bruno", "Carla", "Dmitri", "Edgar", "Fiona"]
+NAMES = ["Alice", "Bruno", "Carla", "Dmitri", "Edgar", "Fiona", "Gustav", "Helga", "Ivan", "Jonas"]
 
 
 class NameChat:
@@ -428,8 +358,9 @@ class NameChat:
         patch_endpoints(monkeypatch, chat=self.chat)
 
     @staticmethod
-    def data(tmp_path):
-        return semeval_file(tmp_path / "names.tsv", [f"we met {name} today" for name in NAMES])
+    def data(tmp_path, count=6):
+        """A SemEval file of count samples, the n-th naming NAMES[n - 1]."""
+        return semeval_file(tmp_path / "names.tsv", [f"we met {name} today" for name in NAMES[:count]])
 
     def wait_for(self, call):
         with self.arrived:
@@ -491,36 +422,49 @@ class TestWholeSamples:
         # A sample's wall_time is its own run, the hold included.
         assert records[0]["wall_time"] >= held_for
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_crash_stops_new_samples_and_leaves_no_thread(self, tmp_path, capsys, monkeypatch, error):
-        # At --concurrency 1 there are four threads. Sample 2 raises once samples 1
-        # to 4 have started, and they run on until the crash is recorded, so no thread
-        # comes free before it: samples 5 and 6 are still queued, and neither runs.
+    @pytest.mark.parametrize(
+        ("concurrency", "error"),
+        [
+            pytest.param(1, RuntimeError, id="RuntimeError"),
+            pytest.param(1, KeyboardInterrupt, id="KeyboardInterrupt"),
+            pytest.param(2, RuntimeError, id="2-RuntimeError"),
+            pytest.param(2, KeyboardInterrupt, id="2-KeyboardInterrupt"),
+        ],
+    )
+    def test_crash_stops_new_samples_and_leaves_no_thread(
+        self, tmp_path, capsys, monkeypatch, concurrency, error
+    ):
+        # There are 4 * concurrency threads and two more samples. Sample 3 raises once
+        # each thread has started a sample, and the others run on until the crash is
+        # recorded, so no thread comes free before it: the last two samples are still
+        # queued, and neither runs. The records of samples 1 and 2 are written.
+        threads = 4 * concurrency
         chat = NameChat(monkeypatch)
         crash_recorded = watch_for_crash(monkeypatch)
         run_pipeline = cli.run_pipeline
-        four_started = threading.Barrier(4)
+        all_started = threading.Barrier(threads)
         # (sample, whether the crash was recorded yet), as each starts and finishes
         started, finished = [], []
 
-        def crash_on_second(sample, variant, deps):
+        def crash_on_third(sample, variant, deps):
             started.append((sample.id, crash_recorded.is_set()))
-            four_started.wait(timeout=10)
-            if sample.id == "semeval:2":
+            all_started.wait(timeout=10)
+            if sample.id == "semeval:3":
                 raise error("crashed mid-run")
             assert crash_recorded.wait(timeout=10)
             trace = run_pipeline(sample, variant, deps)
             finished.append((sample.id, crash_recorded.is_set()))
             return trace
 
-        monkeypatch.setattr(cli, "run_pipeline", crash_on_second)
-        data = chat.data(tmp_path)
+        monkeypatch.setattr(cli, "run_pipeline", crash_on_third)
+        data = chat.data(tmp_path, threads + 2)
         before = set(threading.enumerate())
         raised = []
 
         def run_and_catch():
             try:
-                run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 1)
+                flags = ["--data-path", data, "--variant", "pmpwl", "--concurrency", concurrency]
+                run(tmp_path, *flags)
             except BaseException as exc:
                 raised.append(exc)
 
@@ -530,11 +474,14 @@ class TestWholeSamples:
         assert not runner.is_alive()
         assert [type(exc) for exc in raised] == [error]
         assert set(threading.enumerate()) - before == set()
-        assert sorted(started) == [(f"semeval:{n}", False) for n in range(1, 5)]
-        assert sorted(finished) == [("semeval:1", True), ("semeval:3", True), ("semeval:4", True)]
-        assert {sample for _, sample in chat.calls} == {1, 3, 4}
+        ran = [n for n in range(1, threads + 1) if n != 3]
+        assert sorted(started) == sorted((f"semeval:{n}", False) for n in range(1, threads + 1))
+        assert sorted(finished) == sorted((f"semeval:{n}", True) for n in ran)
+        assert {sample for _, sample in chat.calls} == set(ran)
         run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
-        assert [r["sample_id"] for r in read_run_log(run_log)] == ["semeval:1"]
+        assert [(r["sample_id"], r["verdict"]) for r in read_run_log(run_log)] == [
+            ("semeval:1", "YES"), ("semeval:2", "YES"),
+        ]
 
     def test_backoff_frees_the_worker(self, tmp_path, capsys, monkeypatch):
         # At --concurrency 1 there are two slots. Samples 1 and 2 each get a 500 on
@@ -712,9 +659,9 @@ class TestWholeSamples:
         data = NameChat.data(tmp_path)
         assert run(tmp_path, "--data-path", data, "--variant", "pmpwg", "--concurrency", 1) == 0
         records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmpwg" / "run.jsonl")
-        assert [r["verdict"] for r in records] == ["YES"] * len(NAMES)
+        assert [r["verdict"] for r in records] == ["YES"] * 6
         kinds = [kind for kind, _ in exchanges]
-        assert kinds.count("search") == kinds.count("page") == len(NAMES)
+        assert kinds.count("search") == kinds.count("page") == 6
         assert in_flight[0] == 0, "a page body was not read to its end"
         assert most_in_flight[0] == 2
 
@@ -1015,6 +962,26 @@ class TestLiveTransport:
         n_calls = len(calls)
         assert records("replay") == recorded
         assert len(calls) == n_calls
+
+    def test_a_blank_answer_replays_as_recorded(self, tmp_path, capsys, monkeypatch):
+        # A blank answer is stored like any other, so its replay skips the sample with
+        # EmptyResponse, as the live run did.
+        def chat(system, user, payload):
+            return "  " if user == "sample number 1" else say_yes(system, user, payload)
+
+        patch_endpoints(monkeypatch, chat=chat)
+        data = numbered_samples(tmp_path, 2)
+
+        def records(backend):
+            assert run(tmp_path, "--data-path", data, "--variant", "pmp", "--backend", backend) == 0
+            run_log = tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl"
+            return [{k: v for k, v in r.items() if k != "wall_time"} for r in read_run_log(run_log)]
+
+        recorded = records("live")
+        assert [(r["sample_id"], r["skip_class"]) for r in recorded] == [
+            ("semeval:1", "EmptyResponse"), ("semeval:2", None),
+        ]
+        assert records("replay") == recorded
 
     def test_each_model_answers_from_its_own_store(self, tmp_path, capsys, monkeypatch):
         asked = []

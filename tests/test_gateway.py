@@ -229,13 +229,6 @@ class TestReplayBackend:
         with pytest.raises(MissingTranscript):
             gateway.chat(make_request())
 
-    def test_identical_requests_identical_responses(self, tmp_path):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        store.save(request, "same thing")
-        gateway = Gateway(None, store)
-        assert gateway.chat(request) == gateway.chat(request) == "same thing"
-
 
 def live_backend(session, sleep=lambda s: None, model="m"):
     """A LiveBackend whose POSTs each hold the one permit of its own bound."""

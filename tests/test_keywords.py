@@ -4,7 +4,7 @@ import re
 import string
 
 import pytest
-from fakes import ScriptedGateway, keyword_set
+from fakes import ScriptedGateway
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,27 +152,6 @@ class TestParseCsvKeywords:
     def test_only_splits_and_strips(self):
         # Blank and repeated items are _cap_keywords' to drop.
         assert parse_csv_keywords(" a , A ,,c ") == ["a", "A", "", "c"]
-
-    def test_trims_and_drops_empties(self):
-        assert keyword_set(" a , b ,,c ") == ["a", "b", "c"]
-
-    def test_sentinel_case_insensitive(self):
-        assert parse_csv_keywords("no unknown") == []
-        assert parse_csv_keywords("  NO UNKNOWN  ") == []
-
-    def test_case_fold_dedup(self):
-        assert keyword_set("a,A,b") == ["a", "b"]
-
-    def test_single_token_accepted(self):
-        assert parse_csv_keywords("wkwk") == ["wkwk"]
-
-    def test_prose_without_commas_is_malformed(self):
-        with pytest.raises(MalformedCSV):
-            parse_csv_keywords("I do not recognize any of these words")
-
-    def test_empty_input_is_empty_list(self):
-        assert keyword_set("") == []
-        assert keyword_set("   ") == []
 
     @given(
         st.lists(

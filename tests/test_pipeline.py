@@ -134,10 +134,6 @@ class TestBuildP2:
                 templates.p2_system + "\n" + templates.fewshot_header_and_examples
             )
 
-    def test_rejects_empty_analysis(self):
-        with pytest.raises(ValueError):
-            build_p2("", False, EN)
-
 
 class TestParseVerdict:
     @pytest.mark.parametrize(

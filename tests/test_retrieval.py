@@ -120,8 +120,8 @@ TOKENIZER_EDGES = ".,!?'-_" + "ßﬁİΣς" + "\t\n\x1c\x85\xa0\u2003\u2028\u300
 class TestChunking:
     @given(
         text=st.text(st.one_of(st.sampled_from(TOKENIZER_EDGES), st.characters()), max_size=200),
-        overlap=st.integers(0, 10),
-        step=st.integers(1, 10),
+        overlap=st.integers(0, 20),
+        step=st.integers(1, 20),
     )
     # A word character only after case folding: bm25_tokenize reads "\u0345" as ["ι"].
     @example(text="\u0345", overlap=0, step=1)
@@ -149,12 +149,6 @@ class TestChunking:
         ]
         assert [c.index for c in chunks] == [0, 1, 2, 3]
         assert [len(bm25_tokenize(c.text)) for c in chunks] == [4, 4, 4, 1]
-
-    def test_overlap_zero_partitions_words(self):
-        words = [f"tok{i}" for i in range(11)]
-        chunks = chunk_document(" ".join(words), 4, 0)
-        rebuilt = [w for c in chunks for w in c.text.split()]
-        assert rebuilt == words
 
     def test_short_document_single_chunk(self):
         chunks = chunk_document("just three words", 120, 20)
