@@ -139,11 +139,12 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("limit must be a positive sample count")
     if config.backend == "replay" and not config.store_dir.is_dir():
         raise ConfigError(f"replay needs an existing transcript store: {config.store_dir}")
-    if config.backend == "live" and not config.endpoint:
-        raise ConfigError("live backend needs an endpoint (flag, LLM_ENDPOINT, or config file)")
     url = urllib.parse.urlsplit(config.endpoint or "")
     if config.backend == "live" and (url.scheme not in ("http", "https") or not url.netloc):
-        raise ConfigError(f"endpoint must be an http:// or https:// URL, got {config.endpoint!r}")
+        raise ConfigError(
+            "live backend needs an http:// or https:// endpoint URL "
+            f"(flag, LLM_ENDPOINT, or config file), got {config.endpoint!r}"
+        )
     needs_search = config.variant.retrieval is RetrievalSource.GOOGLE_SEARCH
     if needs_search and config.backend == "live":
         if not (config.search_api_key and config.search_engine_id):

@@ -131,7 +131,6 @@ def bm25_tokenize(text: str) -> list[str]:
 
 def split_sentences(text: str) -> list[str]:
     """Split on {. ! ?} runs followed by whitespace or end of text."""
-    text = text.strip()
     out: list[str] = []
     start = 0
     for match in re.finditer(r"[.!?]+(?=\s|$)", text):

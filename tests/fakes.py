@@ -13,6 +13,7 @@ import json
 import shutil
 import sys
 import threading
+import time
 from pathlib import Path
 
 import requests
@@ -50,9 +51,11 @@ def semeval_file(path, texts):
 def at_once(calls):
     """What each of `calls` returned, or the exception it raised, in call order.
 
-    Each call runs on its own thread, and all of them start together at one barrier.
-    The interpreter's switch interval is 1 µs meanwhile, so that the threads switch
-    as often as they can; it is restored afterwards. Each thread gets 30 s to finish.
+    Each call runs on its own daemon thread, and all of them start together at one
+    barrier. The interpreter's switch interval is 1 µs meanwhile, so that the threads
+    switch as often as they can; it is restored afterwards. The calls get 30 s in all
+    to finish, so a call stuck on a lost wake-up fails its test instead of hanging it,
+    and its thread, a daemon, does not keep the process from exiting.
     """
     outcomes = [None] * len(calls)
     start = threading.Barrier(len(calls), timeout=30)
@@ -64,17 +67,18 @@ def at_once(calls):
         except Exception as exc:
             outcomes[n] = exc
 
-    threads = [threading.Thread(target=call, args=(n,)) for n in range(len(calls))]
+    threads = [threading.Thread(target=call, args=(n,), daemon=True) for n in range(len(calls))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 30
         for thread in threads:
-            thread.join(timeout=30)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads), "a call ran past 30 s"
+    assert not any(thread.is_alive() for thread in threads), "the calls ran past 30 s"
     return outcomes
 
 

@@ -1,4 +1,4 @@
-"""Command line: config resolution, the run/report/cache subcommands, exit codes."""
+"""Command line: config resolution, the run and report subcommands, exit codes."""
 
 import errno
 import io
@@ -20,12 +20,10 @@ from sarcrag.cli import (
     read_run_log,
     report_from_log,
 )
-from sarcrag.core import DatasetKind, LanguageTag, RetrievalSource
-from sarcrag.datasets import load_dataset
+from sarcrag.core import LanguageTag, RetrievalSource
 from sarcrag.errors import ConfigError, LogParseError
 from sarcrag.evaluation import report_to_json
 from sarcrag.keywords import MAX_KEYWORDS_PER_SAMPLE
-from sarcrag.pipeline import build_p1
 from sarcrag.retrieval import DEFINE_SYSTEM, REFINE_SYSTEM, WordInfoCache
 from sarcrag.templates import load_templates
 
@@ -174,8 +172,12 @@ class TestConfigValidation:
             build_run_config(replay_args(tmp_path, transcripts=str(tmp_path / "absent")))
 
     def test_live_requires_endpoint(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             build_run_config(replay_args(tmp_path, backend="live"))
+        assert str(info.value) == (
+            "live backend needs an http:// or https:// endpoint URL "
+            "(flag, LLM_ENDPOINT, or config file), got None"
+        )
 
     # requests would fail every chat with InvalidSchema or MissingSchema, skipping
     # every sample; the config check stops the run before it starts.
@@ -421,6 +423,23 @@ class TestWholeSamples:
         assert [r["sample_id"] for r in records] == [f"semeval:{n}" for n in range(1, 7)]
         # A sample's wall_time is its own run, the hold included.
         assert records[0]["wall_time"] >= held_for
+
+    def test_a_record_is_on_disk_while_a_later_sample_runs(self, tmp_path, capsys, monkeypatch):
+        # Sample 2's P1 is held until sample 1's record can be read from run.jsonl.
+        run_log = tmp_path / "runs" / "semeval" / "m" / "pmpwl" / "run.jsonl"
+        readable = []
+
+        def hold_second(sample):
+            if sample == 2:
+                deadline = time.monotonic() + 10
+                while not run_log.read_text(encoding="utf-8") and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                readable.append([r["sample_id"] for r in read_run_log(run_log)])
+
+        chat = NameChat(monkeypatch, on_p1=hold_second)
+        data = chat.data(tmp_path, count=2)
+        assert run(tmp_path, "--data-path", data, "--variant", "pmpwl", "--concurrency", 1) == 0
+        assert readable == [["semeval:1"]]
 
     @pytest.mark.parametrize(
         ("concurrency", "error"),
@@ -739,106 +758,81 @@ class TestReusedRunDirectory:
         assert backends[1] == ["store"] * 4
 
 
+REPLAY = ()
+LIVE = ("--backend", "live", "--endpoint", "http://chat.invalid/api/chat")
+
+
+def p1_of(sample_id):
+    """The path of the fixture's P1 transcript of sample_id, relative to the fixture."""
+    (digest,) = [r["p1_digest"] for r in read_run_log(GOLDEN_RUN) if r["sample_id"] == sample_id]
+    return Path("transcripts", "fixture-model", f"{digest}.json")
+
+
+# The path of the fixture's cached definition of Heathrow, relative to the fixture.
+HEATHROW = WordInfoCache(Path("cache", "fixture-model", "en")).path_for("Heathrow", RetrievalSource.LLM_ONLY)
+
+
+def truncate(path):
+    path.write_text(path.read_text(encoding="utf-8")[:12], encoding="utf-8")
+
+
+def make_a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def rewrite(**fields):
+    """A corruption that sets fields in the JSON record of a file."""
+    return lambda path: path.write_text(
+        json.dumps({**json.loads(path.read_text(encoding="utf-8")), **fields}), encoding="utf-8"
+    )
+
+
+def file_state(path):
+    """The bytes of the file at path, or else whether a directory is there."""
+    return path.read_bytes() if path.is_file() else path.is_dir()
+
+
 class TestCorruptRecords:
     """A corrupt store or cache file skips only the sample that reads it, and stays."""
 
-    @pytest.fixture
-    def store(self, tmp_path):
-        return copy_fixture(tmp_path)
-
-    def replay(self, tmp_path):
-        assert run(tmp_path, fixture=True) == 0
-        return read_run_log(tmp_path / FIXTURE_RUN / "run.jsonl")
-
-    def assert_only_skipped(self, records, sample_id):
+    @pytest.mark.parametrize(
+        "flags, file, corrupt, sample_id, reason",
+        [
+            (REPLAY, p1_of("semeval:1"), truncate, "semeval:1", "JSONDecodeError: "),
+            (LIVE, p1_of("semeval:1"), truncate, "semeval:1", "JSONDecodeError: "),
+            (REPLAY, p1_of("semeval:1"), make_a_directory, "semeval:1", "IsADirectoryError: "),
+            (REPLAY, p1_of("semeval:2"), rewrite(messages=[]), "semeval:2", "its messages do not hash"),
+            (REPLAY, p1_of("semeval:1"), rewrite(response_text=None), "semeval:1", "no response_text string"),
+            (REPLAY, HEATHROW, truncate, "semeval:3", "JSONDecodeError: "),
+            (REPLAY, HEATHROW, make_a_directory, "semeval:3", "IsADirectoryError: "),
+            (REPLAY, HEATHROW, rewrite(definition=""), "semeval:3", "ValueError: definition must be non-empty"),
+        ],
+        ids=[
+            "truncated-transcript", "truncated-transcript-live", "directory-for-a-transcript", "other-messages",
+            "null-response-text", "truncated-cache-file", "directory-for-a-cache-file", "empty-definition",
+        ],
+    )
+    def test_a_corrupt_file_skips_only_its_sample(
+        self, tmp_path, monkeypatch, flags, file, corrupt, sample_id, reason
+    ):
+        path = copy_fixture(tmp_path) / file
+        corrupt(path)
+        before = file_state(path)
+        # Every answer is stored, so a live run asks the model nothing: a chat request fails the test.
+        patch_endpoints(monkeypatch)
+        assert run(tmp_path, *flags, fixture=True) == 0
+        records = read_run_log(tmp_path / FIXTURE_RUN / "run.jsonl")
         golden = read_run_log(GOLDEN_RUN)
         assert [r["sample_id"] for r in records] == [g["sample_id"] for g in golden]
         for record, expected in zip(records, golden):
             record.pop("wall_time")
             if record["sample_id"] == sample_id:
-                assert record["skipped_reason"].startswith("CorruptRecord: corrupt record ")
+                assert record["skip_class"] == "CorruptRecord"
+                assert record["skipped_reason"].startswith(f"CorruptRecord: corrupt record {path}: {reason}")
             else:
                 assert record == expected
-
-    def p1_transcript(self, tmp_path, sample_id):
-        (digest,) = [r["p1_digest"] for r in read_run_log(GOLDEN_RUN) if r["sample_id"] == sample_id]
-        return tmp_path / "transcripts" / "fixture-model" / f"{digest}.json"
-
-    def test_truncated_transcript_in_a_replay(self, store):
-        path = self.p1_transcript(store, "semeval:1")
-        path.write_text('{"digest": "trunc', encoding="utf-8")
-        self.assert_only_skipped(self.replay(store), "semeval:1")
-        assert path.read_text(encoding="utf-8") == '{"digest": "trunc'
-
-    def test_transcript_with_edited_messages(self, store):
-        path = self.p1_transcript(store, "semeval:2")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["messages"][1]["content"] += " (edited)"
-        path.write_text(json.dumps(record), encoding="utf-8")
-        self.assert_only_skipped(self.replay(store), "semeval:2")
-
-    def test_transcript_with_null_response_text(self, store):
-        path = self.p1_transcript(store, "semeval:1")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["response_text"] = None
-        path.write_text(json.dumps(record), encoding="utf-8")
-        records = self.replay(store)
-        self.assert_only_skipped(records, "semeval:1")
-        assert records[0]["skipped_reason"].endswith("no response_text string")
-
-    def test_unreadable_transcript_in_a_replay(self, store):
-        path = self.p1_transcript(store, "semeval:1")
-        path.unlink()
-        path.mkdir()
-        records = self.replay(store)
-        self.assert_only_skipped(records, "semeval:1")
-        assert records[0]["skip_class"] == "CorruptRecord"
-        assert f"{path}: IsADirectoryError" in records[0]["skipped_reason"]
-        assert path.is_dir()
-
-    def test_unreadable_cache_file(self, store):
-        cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
-        path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
-        path.unlink()
-        path.mkdir()
-        records = self.replay(store)
-        self.assert_only_skipped(records, "semeval:3")
-        assert records[2]["skip_class"] == "CorruptRecord"
-        assert f"{path}: IsADirectoryError" in records[2]["skipped_reason"]
-        assert path.is_dir()
-
-    def test_truncated_cache_file(self, store):
-        cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
-        path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
-        path.write_text('{"keyword": "Heath', encoding="utf-8")
-        self.assert_only_skipped(self.replay(store), "semeval:3")
-
-    def test_cache_file_without_a_valid_definition(self, store):
-        cache = WordInfoCache(store / "cache" / "fixture-model" / "en")
-        path = cache.path_for("Heathrow", RetrievalSource.LLM_ONLY)
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["definition"] = ""
-        path.write_text(json.dumps(record), encoding="utf-8")
-        records = self.replay(store)
-        self.assert_only_skipped(records, "semeval:3")
-        assert records[2]["skipped_reason"].endswith("ValueError: definition must be non-empty")
-
-    def test_truncated_transcript_in_a_live_run(self, tmp_path, capsys, monkeypatch):
-        patch_endpoints(monkeypatch, chat=say_yes)
-        data = FIXTURE / "data" / "semeval_mini.tsv"
-        first = load_dataset(DatasetKind.SEMEVAL_2018_T3, data)[0]
-        digest = build_p1(first, [], load_templates(LanguageTag.ENGLISH)).digest
-        path = tmp_path / "transcripts" / "m" / f"{digest}.json"
-        path.parent.mkdir(parents=True)
-        path.write_text('{"digest": "trunc', encoding="utf-8")
-        assert run(tmp_path, "--data-path", data, "--variant", "pmp", "--concurrency", 1) == 0
-        records = read_run_log(tmp_path / "runs" / "semeval" / "m" / "pmp" / "run.jsonl")
-        assert [r["sample_id"] for r in records] == [
-            "semeval:1", "semeval:2", "semeval:3", "semeval:4",
-        ]
-        assert records[0]["skipped_reason"].startswith("CorruptRecord: corrupt record ")
-        assert [r["verdict"] for r in records[1:]] == ["YES", "YES", "YES"]
-        assert path.read_text(encoding="utf-8") == '{"digest": "trunc'
+        assert file_state(path) == before
 
 
 class TestRunFileWriteFailures:
@@ -1070,6 +1064,7 @@ class TestRunLogReading:
         with pytest.raises(LogParseError) as info:
             read_run_log(log)
         assert "line 2" in str(info.value)
+        assert "invalid JSON" in str(info.value)
 
     def test_missing_key_reports_line(self, tmp_path):
         log = tmp_path / "run.jsonl"

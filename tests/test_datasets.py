@@ -321,10 +321,15 @@ class TestLoadTwitterId:
         assert "line 5" in str(info.value)
 
     def test_row_the_csv_module_rejects_reports_its_start_line(self, tmp_path):
-        # One unclosed quote runs the field past the csv module's size limit.
-        path = write_twitter(tmp_path, 'tweet,label\nok,1\n"' + "x" * 140_000 + ",1\nmore,0\n")
-        with pytest.raises(FormatError, match="^line 3: .*field larger than field limit"):
-            load_twitter_id(path)
+        # One unclosed quote runs a field past the csv module's size limit; so does a
+        # quoted header field of 200,000 characters.
+        for content, line in [
+            ('tweet,label\nok,1\n"' + "x" * 140_000 + ",1\nmore,0\n", 3),
+            ('"' + "x" * 200_000 + '",tweet,label\nok,1\n', 1),
+        ]:
+            path = write_twitter(tmp_path, content)
+            with pytest.raises(FormatError, match=f"^line {line}: .*field larger than field limit"):
+                load_twitter_id(path)
 
     def test_multi_line_tweet_keeps_row_ordinal_ids(self, tmp_path):
         path = write_twitter(tmp_path, 'tweet,label\n"first\nsecond",1\nhalo,0\n')

@@ -29,7 +29,8 @@ from sarcrag.gateway import (
     SingleFlight,
     TranscriptStore,
     chat_request,
-    message_dicts,
+    put_json_if_absent,
+    read_json,
     request_digest,
 )
 
@@ -77,81 +78,52 @@ class TestDigest:
         assert len(digests) == 200
 
 
-class TestTranscriptStore:
-    def test_record_then_replay_round_trip(self, tmp_path):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        store.save(request, "recorded answer")
-        assert store.lookup(request) == "recorded answer"
+RECORD = {"answer": "first"}
 
-    def test_lookup_missing_returns_none(self, tmp_path):
-        assert TranscriptStore(tmp_path).lookup(make_request()) is None
 
-    def test_rerecord_same_text_is_idempotent(self, tmp_path):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        store.save(request, "answer")
-        before = store.path_for(request.digest).read_bytes()
-        store.save(request, "answer")
-        assert store.path_for(request.digest).read_bytes() == before
+class TestStoreFiles:
+    """The first-writer-wins JSON files that the transcript store and the definition
+    cache keep, read by `read_json` and written by `put_json_if_absent`."""
 
-    def test_rerecord_different_text_keeps_the_first(self, tmp_path, caplog):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        assert store.save(request, "old") == "old"
-        before = store.path_for(request.digest).read_bytes()
-        assert store.save(request, "new") == "old"
-        assert store.path_for(request.digest).read_bytes() == before
-        assert store.lookup(request) == "old"
-        assert not caplog.records
-
-    @pytest.mark.parametrize("content", ['{"digest": "trunc', '{"digest": "x"}', "[]"])
-    def test_save_over_a_corrupt_record_raises(self, tmp_path, content):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        path = store.path_for(request.digest)
-        path.write_text(content, encoding="utf-8")
-        with pytest.raises(CorruptRecord, match=re.escape(str(path))):
-            store.save(request, "answer")
-        assert path.read_text(encoding="utf-8") == content
-
-    def test_save_over_a_record_with_a_null_response_text_raises(self, tmp_path):
-        # Another writer linked it first; save checks the record it keeps as lookup does.
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        path = store.path_for(request.digest)
-        record = {"messages": message_dicts(request.messages), "response_text": None}
-        path.write_text(json.dumps(record), encoding="utf-8")
-        with pytest.raises(CorruptRecord, match="no response_text string"):
-            store.save(request, "answer")
-
-    def test_a_directory_at_the_path_is_a_corrupt_record(self, tmp_path):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        path = store.path_for(request.digest)
-        path.mkdir()
-        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
-            store.lookup(request)
-        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
-            store.save(request, "answer")
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_a_dangling_link_at_the_path_is_absent_but_not_overwritten(self, tmp_path):
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        path = store.path_for(request.digest)
-        path.symlink_to(tmp_path / "gone.json")
-        assert store.lookup(request) is None
+    def test_nothing_there_reads_as_none_and_a_dangling_link_is_not_overwritten(self, tmp_path):
+        a_file = tmp_path / "file"
+        a_file.write_text("", encoding="utf-8")
+        dangling = tmp_path / "dangling.json"
+        dangling.symlink_to(tmp_path / "gone.json")
+        for path in (tmp_path / "absent.json", a_file / "under.json", dangling):
+            assert read_json(path) is None
         with pytest.raises(CorruptRecord, match="no file to read"):
-            store.save(request, "answer")
-        assert path.is_symlink() and [p.name for p in tmp_path.iterdir()] == [path.name]
+            put_json_if_absent(dangling, RECORD)
+        assert dangling.is_symlink() and sorted(tmp_path.iterdir()) == [dangling, a_file]
 
-    def test_lookup_under_a_file_returns_none(self, tmp_path):
-        root = tmp_path / "store"
-        root.write_text("", encoding="utf-8")
-        assert TranscriptStore(root).lookup(make_request()) is None
+    @pytest.mark.parametrize(
+        "content, cause",
+        [(None, "IsADirectoryError"), ('{"answer": "trunc', "JSONDecodeError"), ("[]", "not a JSON object")],
+        ids=["directory", "truncated", "not-an-object"],
+    )
+    def test_an_unreadable_file_raises_naming_its_path_and_stays(self, tmp_path, content, cause):
+        path = tmp_path / "record.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content, encoding="utf-8")
+        for act in (read_json, lambda path: put_json_if_absent(path, RECORD)):
+            with pytest.raises(CorruptRecord, match=f"^corrupt record {re.escape(str(path))}: {cause}"):
+                act(path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.is_dir() if content is None else path.read_text(encoding="utf-8") == content
 
-    def test_record_is_synced_before_it_is_linked_into_place(self, tmp_path, monkeypatch):
+    def test_the_first_record_is_kept_byte_for_byte_and_returned(self, tmp_path):
+        path = tmp_path / "record.json"
+        assert put_json_if_absent(path, RECORD) == RECORD
+        before = path.read_bytes()
+        for record in ({"answer": "second"}, RECORD):
+            assert put_json_if_absent(path, record) == RECORD
+        assert path.read_bytes() == before
+        assert read_json(path) == RECORD
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_the_record_is_synced_before_it_is_linked_into_place(self, tmp_path, monkeypatch):
         calls = []
         fsync, link = os.fsync, os.link
 
@@ -165,49 +137,87 @@ class TestTranscriptStore:
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
         monkeypatch.setattr(os, "link", recording_link)
-        store = TranscriptStore(tmp_path)
-        request = make_request()
-        store.save(request, "answer")
-        size = store.path_for(request.digest).stat().st_size
+        path = tmp_path / "record.json"
+        put_json_if_absent(path, RECORD)
+        size = path.stat().st_size
         assert calls == [("fsync", size), ("link", size)]
 
-    def test_concurrent_writers_of_one_digest(self, tmp_path):
-        # One store object per thread, as separate processes would have.
-        request = make_request()
-        kept = at_once([lambda n=n: TranscriptStore(tmp_path).save(request, f"answer {n}") for n in range(8)])
-        assert len(set(kept)) == 1
-        assert TranscriptStore(tmp_path).lookup(request) == kept[0]
-        assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest}.json"]
+    def test_concurrent_writers_leave_one_file(self, tmp_path):
+        path = tmp_path / "record.json"
 
-    def test_save_does_not_collide_with_another_writers_temp_file(self, tmp_path):
-        request = make_request()
-        reference = TranscriptStore(tmp_path / "reference")
-        reference.save(request, "answer")
-        store = TranscriptStore(tmp_path / "store")
-        path = store.path_for(request.digest)
-        # Stands in for the temporary file of another process saving the same digest.
-        path.with_suffix(".json.tmp").mkdir(parents=True)
-        store.save(request, "answer")
-        assert path.read_bytes() == reference.path_for(request.digest).read_bytes()
+        def write(n):
+            return [put_json_if_absent(path, {"writer": n, "put": i}) for i in range(40)]
 
-    def test_filesystem_without_hard_links_raises_store_write_error(self, tmp_path, monkeypatch):
-        def link(src, dst):
-            raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+        kept = at_once([lambda n=n: write(n) for n in range(8)])
+        assert kept == [[read_json(path)] * 40] * 8
+        assert list(tmp_path.iterdir()) == [path]
 
-        monkeypatch.setattr(os, "link", link)
-        with pytest.raises(StoreWriteError, match="Operation not supported"):
-            TranscriptStore(tmp_path).save(make_request(), "answer")
+    def test_another_writers_temporary_name_does_not_collide(self, tmp_path):
+        path = tmp_path / "record.json"
+        # Stands in for the temporary file of another process writing the same path.
+        path.with_suffix(".json.tmp").mkdir()
+        assert put_json_if_absent(path, RECORD) == RECORD
+        assert read_json(path) == RECORD
+
+    @pytest.mark.parametrize(
+        "call, fault",
+        [
+            ("link", (errno.EOPNOTSUPP, "Operation not supported")),
+            ("fsync", (errno.ENOSPC, "No space left on device")),
+        ],
+        ids=["no-hard-links", "full-disk"],
+    )
+    def test_a_failed_write_raises_and_leaves_no_temporary_file(self, tmp_path, monkeypatch, call, fault):
+        def fail(*args):
+            raise OSError(*fault)
+
+        monkeypatch.setattr(os, call, fail)
+        with pytest.raises(StoreWriteError, match=fault[1]):
+            put_json_if_absent(tmp_path / "record.json", RECORD)
         assert list(tmp_path.iterdir()) == []
 
-    def test_stored_record_fields(self, tmp_path):
+
+class TestTranscriptStore:
+    def test_record_then_replay_round_trip(self, tmp_path):
         store = TranscriptStore(tmp_path)
         request = make_request(purpose=Purpose.DEFINE_WORD)
+        assert store.lookup(request) is None
         store.save(request, "a definition")
+        assert store.lookup(request) == "a definition"
         record = json.loads(store.path_for(request.digest).read_text(encoding="utf-8"))
-        assert record["digest"] == request.digest
-        assert record["purpose_tag"] == "DefineWord"
-        assert record["messages"][0] == {"role": "system", "content": "be helpful"}
-        assert record["response_text"] == "a definition"
+        assert record == {
+            "digest": request.digest,
+            "purpose_tag": "DefineWord",
+            "messages": [{"role": "system", "content": "be helpful"}, {"role": "user", "content": "hello"}],
+            "response_text": "a definition",
+        }
+
+    def test_rerecord_different_text_keeps_the_first(self, tmp_path, caplog):
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        assert store.save(request, "old") == "old"
+        assert store.save(request, "new") == "old"
+        assert store.lookup(request) == "old"
+        assert not caplog.records
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            ({"messages": []}, "its messages do not hash to its name"),
+            ({"response_text": None}, "no response_text string"),
+        ],
+        ids=["other-messages", "null-response-text"],
+    )
+    def test_a_record_without_the_requests_answer_is_corrupt(self, tmp_path, change, reason):
+        # save checks the record it keeps, which another writer may have linked first, as lookup does.
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        store.save(request, "answer")
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **change}), encoding="utf-8")
+        for act in (store.lookup, lambda request: store.save(request, "answer")):
+            with pytest.raises(CorruptRecord, match=f"{re.escape(str(path))}: {reason}$"):
+                act(request)
 
 
 def logged_backends(log_path):
@@ -226,8 +236,9 @@ class TestReplayBackend:
 
     def test_missing_digest_raises(self, tmp_path):
         gateway = Gateway(None, TranscriptStore(tmp_path))
-        with pytest.raises(MissingTranscript):
-            gateway.chat(make_request())
+        request = make_request()
+        with pytest.raises(MissingTranscript, match=f"^no recorded response for request digest {request.digest}$"):
+            gateway.chat(request)
 
 
 def live_backend(session, sleep=lambda s: None, model="m"):
@@ -502,42 +513,35 @@ class TestGateway:
 
 
 class TestConcurrentMisses:
-    """Concurrent requests with one digest share one backend call."""
+    """What a gateway leaves on disk when concurrent requests with one digest miss the
+    store; `TestSingleFlight` checks who gets which answer."""
 
-    class Slow:
-        def __init__(self, answer):
-            self.answer = answer
-            self.calls = []
+    def chat_together(self, tmp_path, answer):
+        """The store directory and exchange log after 8 concurrent chats of one request,
+        whose backend call returns or raises `answer`."""
 
-        def complete(self, request):
-            self.calls.append(request.digest)
+        def slow(request):
             time.sleep(0.5)  # long enough for every other caller to arrive
-            if isinstance(self.answer, Exception):
-                raise self.answer
-            return self.answer
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
 
-    def test_one_backend_call_and_one_stored_file(self, tmp_path):
-        backend = self.Slow("the answer")
         store = TranscriptStore(tmp_path / "store")
         log_path = tmp_path / "exchanges.jsonl"
-        request = make_request()
-        gateway = Gateway(backend, store, exchange_log=log_path)
-        assert at_once([lambda: gateway.chat(request)] * 8) == ["the answer"] * 8
-        assert backend.calls == [request.digest]
-        assert [p.name for p in store.root.iterdir()] == [f"{request.digest}.json"]
+        gateway = Gateway(FunctionBackend(slow), store, exchange_log=log_path)
+        at_once([lambda: gateway.chat(make_request())] * 8)
+        return store.root, log_path
+
+    def test_one_backend_call_and_one_stored_file(self, tmp_path):
+        root, log_path = self.chat_together(tmp_path, "the answer")
+        assert [p.name for p in root.iterdir()] == [f"{make_request().digest}.json"]
         # The caller that made the call logs the backend; the seven that waited for it, the store.
         assert sorted(logged_backends(log_path)) == ["live"] + ["store"] * 7
 
     def test_leader_error_reaches_every_caller_and_stores_nothing(self, tmp_path):
-        error = TransportError("chat endpoint failed: HTTP 503 after 3 attempts")
-        backend = self.Slow(error)
-        store = TranscriptStore(tmp_path / "store")
-        log_path = tmp_path / "exchanges.jsonl"
-        request = make_request()
-        gateway = Gateway(backend, store, exchange_log=log_path)
-        assert at_once([lambda: gateway.chat(request)] * 8) == [error] * 8
-        assert backend.calls == [request.digest]
-        assert not store.root.exists() or list(store.root.iterdir()) == []
+        root, log_path = self.chat_together(tmp_path, TransportError("chat endpoint failed: HTTP 503"))
+        assert not root.exists() or list(root.iterdir()) == []
+        # A caller logs its exchange only once it has its answer: none got one.
         assert not log_path.exists()
 
 
@@ -548,33 +552,30 @@ class TestSingleFlight:
         # The key is forgotten once its call returns, so the next caller runs afresh.
         assert flight.run("k", lambda: 2) == (2, False)
 
+    def run_together(self, flight, outcome):
+        """The calls run, and what each of four concurrent callers of one key got or
+        raised, when the call returns or raises `outcome` after a pause."""
+        calls = []
+
+        def call():
+            calls.append("call")
+            time.sleep(0.5)  # long enough for every other caller to find the call running
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        return calls, at_once([lambda: flight.run("k", call)] * 4)
+
     def test_callers_that_wait_get_the_running_call_result_as_shared(self):
-        flight = SingleFlight()
-        entered, release = threading.Event(), threading.Event()
-        calls, outcomes = [], []
-
-        def lead():
-            calls.append("lead")
-            entered.set()
-            release.wait(timeout=30)
-            return "answer"
-
-        def follow():
-            calls.append("follow")
-            return "other answer"
-
-        leader = threading.Thread(target=lambda: outcomes.append(flight.run("k", lead)))
-        leader.start()
-        assert entered.wait(timeout=30)
-        followers = [
-            threading.Thread(target=lambda: outcomes.append(flight.run("k", follow)))
-            for _ in range(3)
-        ]
-        for thread in followers:
-            thread.start()
-        time.sleep(0.5)  # long enough for every follower to find the call running
-        release.set()
-        for thread in [leader, *followers]:
-            thread.join(timeout=30)
-        assert calls == ["lead"]
+        calls, outcomes = self.run_together(SingleFlight(), "answer")
+        assert calls == ["call"]
         assert sorted(outcomes) == [("answer", False)] + [("answer", True)] * 3
+
+    def test_callers_that_wait_raise_the_running_call_error_and_the_key_is_forgotten(self):
+        flight = SingleFlight()
+        error = TransportError("chat endpoint failed: HTTP 400, not retried")
+        calls, outcomes = self.run_together(flight, error)
+        assert calls == ["call"]
+        assert outcomes == [error] * 4
+        # The next caller runs the call afresh.
+        assert flight.run("k", lambda: "retried") == ("retried", False)
