@@ -180,10 +180,15 @@ class TestStoreFiles:
 class TestTranscriptStore:
     def test_record_then_replay_round_trip(self, tmp_path):
         store = TranscriptStore(tmp_path)
-        request = make_request(purpose=Purpose.DEFINE_WORD)
+        request = make_request()
         assert store.lookup(request) is None
+        store.save(request, "recorded answer")
+        assert store.lookup(request) == "recorded answer"
+
+    def test_stored_record_fields(self, tmp_path):
+        store = TranscriptStore(tmp_path)
+        request = make_request(purpose=Purpose.DEFINE_WORD)
         store.save(request, "a definition")
-        assert store.lookup(request) == "a definition"
         record = json.loads(store.path_for(request.digest).read_text(encoding="utf-8"))
         assert record == {
             "digest": request.digest,
@@ -218,6 +223,52 @@ class TestTranscriptStore:
         for act in (store.lookup, lambda request: store.save(request, "answer")):
             with pytest.raises(CorruptRecord, match=f"{re.escape(str(path))}: {reason}$"):
                 act(request)
+
+    # The store-file rules below are tested at read_json and put_json_if_absent in
+    # TestStoreFiles; these check that the store reaches them through lookup and save.
+    def test_a_directory_at_the_path_is_a_corrupt_record(self, tmp_path):
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        path.mkdir()
+        for act in (store.lookup, lambda request: store.save(request, "answer")):
+            with pytest.raises(CorruptRecord, match="IsADirectoryError"):
+                act(request)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_dangling_link_at_the_path_is_absent_but_not_overwritten(self, tmp_path):
+        store = TranscriptStore(tmp_path)
+        request = make_request()
+        path = store.path_for(request.digest)
+        path.symlink_to(tmp_path / "gone.json")
+        assert store.lookup(request) is None
+        with pytest.raises(CorruptRecord, match="no file to read"):
+            store.save(request, "answer")
+        assert path.is_symlink() and [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_lookup_under_a_file_returns_none(self, tmp_path):
+        root = tmp_path / "store"
+        root.write_text("", encoding="utf-8")
+        assert TranscriptStore(root).lookup(make_request()) is None
+
+    def test_concurrent_writers_of_one_digest(self, tmp_path):
+        # One store object per thread, as separate processes would have.
+        request = make_request()
+        kept = at_once([lambda n=n: TranscriptStore(tmp_path).save(request, f"answer {n}") for n in range(8)])
+        assert len(set(kept)) == 1
+        assert TranscriptStore(tmp_path).lookup(request) == kept[0]
+        assert [p.name for p in tmp_path.iterdir()] == [f"{request.digest}.json"]
+
+    def test_save_does_not_collide_with_another_writers_temp_file(self, tmp_path):
+        request = make_request()
+        reference = TranscriptStore(tmp_path / "reference")
+        reference.save(request, "answer")
+        store = TranscriptStore(tmp_path / "store")
+        path = store.path_for(request.digest)
+        # Stands in for the temporary file of another process saving the same digest.
+        path.with_suffix(".json.tmp").mkdir(parents=True)
+        store.save(request, "answer")
+        assert path.read_bytes() == reference.path_for(request.digest).read_bytes()
 
 
 def logged_backends(log_path):

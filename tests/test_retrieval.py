@@ -637,12 +637,25 @@ class TestWordInfoCache:
 
     def test_round_trip(self, tmp_path):
         cache = WordInfoCache(tmp_path)
-        for info in (self.make_info(), self.make_info(source=RetrievalSource.GOOGLE_SEARCH)):
-            assert cache.lookup("kw", info.source) is None
-            cache.store(info)
-            assert cache.lookup("kw", info.source) == info
-            payload = json.loads(cache.path_for("kw", info.source).read_text(encoding="utf-8"))
-            assert payload["keyword"] == "kw"
+        info = self.make_info()
+        cache.store(info)
+        assert cache.lookup("kw", RetrievalSource.LLM_ONLY) == info
+
+    def test_web_sourced_round_trip_keeps_evidence(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        info = self.make_info(source=RetrievalSource.GOOGLE_SEARCH)
+        cache.store(info)
+        assert cache.lookup("kw", RetrievalSource.GOOGLE_SEARCH) == info
+
+    def test_miss_returns_none(self, tmp_path):
+        assert WordInfoCache(tmp_path).lookup("kw", RetrievalSource.LLM_ONLY) is None
+
+    def test_stored_file_is_json(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        cache.store(self.make_info())
+        (path,) = list(tmp_path.rglob("*.json"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["keyword"] == "kw"
 
     def test_two_casings_are_two_entries(self, tmp_path):
         cache = WordInfoCache(tmp_path)
@@ -659,18 +672,37 @@ class TestWordInfoCache:
         cache.store(self.make_info())
         assert cache.lookup("kw", RetrievalSource.GOOGLE_SEARCH) is None
 
+    def test_unsafe_keyword_becomes_safe_filename(self, tmp_path):
+        cache = WordInfoCache(tmp_path)
+        cache.store(self.make_info("a/b c"))
+        assert cache.lookup("a/b c", RetrievalSource.LLM_ONLY) is not None
+        for p in tmp_path.rglob("*.json"):
+            assert "/" not in p.stem
+
+    def test_long_non_ascii_keyword_is_named_by_its_digest(self, tmp_path):
+        # 44 characters pass the keyword caps, but would quote to a 489-byte file name.
+        keyword = "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40
+        cache = WordInfoCache(tmp_path)
+        info = self.make_info(keyword)
+        assert cache.store(info) == info
+        assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
+        assert cache.lookup("WKWK" + keyword[4:], RetrievalSource.LLM_ONLY) is None
+        digest = hashlib.sha256(keyword.encode("utf-8")).hexdigest()
+        assert [p.name for p in (tmp_path / "llm_only").iterdir()] == [f"{digest}.json"]
+
+    def test_quoted_name_at_the_length_limit_is_kept(self, tmp_path):
+        # 237 bytes was the longest name a percent-quoted keyword could take;
+        # one past it is stored and found like any other keyword.
+        cache = WordInfoCache(tmp_path)
+        for keyword in ["k" * 237, "k" * 238]:
+            info = self.make_info(keyword)
+            assert cache.store(info) == info
+            assert cache.lookup(keyword, RetrievalSource.LLM_ONLY) == info
+        digests = [hashlib.sha256(k.encode("utf-8")).hexdigest() for k in ["k" * 237, "k" * 238]]
+        assert sorted(p.name for p in (tmp_path / "llm_only").iterdir()) == sorted(f"{d}.json" for d in digests)
+
     def test_any_keyword_is_named_by_its_digest(self, tmp_path):
-        keywords = [
-            "kw",
-            "United Nations",
-            "a/b c",
-            # 44 characters pass the keyword caps, but would quote to a 489-byte file name.
-            "wkwk" + "\N{FACE WITH TEARS OF JOY}" * 40,
-            # 237 bytes was the longest name a percent-quoted keyword could take.
-            "k" * 237,
-            "k" * 238,
-            "k" * 300,
-        ]
+        keywords = ["kw", "United Nations", "a/b c", "k" * 300]
         cache = WordInfoCache(tmp_path)
         for keyword in keywords:
             info = self.make_info(keyword)
@@ -709,6 +741,44 @@ class TestWordInfoCache:
         second = WordInfo(keyword="kw", definition="Second.", source=RetrievalSource.LLM_ONLY)
         assert cache.store(second) == first
         assert cache.lookup("kw", RetrievalSource.LLM_ONLY) == first
+
+    # The store-file rules below are tested at read_json and put_json_if_absent in
+    # TestStoreFiles; these check that the cache reaches them through lookup and store.
+    def test_a_directory_at_the_path_is_a_corrupt_record(self, tmp_path):
+        # Unreadable, not unwritable: it skips the sample that reads it and stays.
+        cache = WordInfoCache(tmp_path)
+        path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
+        (path / "occupied").mkdir(parents=True)
+        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
+            cache.lookup("kw", RetrievalSource.LLM_ONLY)
+        with pytest.raises(CorruptRecord, match="IsADirectoryError"):
+            cache.store(self.make_info())
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_store_does_not_collide_with_another_writers_temp_file(self, tmp_path):
+        WordInfoCache(tmp_path / "reference").store(self.make_info())
+        cache = WordInfoCache(tmp_path / "cache")
+        path = cache.path_for("kw", RetrievalSource.LLM_ONLY)
+        # Stands in for the temporary file of another process storing the same keyword.
+        path.with_suffix(".json.tmp").mkdir(parents=True)
+        cache.store(self.make_info())
+        reference = WordInfoCache(tmp_path / "reference").path_for("kw", RetrievalSource.LLM_ONLY)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_concurrent_writers_of_one_keyword(self, tmp_path):
+        # One cache object per thread, as separate processes would have.
+        def write(n):
+            cache = WordInfoCache(tmp_path)
+            for i in range(40):
+                cache.store(
+                    WordInfo(keyword="kw", definition=f"Definition {n}.{i}.", source=RetrievalSource.LLM_ONLY)
+                )
+
+        assert at_once([lambda n=n: write(n) for n in range(8)]) == [None] * 8
+        cache = WordInfoCache(tmp_path)
+        info = cache.lookup("kw", RetrievalSource.LLM_ONLY)
+        assert info.definition.startswith("Definition ")
+        assert list((tmp_path / "llm_only").iterdir()) == [cache.path_for("kw", RetrievalSource.LLM_ONLY)]
 
 
 class TestGetWordInfo:
